@@ -13,8 +13,9 @@
 //! service summary. The summary on stdout is byte-for-byte identical for
 //! the same `--seed` at any `--jobs` count — the CI soak step diffs two
 //! runs. Wall-clock timing goes to stderr. `--trace DIR` writes the whole
-//! run as one Chrome `trace_event` timeline (a track per client, a
-//! device-memory counter).
+//! run as one Chrome `trace_event` timeline (a track per client, router
+//! and CPU-fallback tracks, and per device an execution track, a health
+//! track and memory counters).
 //!
 //! Defaults contend hard on purpose: the device is the paper's GTX 1080
 //! with capacity divided by `--capacity-div` (default 16384 → 512 KB), so
@@ -57,8 +58,9 @@
 //! releases every reservation and cache pin, and re-routes the queue to
 //! survivors (CPU when the fleet is saturated). The summary gains fleet
 //! and per-device lines and stays byte-identical across `--jobs` counts.
-//! `--devices 1` (the default) is the unsharded single-device service,
-//! byte-identical to pre-fleet builds.
+//! `--devices 1` (the default) is the one-device case of the same event
+//! loop: a lone device acts on no health observation (it has no device
+//! to fail over to) and the summary carries no fleet lines.
 //!
 //! `--exchange` (requires a fleet) lets the planner admit joins that
 //! overflow every single device as cross-device partitioned exchanges

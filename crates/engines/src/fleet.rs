@@ -1,15 +1,18 @@
-//! A multi-device join fleet: [`crate::service::JoinService`] sharded
-//! across N simulated GPUs, with per-device health and failover.
+//! The join service's one event loop, on a fleet of N simulated GPUs
+//! with per-device health and failover. [`FleetService`] runs it on N
+//! devices; [`crate::service::JoinService`] is the one-device case of the
+//! same loop.
 //!
 //! Each device owns its own [`DeviceMemory`] accountant, optional
 //! [`BuildCache`], bounded dispatch queue and decorrelated fault stream
 //! ([`hcj_gpu::FaultConfig::reseeded_pair`] mixes the device id with the
 //! request id, so no two (device, request) pairs replay one verdict
-//! stream). Tenant→device routing is consistent hashing over a replica
-//! ring keyed by client id — a tenant's requests land on the same device
-//! run after run, which is what gives the per-device build caches their
-//! affinity — with spill-to-least-loaded when the preferred queue is
-//! full.
+//! stream; on device 0 it is the request's plain
+//! [`hcj_gpu::FaultConfig::reseeded`] stream). Tenant→device routing is
+//! consistent hashing over a replica ring keyed by client id — a tenant's
+//! requests land on the same device run after run, which is what gives
+//! the per-device build caches their affinity — with
+//! spill-to-least-loaded when the preferred queue is full.
 //!
 //! The robustness core is a per-device health state machine:
 //!
@@ -36,13 +39,25 @@
 //!   device's free capacity, or onto the host CPU when the fleet is
 //!   saturated. Lost is terminal.
 //!
-//! Everything runs on the same single-threaded virtual-time event loop
-//! as the single-device service — only admitted-batch execution fans out
-//! onto the host pool, and results merge in batch order — so fleet
-//! summaries are byte-identical across `--jobs` counts and runs. Health
+//! A fleet of one device acts on no health observation: it has no device
+//! to fail over to, so it never trips its breaker, never quarantines and
+//! never drains. Its faults still play out per request — chunk retries,
+//! ladder degradation, CPU fallback — exactly as on any device.
+//!
+//! The loop is single-threaded and runs in virtual time: one calendar of
+//! typed events (submit, backoff wake-up, completion, deadline) keyed by
+//! `(SimTime, sequence number)`. Only admitted-batch execution fans out
+//! onto the host pool, and results merge in batch order, so summaries
+//! are byte-identical across `--jobs` counts and runs. Health
 //! observations ride on request completions: the loop learns what an
 //! execution injected when the execution reports back, which keeps every
 //! transition at a deterministic event time.
+//!
+//! The run renders as one Chrome timeline: a track per client (queue
+//! waits, executions, cache-hit, fault and deadline marks), a router
+//! track (CPU spills, device losses, drains), the CPU-fallback lane, and
+//! per device an execution track, a health track and counters of its
+//! reserved and cached bytes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -60,7 +75,7 @@ use hcj_workload::plan::{PlanOp, PlanSpec};
 use hcj_workload::Relation;
 
 use crate::cache::{BuildCache, CachePeek, CacheReport, CachedTable};
-use crate::dag::{execute_plan, plan_envelope, planned_root, PlanRun};
+use crate::dag::{execute_plan, plan_envelope, planned_root, OpReport, PlanRun};
 use crate::exchange::{execute_exchange, ExchangeConfig, ExchangeParticipant};
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::service::{
@@ -217,7 +232,7 @@ impl FleetRollup {
     }
 }
 
-/// Calendar events of the fleet's virtual-time loop.
+/// Calendar events of the virtual-time loop.
 enum Event {
     /// A client submits request `index`.
     Submit { client: usize, index: usize },
@@ -227,7 +242,8 @@ enum Event {
     /// the request's epoch moved on (drained by a device loss) or the
     /// request is done (deadline).
     Complete { req: usize, epoch: u32 },
-    /// A request's per-request deadline expired.
+    /// A request's per-request deadline expired. Stale once the request
+    /// is done; otherwise cancels it wherever it is.
     Deadline { req: usize },
 }
 
@@ -322,20 +338,25 @@ struct DeviceState {
     adopted: u64,
     rewarmed: u64,
     transitions: Vec<(SimTime, DeviceHealth)>,
-    /// Per-device sub-timeline, absorbed into the fleet view at the end.
-    timeline: Timeline,
+    /// Timeline track of the executions this device ran.
     exec: TrackId,
+    /// Timeline track of this device's health transitions.
     health_track: TrackId,
+    /// Reserved-bytes counter, and the cached-bytes counter when the
+    /// cache is on.
     mem_counter: CounterId,
-    mem_sampled: u64,
+    cache_counter: Option<CounterId>,
+    /// `(reserved, cached)` bytes at the last counter samples.
+    sampled: (u64, u64),
 }
 
 impl DeviceState {
-    fn new(id: usize, capacity: u64, cache_budget: Option<u64>) -> Self {
-        let mut timeline = Timeline::new(format!("device {id}"));
-        let exec = timeline.track("exec");
-        let health_track = timeline.track("health");
-        let mem_counter = timeline.counter("reserved (B)");
+    fn new(id: usize, capacity: u64, cache_budget: Option<u64>, timeline: &mut Timeline) -> Self {
+        let exec = timeline.track(format!("device {id} · exec"));
+        let health_track = timeline.track(format!("device {id} · health"));
+        let mem_counter = timeline.counter(format!("device {id} · reserved (B)"));
+        let cache_counter =
+            cache_budget.map(|_| timeline.counter(format!("device {id} · build cache (B)")));
         DeviceState {
             memory: DeviceMemory::new(capacity),
             cache: cache_budget.map(BuildCache::new),
@@ -351,45 +372,83 @@ impl DeviceState {
             adopted: 0,
             rewarmed: 0,
             transitions: Vec::new(),
-            timeline,
             exec,
             health_track,
             mem_counter,
-            mem_sampled: 0,
+            cache_counter,
+            sampled: (0, 0),
         }
     }
 
     /// Record a health transition at `at` (state change + instant mark).
-    fn transition(&mut self, to: DeviceHealth, at: SimTime) {
+    fn transition(&mut self, to: DeviceHealth, at: SimTime, timeline: &mut Timeline) {
         if self.health == to {
             return;
         }
         self.health = to;
         self.transitions.push((at, to));
-        self.timeline.instant(self.health_track, format!("{to}"), 11 + to as u32, at);
+        timeline.instant(self.health_track, format!("{to}"), 11 + to as u32, at);
     }
 
-    /// Sample the memory counter when the reserved figure moved.
-    fn sample_memory(&mut self, at: SimTime) {
-        if self.memory.used() != self.mem_sampled {
-            self.mem_sampled = self.memory.used();
-            self.timeline.sample(self.mem_counter, at, self.mem_sampled as f64);
+    /// Reserve `bytes` on this device. Cached bytes are reclaimable, not
+    /// tenants: a rejection evicts cold cache entries (sparing `protect`)
+    /// and retries once before the caller treats it as pressure.
+    fn reserve(&mut self, bytes: u64, protect: Option<u64>) -> Option<Reservation> {
+        match self.memory.reserve(bytes) {
+            Ok(res) => Some(res),
+            Err(_) => {
+                let reclaimed =
+                    self.cache.as_mut().is_some_and(|c| c.reclaim(&self.memory, bytes, protect));
+                if reclaimed {
+                    self.memory.reserve(bytes).ok()
+                } else {
+                    None
+                }
+            }
+        }
+    }
+
+    /// Sample the reserved- and cached-bytes counters when they moved.
+    fn sample(&mut self, at: SimTime, timeline: &mut Timeline) {
+        let used = self.memory.used();
+        if used != self.sampled.0 {
+            self.sampled.0 = used;
+            timeline.sample(self.mem_counter, at, used as f64);
+        }
+        if let (Some(cache), Some(counter)) = (self.cache.as_ref(), self.cache_counter) {
+            if cache.bytes() != self.sampled.1 {
+                self.sampled.1 = cache.bytes();
+                timeline.sample(counter, at, self.sampled.1 as f64);
+            }
         }
     }
 }
 
-/// Per-request live state (metrics plus fleet loop bookkeeping).
+/// Per-request live state (metrics plus loop bookkeeping).
 struct FleetRequest {
     metrics: RequestMetrics,
+    /// Materialized inputs of a single join, held until it finalizes: a
+    /// drain re-dispatches from them.
     inputs: Option<(Relation, Relation)>,
+    /// Current rung on the ladder (degrades under pressure).
     level: PlannedStrategy,
+    /// Failed admissions at the current rung.
     attempts: u32,
+    /// Not eligible for admission before this time (backoff).
     eligible_at: SimTime,
+    /// Held from admission to completion.
     reservation: Option<Reservation>,
+    /// Catalog identity of the build side, copied from the spec.
     build: Option<BuildRef>,
+    /// On a cache hit: the pinned resident table, held from admission to
+    /// completion so eviction cannot free it mid-flight.
     hit: Option<Arc<CachedTable>>,
+    /// On a cache miss that rebuilt: the table the execution produced,
+    /// installed into the cache at completion.
     install: Option<CachedBuild>,
-    plan: Option<FleetPlanWork>,
+    /// Plan-request state; `None` for single joins.
+    plan: Option<PlanWork>,
+    /// Set exactly once, by `Complete` or by a deadline cancellation.
     done: bool,
     /// Device currently queued on / running on; `None` while parked or on
     /// the CPU lane.
@@ -414,16 +473,72 @@ struct FleetRequest {
     lost_participants: Vec<usize>,
 }
 
-/// Live state of a multi-join plan request (fleet copy of the service's
-/// private `PlanWork`; scans regenerate from the spec after a drain).
-struct FleetPlanWork {
+impl FleetRequest {
+    /// Let go of everything the request holds on devices: its
+    /// reservations and participants, its cache pin and pending install,
+    /// and a plan run's pins and installs.
+    fn release(&mut self) {
+        self.reservation = None;
+        self.extra_reservations.clear();
+        self.participants = Vec::new();
+        self.lost_participants = Vec::new();
+        self.hit = None;
+        self.install = None;
+        if let Some(pw) = self.plan.as_mut() {
+            pw.run = None;
+        }
+    }
+
+    /// Admission granted on `device`: hold `reservation` until completion.
+    fn admit(&mut self, reservation: Reservation, device: usize, used: u64, now: SimTime) {
+        self.reservation = Some(reservation);
+        self.running = true;
+        self.metrics.admitted_at = now;
+        self.metrics.device_used_at_admit = used;
+        self.metrics.device = Some(device);
+    }
+
+    /// Admission rejected: count the retry, step one rung down the ladder
+    /// after `max_retries` rejections at the current rung (a plan steps
+    /// every join down), and back off.
+    fn reject(&mut self, config: &ServiceConfig, now: SimTime) {
+        self.metrics.retries += 1;
+        self.attempts += 1;
+        if self.attempts > config.max_retries {
+            let stepped = match (self.plan.as_mut(), self.level.degraded()) {
+                (Some(pw), _) if pw.degrade < PlannedStrategy::LADDER.len() - 1 => {
+                    pw.degrade += 1;
+                    true
+                }
+                (None, Some(next)) => {
+                    self.level = next;
+                    true
+                }
+                _ => false,
+            };
+            if stepped {
+                self.attempts = 0;
+            }
+        }
+        self.eligible_at = now + config.backoff(self.attempts.max(1));
+    }
+}
+
+/// Live state of a multi-join plan request.
+struct PlanWork {
+    /// The operator DAG to execute.
     spec: PlanSpec,
+    /// Materialized scan outputs, indexed by op id; taken at dispatch.
     scans: Option<Vec<Option<Relation>>>,
+    /// Ladder rungs every join is stepped down (the plan analogue of a
+    /// single join's `level`).
     degrade: usize,
+    /// The execution's result, held from dispatch to completion: its pins
+    /// keep intermediates reserved and its installs await the cache.
     run: Option<PlanRun>,
 }
 
-impl FleetPlanWork {
+impl PlanWork {
     /// Materialized scan outputs: taken at dispatch, regenerated from the
     /// (pure) spec when a drain discarded the originals.
     fn take_scans(&mut self) -> Vec<Option<Relation>> {
@@ -441,8 +556,7 @@ fn generate_scans(spec: &PlanSpec) -> Vec<Option<Relation>> {
         .collect()
 }
 
-/// What one pooled execution returned (fleet copy of the service's
-/// `Executed`, plus the lane it ran on).
+/// What one pooled single-join execution returned.
 struct Executed {
     strategy: Option<PlannedStrategy>,
     check: JoinCheck,
@@ -450,10 +564,112 @@ struct Executed {
     duration: SimTime,
     faults: FaultSummary,
     counters: CounterRollup,
+    /// `(offset into the execution, label)` per fault event.
     fault_marks: Vec<(SimTime, String)>,
     error: Option<&'static str>,
+    /// The build a cache-miss execution produced, for installation at
+    /// completion.
     install: Option<CachedBuild>,
+    /// A broken invariant observed inside the (possibly parallel)
+    /// execution closure, reported typed.
     invariant: Option<String>,
+}
+
+/// Execute one admitted single join, purely over shared state (it runs
+/// on the host pool). A cache hit probes the pinned resident table. A
+/// named build side running GPU-resident takes the staged cold path
+/// (its inputs arrive from the host per request, so h2d traffic is
+/// modeled whether or not the cache is on), and only an `Install` keeps
+/// the table it built. Everything else walks the ladder from its rung,
+/// and a failing cached or staged path falls back onto that ladder too.
+/// Each (device, request) pair draws its own fault stream; the CPU lane
+/// never consults the fault plan, so it keeps the plain engine.
+fn execute_join(engine: &HcjEngine, st: &FleetRequest, id: usize) -> Executed {
+    let reseeded = st.metrics.device.and_then(|device| {
+        engine.config.faults.as_ref().map(|f| {
+            let mut e = engine.clone();
+            e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
+            e
+        })
+    });
+    let engine = reseeded.as_ref().unwrap_or(engine);
+    let Some((r, s)) = st.inputs.as_ref() else {
+        // "Cannot happen": admission just verified the inputs.
+        let none = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };
+        return Executed {
+            strategy: None,
+            check: none,
+            expected: none,
+            duration: SimTime::from_nanos(1),
+            faults: FaultSummary::default(),
+            counters: CounterRollup::default(),
+            fault_marks: Vec::new(),
+            error: Some(JoinError::Internal { detail: String::new() }.tag()),
+            install: None,
+            invariant: Some(format!("admitted request {id} has no inputs")),
+        };
+    };
+    let expected = JoinCheck::compute(r, s);
+    let start = if st.cpu { PlannedStrategy::CpuFallback } else { st.level };
+    let role = st.metrics.cache_role;
+    // Admission guaranteed `r` is the build side whenever a role is set.
+    let named_build = st.build.is_some() && r.len() <= s.len();
+    let staged = !st.cpu && named_build && st.level == PlannedStrategy::GpuResident;
+    let mut install: Option<CachedBuild> = None;
+    let attempt = if let (CacheRole::Hit, Some(table)) = (role, st.hit.as_ref()) {
+        CachedBuildJoin::new(engine.config.clone())
+            .execute_hot(&table.build, s)
+            .map(|o| (PlannedStrategy::GpuResident, o))
+    } else if staged {
+        CachedBuildJoin::new(engine.config.clone()).execute_cold(r, s).map(|(o, built)| {
+            if role == CacheRole::Install {
+                install = Some(built);
+            }
+            (PlannedStrategy::GpuResident, o)
+        })
+    } else {
+        engine.execute_from(start, r, s)
+    };
+    let attempt = match attempt {
+        Err(_) if role == CacheRole::Hit || staged => {
+            install = None;
+            engine.execute_from(start, r, s)
+        }
+        other => other,
+    };
+    match attempt {
+        Ok((strategy, outcome)) => Executed {
+            strategy: Some(strategy),
+            check: outcome.check,
+            expected,
+            duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
+            faults: outcome.faults.summary(),
+            counters: outcome.counters.rollup(),
+            fault_marks: outcome
+                .faults
+                .events
+                .iter()
+                .map(|e| {
+                    (e.at.unwrap_or(SimTime::ZERO), format!("{} {} `{}`", e.kind, e.site, e.label))
+                })
+                .collect(),
+            error: None,
+            install,
+            invariant: None,
+        },
+        Err(err) => Executed {
+            strategy: None,
+            check: expected,
+            expected,
+            duration: SimTime::from_nanos(1),
+            faults: FaultSummary::default(),
+            counters: CounterRollup::default(),
+            fault_marks: Vec::new(),
+            error: Some(err.tag()),
+            install: None,
+            invariant: None,
+        },
+    }
 }
 
 /// The multi-device join fleet; see the module docs.
@@ -474,13 +690,26 @@ impl FleetService {
 
     /// Drive the whole workload to completion across the fleet.
     pub fn run(&self, workload: &[ClientSpec]) -> ServiceReport {
-        FleetRun::new(self, workload).run()
+        serve(&self.engine, &self.config, &self.fleet, workload)
     }
 }
 
-/// One fleet run's mutable state; `FleetService::run` drives it.
+/// Drive `workload` to completion on the event loop: the one entry point
+/// of both [`FleetService::run`] and [`crate::service::JoinService::run`].
+pub(crate) fn serve(
+    engine: &HcjEngine,
+    config: &ServiceConfig,
+    fleet: &FleetConfig,
+    workload: &[ClientSpec],
+) -> ServiceReport {
+    FleetRun::new(engine, config, fleet, workload).run()
+}
+
+/// One run's mutable state; [`serve`] drives it.
 struct FleetRun<'a> {
-    svc: &'a FleetService,
+    engine: &'a HcjEngine,
+    config: &'a ServiceConfig,
+    fleet: &'a FleetConfig,
     workload: &'a [ClientSpec],
     ring: Ring,
     devices: Vec<DeviceState>,
@@ -489,11 +718,16 @@ struct FleetRun<'a> {
     parked: VecDeque<usize>,
     /// Requests routed to the host CPU lane, awaiting execution.
     cpu_queue: Vec<usize>,
+    /// The one event calendar: typed events keyed by virtual time, ties
+    /// broken by scheduling order.
     calendar: BTreeMap<(SimTime, u64), Event>,
     seq: u64,
     invariants: Vec<String>,
     timeline: Timeline,
-    /// Router-level marks: drains, deadline cancellations, CPU spills.
+    /// One track per client: queue waits, executions, cache-hit, fault
+    /// and deadline marks.
+    clients: Vec<TrackId>,
+    /// Router-level marks: drains, device losses, CPU spills.
     router: TrackId,
     /// Host-lane execution spans.
     cpu_track: TrackId,
@@ -506,29 +740,37 @@ struct FleetRun<'a> {
 }
 
 impl<'a> FleetRun<'a> {
-    fn new(svc: &'a FleetService, workload: &'a [ClientSpec]) -> Self {
-        let default_capacity = svc.engine.config.device.device_mem_bytes;
-        let devices: Vec<DeviceState> = (0..svc.fleet.devices)
+    fn new(
+        engine: &'a HcjEngine,
+        config: &'a ServiceConfig,
+        fleet: &'a FleetConfig,
+        workload: &'a [ClientSpec],
+    ) -> Self {
+        let mut timeline = Timeline::new("hcj join service");
+        let clients: Vec<TrackId> =
+            (0..workload.len()).map(|c| timeline.track(format!("client {c}"))).collect();
+        let router = timeline.track("router");
+        let cpu_track = timeline.track("cpu fallback");
+        let default_capacity = engine.config.device.device_mem_bytes;
+        let devices: Vec<DeviceState> = (0..fleet.devices)
             .map(|d| {
                 // A heterogeneous fleet sizes each device (and its cache
                 // budget) from its own spec.
-                let capacity = svc
-                    .fleet
+                let capacity = fleet
                     .device_specs
                     .as_ref()
                     .and_then(|specs| specs.get(d))
                     .map_or(default_capacity, |spec| spec.device_mem_bytes);
-                let budget = svc.config.cache.as_ref().map(|cfg| cfg.resolved_max_bytes(capacity));
-                DeviceState::new(d, capacity, budget)
+                let budget = config.cache.as_ref().map(|cfg| cfg.resolved_max_bytes(capacity));
+                DeviceState::new(d, capacity, budget, &mut timeline)
             })
             .collect();
-        let mut timeline = Timeline::new("hcj join fleet");
-        let router = timeline.track("router");
-        let cpu_track = timeline.track("cpu fallback");
         FleetRun {
-            svc,
+            engine,
+            config,
+            fleet,
             workload,
-            ring: Ring::new(svc.fleet.devices, svc.fleet.ring_replicas),
+            ring: Ring::new(fleet.devices, fleet.ring_replicas),
             devices,
             requests: Vec::new(),
             parked: VecDeque::new(),
@@ -537,6 +779,7 @@ impl<'a> FleetRun<'a> {
             seq: 0,
             invariants: Vec::new(),
             timeline,
+            clients,
             router,
             cpu_track,
             makespan: SimTime::ZERO,
@@ -556,12 +799,11 @@ impl<'a> FleetRun<'a> {
     /// The hardware spec of `device`: its own mix entry, or the engine's
     /// configured spec in a homogeneous fleet.
     fn spec_of(&self, device: usize) -> &DeviceSpec {
-        self.svc
-            .fleet
+        self.fleet
             .device_specs
             .as_ref()
             .and_then(|specs| specs.get(device))
-            .unwrap_or(&self.svc.engine.config.device)
+            .unwrap_or(&self.engine.config.device)
     }
 
     /// Serving (Healthy/Degraded) devices, in id order.
@@ -573,13 +815,21 @@ impl<'a> FleetRun<'a> {
     /// is on (cross-device for single-device overflows), the single-device
     /// planner otherwise.
     fn plan_join(&self, build_bytes: u64, probe_bytes: u64) -> PlannedStrategy {
-        if !self.svc.fleet.exchange {
-            return self.svc.engine.plan_sized(build_bytes, probe_bytes);
+        if !self.fleet.exchange {
+            return self.engine.plan_sized(build_bytes, probe_bytes);
         }
         let serving = self.serving_devices();
         let min_capacity =
             serving.iter().map(|&d| self.devices[d].memory.capacity()).min().unwrap_or(0);
-        self.svc.engine.plan_fleet_sized(build_bytes, probe_bytes, serving.len(), min_capacity)
+        self.engine.plan_fleet_sized(build_bytes, probe_bytes, serving.len(), min_capacity)
+    }
+
+    /// The tracks a request's executions are drawn on: its client's, and
+    /// its lane's (the device it ran on, or the CPU fallback lane).
+    fn tracks_of(&self, req: usize) -> [TrackId; 2] {
+        let st = &self.requests[req];
+        let lane = st.assigned.map_or(self.cpu_track, |d| self.devices[d].exec);
+        [self.clients[st.metrics.client], lane]
     }
 
     /// Route `req` (fresh, displaced or drained). `adopting` marks a
@@ -588,7 +838,7 @@ impl<'a> FleetRun<'a> {
     fn route(&mut self, req: usize, now: SimTime, adopting: bool) {
         let is_plan = self.requests[req].plan.is_some();
         let key = self.requests[req].metrics.client as u64;
-        let depth = self.svc.config.queue_depth;
+        let depth = self.config.queue_depth;
         let primary = self.ring.route(key, |d| self.devices[d].health != DeviceHealth::Lost);
         let least_loaded = |devs: &[DeviceState], need_room: bool| -> Option<usize> {
             devs.iter()
@@ -704,7 +954,7 @@ impl<'a> FleetRun<'a> {
     /// footprint fits what is actually free right now.
     fn replan_for(&mut self, req: usize, device: usize) {
         let available = self.devices[device].memory.available();
-        let engine = &self.svc.engine;
+        let engine = self.engine;
         let st = &mut self.requests[req];
         if let Some(pw) = st.plan.as_mut() {
             let floor = PlannedStrategy::LADDER.len() - 1;
@@ -723,7 +973,6 @@ impl<'a> FleetRun<'a> {
             self.requests[req].level = level;
             return;
         }
-        let engine = &self.svc.engine;
         while engine.footprint_estimate_sized(level, b, p) > available {
             match level.degraded() {
                 Some(next) => level = next,
@@ -736,10 +985,7 @@ impl<'a> FleetRun<'a> {
     /// Schedule the client's next closed-loop submission, if any.
     fn next_submit(&mut self, client: usize, index: usize, now: SimTime) {
         if index + 1 < self.workload[client].requests.len() {
-            self.schedule(
-                now + self.svc.config.think_time,
-                Event::Submit { client, index: index + 1 },
-            );
+            self.schedule(now + self.config.think_time, Event::Submit { client, index: index + 1 });
         }
     }
 
@@ -748,8 +994,8 @@ impl<'a> FleetRun<'a> {
     fn trip(&mut self, device: usize, now: SimTime) {
         let d = &mut self.devices[device];
         d.trips += 1;
-        d.transition(DeviceHealth::Quarantined, now);
-        d.half_open_at = now + self.svc.fleet.quarantine_cooldown;
+        d.transition(DeviceHealth::Quarantined, now, &mut self.timeline);
+        d.half_open_at = now + self.fleet.quarantine_cooldown;
         d.probe = None;
         let displaced: Vec<usize> = d.queue.drain(..).collect();
         for req in displaced {
@@ -767,7 +1013,7 @@ impl<'a> FleetRun<'a> {
         if self.devices[device].health == DeviceHealth::Lost {
             return;
         }
-        self.devices[device].transition(DeviceHealth::Lost, now);
+        self.devices[device].transition(DeviceHealth::Lost, now, &mut self.timeline);
         self.devices[device].probe = None;
         self.timeline.instant(self.router, format!("device {device} lost"), 9, now);
 
@@ -787,14 +1033,8 @@ impl<'a> FleetRun<'a> {
             }
             st.epoch += 1;
             st.running = false;
-            st.reservation = None;
-            st.extra_reservations.clear();
-            st.participants = Vec::new();
-            st.lost_participants = Vec::new();
-            st.hit = None;
-            st.install = None;
+            st.release();
             if let Some(pw) = st.plan.as_mut() {
-                pw.run = None; // pins + pending installs release
                 pw.scans = None; // regenerate from the spec at re-dispatch
             }
             st.metrics.executed = None;
@@ -826,7 +1066,7 @@ impl<'a> FleetRun<'a> {
         // rest. Re-warmed builds are cloned — the survivor reserves its
         // own bytes; nothing keeps pointing at the dead device.
         if let Some(mut cache) = self.devices[device].cache.take() {
-            let hot = cache.hottest(self.svc.fleet.rewarm_limit);
+            let hot = cache.hottest(self.fleet.rewarm_limit);
             self.cache_invalidated += cache.invalidate_all() as u64;
             self.devices[device].cache = Some(cache);
             for (bref, build) in hot {
@@ -851,7 +1091,6 @@ impl<'a> FleetRun<'a> {
                 self.devices[device].memory.used()
             ));
         }
-        self.devices[device].sample_memory(now);
 
         // Re-route drained requests first (they were in flight), then the
         // displaced queue, both in FIFO/id order.
@@ -867,6 +1106,11 @@ impl<'a> FleetRun<'a> {
     /// the device; transient faults feed the breaker window; a finishing
     /// probe decides re-admission.
     fn observe_completion(&mut self, req: usize, now: SimTime) {
+        // A lone device has no device to fail over to, so it acts on no
+        // health observation: it never trips, quarantines or drains.
+        if self.devices.len() == 1 {
+            return;
+        }
         let Some(device) = self.requests[req].assigned else { return };
         let faults = self.requests[req].metrics.faults;
         let was_probe = self.requests[req].probe;
@@ -898,10 +1142,10 @@ impl<'a> FleetRun<'a> {
         }
         match d.health {
             DeviceHealth::Healthy | DeviceHealth::Degraded => {
-                if d.window.len() >= self.svc.fleet.breaker_threshold {
+                if d.window.len() >= self.fleet.breaker_threshold {
                     self.trip(device, now);
                 } else if transient > 0 && d.health == DeviceHealth::Healthy {
-                    d.transition(DeviceHealth::Degraded, now);
+                    d.transition(DeviceHealth::Degraded, now, &mut self.timeline);
                 }
             }
             DeviceHealth::Quarantined if was_probe => {
@@ -909,10 +1153,10 @@ impl<'a> FleetRun<'a> {
                     // Clean probe: the device re-admits with a clear
                     // record.
                     d.window.clear();
-                    d.transition(DeviceHealth::Healthy, now);
+                    d.transition(DeviceHealth::Healthy, now, &mut self.timeline);
                 } else {
                     // Faulty probe: re-arm the cooldown.
-                    d.half_open_at = now + self.svc.fleet.quarantine_cooldown;
+                    d.half_open_at = now + self.fleet.quarantine_cooldown;
                 }
             }
             _ => {}
@@ -922,13 +1166,13 @@ impl<'a> FleetRun<'a> {
     /// Slide breaker windows forward and let drained-out Degraded devices
     /// recover to Healthy.
     fn health_maintenance(&mut self, now: SimTime) {
-        let window = self.svc.fleet.breaker_window;
+        let window = self.fleet.breaker_window;
         for d in self.devices.iter_mut() {
             while d.window.front().is_some_and(|&t| t + window <= now) {
                 d.window.pop_front();
             }
             if d.health == DeviceHealth::Degraded && d.window.is_empty() {
-                d.transition(DeviceHealth::Healthy, now);
+                d.transition(DeviceHealth::Healthy, now, &mut self.timeline);
             }
         }
     }
@@ -969,7 +1213,8 @@ impl<'a> FleetRun<'a> {
         }
 
         while let Some((&(now, _), _)) = self.calendar.iter().next() {
-            // Drain every event at `now` in sequence order.
+            // Drain every event at `now` in sequence order, then run one
+            // admission wave over the resulting queue state.
             while let Some((&key, _)) = self.calendar.iter().next() {
                 if key.0 != now {
                     break;
@@ -999,7 +1244,7 @@ impl<'a> FleetRun<'a> {
                 let open_queue = self
                     .devices
                     .iter()
-                    .any(|d| d.health.serving() && d.queue.len() < self.svc.config.queue_depth);
+                    .any(|d| d.health.serving() && d.queue.len() < self.config.queue_depth);
                 if open_queue || !self.devices.iter().any(|d| d.health.serving()) {
                     self.route(req, now, false);
                 } else {
@@ -1016,7 +1261,8 @@ impl<'a> FleetRun<'a> {
                 self.admission_wave(device, now, &mut batch);
             }
 
-            // Wake the loop when rejected requests' backoffs expire.
+            // Wake the loop when each rejected request's backoff expires
+            // (Retry is a pure wake-up; eligibility is re-checked then).
             let wakeups: Vec<SimTime> = self
                 .devices
                 .iter()
@@ -1042,7 +1288,7 @@ impl<'a> FleetRun<'a> {
                 self.execute_batch(&batch, now);
             }
             for d in self.devices.iter_mut() {
-                d.sample_memory(now);
+                d.sample(now, &mut self.timeline);
             }
             self.audit(now);
         }
@@ -1051,6 +1297,9 @@ impl<'a> FleetRun<'a> {
     }
 
     fn on_submit(&mut self, client: usize, index: usize, now: SimTime) {
+        // Materialize the query's inputs and plan it: a single join sizes
+        // its two relations; a plan generates its scans and sizes its
+        // root join.
         let (inputs, build, plan, planned) = match &self.workload[client].requests[index] {
             QuerySpec::Join(spec) => {
                 let (r, s) = (spec.r.generate(), spec.s.generate());
@@ -1059,13 +1308,13 @@ impl<'a> FleetRun<'a> {
                 (Some((r, s)), spec.build, None, planned)
             }
             QuerySpec::Plan(plan) => {
-                let work = FleetPlanWork {
+                let work = PlanWork {
                     scans: Some(generate_scans(plan)),
                     spec: plan.clone(),
                     degrade: 0,
                     run: None,
                 };
-                let planned = planned_root(&self.svc.engine, plan);
+                let planned = planned_root(self.engine, plan);
                 (None, None, Some(work), planned)
             }
         };
@@ -1111,7 +1360,7 @@ impl<'a> FleetRun<'a> {
             participants: Vec::new(),
             lost_participants: Vec::new(),
         });
-        if let Some(budget) = self.svc.config.deadline {
+        if let Some(budget) = self.config.deadline {
             self.schedule(now + budget, Event::Deadline { req: id });
         }
         self.route(id, now, false);
@@ -1123,122 +1372,115 @@ impl<'a> FleetRun<'a> {
             // re-dispatched under a newer epoch.
             return;
         }
-        self.requests[req].done = true;
-        self.requests[req].running = false;
-        self.requests[req].metrics.completed_at = now;
-        self.requests[req].reservation = None;
-        self.requests[req].extra_reservations.clear();
-        self.requests[req].hit = None;
-        self.requests[req].inputs = None;
-        let install = self.requests[req].install.take();
-        let bref = self.requests[req].build;
-        let plan_run = self.requests[req].plan.as_mut().and_then(|pw| pw.run.take());
+        let st = &mut self.requests[req];
+        st.done = true;
+        st.running = false;
+        st.metrics.completed_at = now;
+        st.reservation = None; // frees the accounted bytes
+        st.extra_reservations.clear();
+        st.hit = None; // unpin the cached table, if any
+        st.inputs = None;
+        let mut installs: Vec<(BuildRef, CachedBuild)> =
+            st.build.zip(st.install.take()).into_iter().collect();
+        let plan_run = st.plan.as_mut().and_then(|pw| pw.run.take());
+        let (client, index, device) = (st.metrics.client, st.metrics.index, st.assigned);
         self.makespan = self.makespan.max(now);
 
-        let device = self.requests[req].assigned;
-        let (client, index) = {
-            let m = &self.requests[req].metrics;
-            (m.client, m.index)
-        };
-        // Render the execution onto its lane's track.
+        self.draw_completion(req, plan_run.as_ref().map(|run| &run.ops[..]));
+        if let Some(run) = plan_run {
+            // Pinned intermediates leave the device; the plan's installs
+            // land with a single join's below.
+            let PlanRun { ops, pins, installs: built, .. } = run;
+            self.requests[req].metrics.plan_ops = ops;
+            drop(pins);
+            installs.extend(built);
+        }
         if let Some(d) = device {
-            let admitted = self.requests[req].metrics.admitted_at;
-            if let Some(run) = plan_run {
-                let PlanRun { ops, pins, installs, .. } = run;
-                for op in &ops {
-                    if op.kind != "join" {
-                        continue;
-                    }
-                    let class = op.executed.map_or(9, |e| e.rank() as u32 + 1);
-                    let name = match op.executed {
-                        Some(e) => format!("op{} {e} r{client}.{index}", op.op),
-                        None => format!("op{} failed r{client}.{index}", op.op),
-                    };
-                    let track = self.devices[d].exec;
-                    self.devices[d].timeline.span(
-                        track,
-                        name,
-                        class,
-                        admitted + op.start,
-                        admitted + op.finish,
-                    );
-                    for (offset, label) in &op.fault_marks {
-                        self.devices[d].timeline.instant(
-                            track,
-                            label.clone(),
-                            8,
-                            admitted + op.start + *offset,
-                        );
-                    }
-                }
-                self.requests[req].metrics.plan_ops = ops;
-                drop(pins);
-                if self.devices[d].health != DeviceHealth::Lost {
-                    let da = &mut self.devices[d];
-                    if let Some(c) = da.cache.as_mut() {
-                        for (b, built) in installs {
-                            c.insert(b, &da.memory, built);
-                        }
-                    }
-                }
-            } else if let Some(executed) = self.requests[req].metrics.executed {
-                let track = self.devices[d].exec;
-                self.devices[d].timeline.span(
-                    track,
-                    format!("{executed} r{client}.{index}"),
-                    executed.rank() as u32 + 1,
-                    admitted,
-                    now,
-                );
-            }
-            // Install the table a cache-miss execution built — unless the
-            // device died while we ran (nothing to install into).
-            if self.devices[d].health != DeviceHealth::Lost {
-                if let (Some(built), Some(b)) = (install, bref) {
-                    let da = &mut self.devices[d];
-                    if let Some(c) = da.cache.as_mut() {
+            // Install what a cache-miss execution built, now that the
+            // request's own reservation is released — unless the device
+            // died while it ran (nothing to install into).
+            let da = &mut self.devices[d];
+            if da.health != DeviceHealth::Lost {
+                if let Some(c) = da.cache.as_mut() {
+                    for (b, built) in installs {
                         c.insert(b, &da.memory, built);
                     }
                 }
             }
-            self.devices[d].completed += 1;
-            self.devices[d].sample_memory(now);
-        } else if let Some(executed) = self.requests[req].metrics.executed {
-            // CPU lane: host-side span on the fleet timeline.
-            let admitted = self.requests[req].metrics.admitted_at;
-            self.timeline.span(
-                self.cpu_track,
-                format!("{executed} r{client}.{index}"),
-                executed.rank() as u32 + 1,
-                admitted,
-                now,
-            );
+            da.completed += 1;
         }
-
         self.observe_completion(req, now);
         self.next_submit(client, index, now);
     }
 
+    /// Draw a finished request: its queue wait on the client track, then
+    /// its executed joins — the single join, or every join op of a plan,
+    /// with their cache-hit and fault marks — on the client track and on
+    /// the lane track it ran on.
+    fn draw_completion(&mut self, req: usize, ops: Option<&[OpReport]>) {
+        let [client_track, lane] = self.tracks_of(req);
+        let m = &self.requests[req].metrics;
+        let (client, index, admitted) = (m.client, m.index, m.admitted_at);
+        if m.queue_wait() > SimTime::ZERO {
+            self.timeline.span(
+                client_track,
+                format!("wait r{client}.{index}"),
+                0,
+                m.submitted_at,
+                admitted,
+            );
+        }
+        let Some(ops) = ops else {
+            if let Some(executed) = m.executed {
+                for track in [client_track, lane] {
+                    self.timeline.span(
+                        track,
+                        format!("{executed} r{client}.{index}"),
+                        executed.rank() as u32 + 1,
+                        admitted,
+                        m.completed_at,
+                    );
+                }
+            }
+            return;
+        };
+        for op in ops.iter().filter(|op| op.kind == "join") {
+            let (name, class) = match op.executed {
+                Some(e) => (format!("op{} {e} r{client}.{index}", op.op), e.rank() as u32 + 1),
+                None => (format!("op{} failed r{client}.{index}", op.op), 9),
+            };
+            let start = admitted + op.start;
+            for track in [client_track, lane] {
+                self.timeline.span(track, name.clone(), class, start, admitted + op.finish);
+                if op.cache_role == CacheRole::Hit && op.error.is_none() {
+                    let hit = format!("cache hit r{client}.{index} op{}", op.op);
+                    self.timeline.instant(track, hit, 10, start);
+                }
+                for (offset, label) in &op.fault_marks {
+                    self.timeline.instant(track, label.clone(), 8, start + *offset);
+                }
+            }
+        }
+    }
+
     fn on_deadline(&mut self, req: usize, now: SimTime) {
         if self.requests[req].done {
-            return;
+            return; // completed in time; stale timer
         }
+        // Cancel cleanly wherever the request is: parked, queued, backing
+        // off, or mid-execution. Everything it holds is released *now*, so
+        // the expired request stops occupying the device.
         let st = &mut self.requests[req];
         st.done = true;
         st.running = false;
         st.epoch += 1; // stale any in-flight Complete
-        st.reservation = None;
-        st.extra_reservations.clear();
-        st.participants = Vec::new();
-        st.lost_participants = Vec::new();
-        st.hit = None;
-        st.install = None;
+        st.release();
         st.inputs = None;
-        st.plan = None; // drops any run: pins + installs release
+        st.plan = None;
         st.metrics.completed_at = now;
         st.metrics.error = Some(
             JoinError::DeadlineExceeded {
-                deadline: self.svc.config.deadline.unwrap_or(SimTime::ZERO),
+                deadline: self.config.deadline.unwrap_or(SimTime::ZERO),
                 elapsed: now - st.metrics.submitted_at,
             }
             .tag(),
@@ -1254,11 +1496,10 @@ impl<'a> FleetRun<'a> {
             if was_probe {
                 self.devices[d].probe = None;
             }
-            self.devices[d].sample_memory(now);
         }
         self.parked.retain(|&id| id != req);
         self.cpu_queue.retain(|&id| id != req);
-        self.timeline.instant(self.router, format!("deadline r{client}.{index}"), 9, now);
+        self.timeline.instant(self.clients[client], format!("deadline r{client}.{index}"), 9, now);
         self.next_submit(client, index, now);
     }
 
@@ -1280,82 +1521,53 @@ impl<'a> FleetRun<'a> {
         }
         let PlannedStrategy::CrossDevice(n) = self.requests[id].level else { return false };
         let serving = self.serving_devices();
-        if serving.len() < n || !serving.contains(&device) {
+        let Some(pos) = serving.iter().position(|&d| d == device).filter(|_| serving.len() >= n)
+        else {
             // The fleet shrank below the planned width: step down to the
-            // single-device ladder; the retain loop admits it this wave.
+            // single-device ladder; the wave admits it this round.
             let st = &mut self.requests[id];
             st.level = st.level.degraded().unwrap_or(PlannedStrategy::CpuFallback);
             return false;
-        }
-        let pos = serving.iter().position(|&d| d == device).expect("checked above");
+        };
         let participants: Vec<usize> =
             (0..serving.len()).map(|k| serving[(pos + k) % serving.len()]).take(n).collect();
         let share = {
             let Some((r, s)) = self.requests[id].inputs.as_ref() else { return false };
             let (b, p) =
                 if r.len() <= s.len() { (r.bytes(), s.bytes()) } else { (s.bytes(), r.bytes()) };
-            self.svc.engine.cross_device_share(b, p, n)
+            self.engine.cross_device_share(b, p, n)
         };
         let mut holds: Vec<Reservation> = Vec::with_capacity(n);
         for &d in &participants {
-            let dev = &mut self.devices[d];
-            let reserved = dev.memory.reserve(share).or_else(|err| match dev.cache.as_mut() {
-                Some(c) => {
-                    if c.reclaim(&dev.memory, share, None) {
-                        dev.memory.reserve(share)
-                    } else {
-                        Err(err)
-                    }
-                }
-                None => Err(err),
-            });
-            match reserved {
-                Ok(res) => holds.push(res),
-                Err(_) => {
+            match self.devices[d].reserve(share, None) {
+                Some(res) => holds.push(res),
+                None => {
                     drop(holds); // release every partial hold
-                    let max_retries = self.svc.config.max_retries;
-                    let base = self.svc.config.backoff_base.as_nanos().max(1);
-                    let cap = self.svc.config.backoff_cap.as_nanos();
-                    let st = &mut self.requests[id];
-                    st.metrics.retries += 1;
-                    st.attempts += 1;
-                    if st.attempts > max_retries {
-                        if let Some(next) = st.level.degraded() {
-                            st.level = next;
-                            st.attempts = 0;
-                        }
-                    }
-                    let delay =
-                        base.saturating_mul(1u64 << (st.attempts.saturating_sub(1)).min(20));
-                    st.eligible_at = now + SimTime::from_nanos(delay.min(cap));
+                    self.requests[id].reject(self.config, now);
                     return false;
                 }
             }
         }
         let used = self.devices[device].memory.used();
         let st = &mut self.requests[id];
-        st.reservation = Some(holds.remove(0));
+        st.admit(holds.remove(0), device, used, now);
         st.extra_reservations = holds;
         st.participants = participants;
-        st.running = true;
-        st.metrics.admitted_at = now;
-        st.metrics.device_used_at_admit = used;
-        st.metrics.device = Some(device);
         self.devices[device].admitted += 1;
         batch.push(id);
         true
     }
 
     /// One device's admission wave: scan its queue in order, reserve
-    /// against its accountant (reclaiming its cache under pressure),
-    /// degrade on repeated rejection — the single-device wave, per
-    /// device.
+    /// against its accountant (reclaiming its cache under pressure) and
+    /// back off or degrade on rejection. Requests still backing off are
+    /// skipped.
     fn admission_wave(&mut self, device: usize, now: SimTime, batch: &mut Vec<usize>) {
         let mut queue = std::mem::take(&mut self.devices[device].queue);
         // Cross-device pre-pass: exchange requests reserve one envelope on
         // *every* participant, so they are admitted before the retain loop
         // below takes its exclusive borrow of this device.
-        if self.svc.fleet.exchange {
+        if self.fleet.exchange {
             let mut rest = VecDeque::with_capacity(queue.len());
             while let Some(id) = queue.pop_front() {
                 let is_cross = self.requests[id].plan.is_none()
@@ -1366,15 +1578,7 @@ impl<'a> FleetRun<'a> {
             }
             queue = rest;
         }
-        let engine = &self.svc.engine;
-        let max_retries = self.svc.config.max_retries;
-        let backoff_base = self.svc.config.backoff_base;
-        let backoff_cap = self.svc.config.backoff_cap;
-        let backoff = |attempts: u32| -> SimTime {
-            let base = backoff_base.as_nanos().max(1);
-            let delay = base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20));
-            SimTime::from_nanos(delay.min(backoff_cap.as_nanos()))
-        };
+        let (engine, config) = (self.engine, self.config);
         let d = &mut self.devices[device];
         let requests = &mut self.requests;
         let invariants = &mut self.invariants;
@@ -1383,236 +1587,106 @@ impl<'a> FleetRun<'a> {
             if st.eligible_at > now {
                 return true;
             }
-            if let Some(pw) = st.plan.as_ref() {
-                let estimate = plan_envelope(engine, &pw.spec, pw.degrade);
-                let reserved = d.memory.reserve(estimate).or_else(|err| match d.cache.as_mut() {
-                    Some(c) => {
-                        if c.reclaim(&d.memory, estimate, None) {
-                            d.memory.reserve(estimate)
+            let admitted = if let Some(pw) = st.plan.as_ref() {
+                // A plan reserves its worst single-join envelope at the
+                // current degrade level: its joins run one wave at a time
+                // against this same accountant, and pins reserve
+                // separately.
+                d.reserve(plan_envelope(engine, &pw.spec, pw.degrade), None)
+                    .map(|res| (res, CacheRole::None, None))
+            } else {
+                let Some((r, s)) = st.inputs.as_ref() else {
+                    // "Cannot happen": only undone requests sit in a
+                    // queue, and undone requests keep their inputs.
+                    // Record it, fail the request typed, and drop it.
+                    invariants.push(format!("queued request {id} has no inputs at {now}"));
+                    st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
+                    st.metrics.completed_at = now;
+                    st.done = true;
+                    return false;
+                };
+                let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
+                // Only a request that names its build relation, and whose
+                // named side (`spec.r`) really is the build side, consults
+                // the cache; a stale entry is invalidated on sight.
+                let bref = if r.len() <= s.len() { st.build } else { None };
+                let role = match (d.cache.as_mut(), bref) {
+                    (Some(c), Some(b)) => {
+                        let on_miss = if st.level == PlannedStrategy::GpuResident {
+                            CacheRole::Install
                         } else {
-                            Err(err)
-                        }
-                    }
-                    None => Err(err),
-                });
-                return match reserved {
-                    Ok(res) => {
-                        st.reservation = Some(res);
-                        st.running = true;
-                        st.metrics.admitted_at = now;
-                        st.metrics.device_used_at_admit = d.memory.used();
-                        st.metrics.device = Some(device);
-                        d.admitted += 1;
-                        batch.push(id);
-                        false
-                    }
-                    Err(_) => {
-                        st.metrics.retries += 1;
-                        st.attempts += 1;
-                        if st.attempts > max_retries {
-                            let pw = st.plan.as_mut().expect("checked above");
-                            if pw.degrade < PlannedStrategy::LADDER.len() - 1 {
-                                pw.degrade += 1;
-                                st.attempts = 0;
+                            CacheRole::Bypass
+                        };
+                        match c.peek(b) {
+                            CachePeek::Hit => CacheRole::Hit,
+                            CachePeek::Stale => {
+                                c.invalidate(b.id);
+                                on_miss
                             }
+                            CachePeek::Miss => on_miss,
+                            CachePeek::Newer => CacheRole::Bypass,
                         }
-                        st.eligible_at = now + backoff(st.attempts.max(1));
-                        true
                     }
+                    _ => CacheRole::None,
                 };
-            }
-            let Some((r, s)) = st.inputs.as_ref() else {
-                invariants.push(format!("queued request {id} has no inputs at {now}"));
-                st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
-                st.metrics.completed_at = now;
-                st.done = true;
-                return false;
+                // A hit reserves only its probe-side footprint (its table
+                // is already reserved by the cache entry), and the reclaim
+                // making room for it must spare that entry.
+                let (estimate, protect) = match role {
+                    CacheRole::Hit => (engine.cached_probe_estimate(probe), bref.map(|b| b.id)),
+                    _ => (engine.footprint_estimate(st.level, build, probe), None),
+                };
+                d.reserve(estimate, protect).map(|res| (res, role, bref))
             };
-            let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
-            let bref = if r.len() <= s.len() { st.build } else { None };
-            let mut role = CacheRole::None;
-            if let (Some(c), Some(b)) = (d.cache.as_mut(), bref) {
-                let on_miss = if st.level == PlannedStrategy::GpuResident {
-                    CacheRole::Install
-                } else {
-                    CacheRole::Bypass
-                };
-                role = match c.peek(b) {
-                    CachePeek::Hit => CacheRole::Hit,
-                    CachePeek::Stale => {
-                        c.invalidate(b.id);
-                        on_miss
-                    }
-                    CachePeek::Miss => on_miss,
-                    CachePeek::Newer => CacheRole::Bypass,
-                };
-            }
-            let estimate = match role {
-                CacheRole::Hit => engine.cached_probe_estimate(probe),
-                _ => engine.footprint_estimate(st.level, build, probe),
+            let Some((res, mut role, bref)) = admitted else {
+                st.reject(config, now);
+                return true;
             };
-            let protect = if role == CacheRole::Hit { bref.map(|b| b.id) } else { None };
-            let reserved = d.memory.reserve(estimate).or_else(|err| match d.cache.as_mut() {
-                Some(c) => {
-                    if c.reclaim(&d.memory, estimate, protect) {
-                        d.memory.reserve(estimate)
-                    } else {
-                        Err(err)
-                    }
-                }
-                None => Err(err),
-            });
-            match reserved {
-                Ok(res) => {
-                    st.reservation = Some(res);
-                    st.running = true;
-                    st.metrics.admitted_at = now;
-                    st.metrics.device_used_at_admit = d.memory.used();
-                    st.metrics.device = Some(device);
-                    if let Some(c) = d.cache.as_mut() {
-                        match role {
-                            CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
-                                Some(table) => st.hit = Some(table),
-                                None => {
-                                    invariants.push(format!(
-                                        "cache hit for request {id} vanished before pinning \
-                                         at {now}"
-                                    ));
-                                    role = CacheRole::Bypass;
-                                    c.miss();
-                                }
-                            },
-                            CacheRole::Install | CacheRole::Bypass => c.miss(),
-                            CacheRole::None => {}
+            st.admit(res, device, d.memory.used(), now);
+            // Record the cache outcome once, at successful admission, so
+            // backoff retries don't inflate the hit/miss counts.
+            if let Some(c) = d.cache.as_mut() {
+                match role {
+                    CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
+                        Some(table) => st.hit = Some(table),
+                        None => {
+                            // "Cannot happen": the entry was peeked in
+                            // this same wave. Degrade to a bypass.
+                            invariants.push(format!(
+                                "cache hit for request {id} vanished before pinning at {now}"
+                            ));
+                            role = CacheRole::Bypass;
+                            c.miss();
                         }
-                    }
-                    st.metrics.cache_role = role;
-                    d.admitted += 1;
-                    batch.push(id);
-                    false
-                }
-                Err(_) => {
-                    st.metrics.retries += 1;
-                    st.attempts += 1;
-                    if st.attempts > max_retries {
-                        if let Some(next) = st.level.degraded() {
-                            st.level = next;
-                            st.attempts = 0;
-                        }
-                    }
-                    st.eligible_at = now + backoff(st.attempts.max(1));
-                    true
+                    },
+                    CacheRole::Install | CacheRole::Bypass => c.miss(),
+                    CacheRole::None => {}
                 }
             }
+            st.metrics.cache_role = role;
+            d.admitted += 1;
+            batch.push(id);
+            false
         });
         self.devices[device].queue = queue;
     }
 
     /// Execute the admitted batch: single joins (device lanes and the CPU
-    /// lane) fan out onto the host pool in batch order; plans run one at
-    /// a time from this thread. Results merge in batch order, so the
-    /// outcome is independent of the worker count.
+    /// lane) fan out onto the host pool in batch order; cross-device
+    /// requests and plans run one at a time from this thread. Results
+    /// merge in batch order, so the outcome is independent of the worker
+    /// count.
     fn execute_batch(&mut self, batch: &[usize], now: SimTime) {
         let (plans, rest): (Vec<usize>, Vec<usize>) =
             batch.iter().partition(|&&id| self.requests[id].plan.is_some());
         let (cross, singles): (Vec<usize>, Vec<usize>) =
             rest.into_iter().partition(|&id| !self.requests[id].participants.is_empty());
 
-        let engine = &self.svc.engine;
-        let requests = &self.requests;
-        let results: Vec<Executed> = Pool::current().map(&singles, |_, &id| {
-            let st = &requests[id];
-            // Decorrelation: each (device, request) pair draws from its
-            // own fault stream. The CPU lane never consults the fault
-            // plan, so it keeps the plain engine.
-            let reseeded = st.metrics.device.and_then(|device| {
-                engine.config.faults.as_ref().map(|f| {
-                    let mut e = engine.clone();
-                    e.config =
-                        e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
-                    e
-                })
-            });
-            let engine = reseeded.as_ref().unwrap_or(engine);
-            let Some((r, s)) = st.inputs.as_ref() else {
-                return Executed {
-                    strategy: None,
-                    check: JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 },
-                    expected: JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 },
-                    duration: SimTime::from_nanos(1),
-                    faults: FaultSummary::default(),
-                    counters: CounterRollup::default(),
-                    fault_marks: Vec::new(),
-                    error: Some(JoinError::Internal { detail: String::new() }.tag()),
-                    install: None,
-                    invariant: Some(format!("admitted request {id} has no inputs")),
-                };
-            };
-            let expected = JoinCheck::compute(r, s);
-            let start = if st.cpu { PlannedStrategy::CpuFallback } else { st.level };
-            let role = st.metrics.cache_role;
-            let named_build = st.build.is_some() && r.len() <= s.len();
-            let staged = !st.cpu && named_build && st.level == PlannedStrategy::GpuResident;
-            let mut install: Option<CachedBuild> = None;
-            let attempt = if let (CacheRole::Hit, Some(table)) = (role, st.hit.as_ref()) {
-                CachedBuildJoin::new(engine.config.clone())
-                    .execute_hot(&table.build, s)
-                    .map(|o| (PlannedStrategy::GpuResident, o))
-            } else if staged {
-                CachedBuildJoin::new(engine.config.clone()).execute_cold(r, s).map(|(o, built)| {
-                    if role == CacheRole::Install {
-                        install = Some(built);
-                    }
-                    (PlannedStrategy::GpuResident, o)
-                })
-            } else {
-                engine.execute_from(start, r, s)
-            };
-            let attempt = match attempt {
-                Err(_) if role == CacheRole::Hit || staged => {
-                    install = None;
-                    engine.execute_from(start, r, s)
-                }
-                other => other,
-            };
-            match attempt {
-                Ok((strategy, outcome)) => Executed {
-                    strategy: Some(strategy),
-                    check: outcome.check,
-                    expected,
-                    duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
-                    faults: outcome.faults.summary(),
-                    counters: outcome.counters.rollup(),
-                    fault_marks: outcome
-                        .faults
-                        .events
-                        .iter()
-                        .map(|e| {
-                            (
-                                e.at.unwrap_or(SimTime::ZERO),
-                                format!("{} {} `{}`", e.kind, e.site, e.label),
-                            )
-                        })
-                        .collect(),
-                    error: None,
-                    install,
-                    invariant: None,
-                },
-                Err(err) => Executed {
-                    strategy: None,
-                    check: expected,
-                    expected,
-                    duration: SimTime::from_nanos(1),
-                    faults: FaultSummary::default(),
-                    counters: CounterRollup::default(),
-                    fault_marks: Vec::new(),
-                    error: Some(err.tag()),
-                    install: None,
-                    invariant: None,
-                },
-            }
-        });
+        let (engine, requests) = (self.engine, &self.requests);
+        let results: Vec<Executed> =
+            Pool::current().map(&singles, |_, &id| execute_join(engine, &requests[id], id));
         for (&id, exec) in singles.iter().zip(results) {
+            let tracks = self.tracks_of(id);
             let st = &mut self.requests[id];
             st.metrics.executed = exec.strategy;
             st.metrics.check_ok = exec.strategy.is_some() && exec.check == exec.expected;
@@ -1621,6 +1695,9 @@ impl<'a> FleetRun<'a> {
             st.metrics.counters = exec.counters;
             st.metrics.error = exec.error;
             st.install = exec.install;
+            // Per-request cache rollup: a hit is one hit, either kind of
+            // miss is one miss (the cache's own counters aggregate the
+            // same events).
             match st.metrics.cache_role {
                 CacheRole::Hit => st.metrics.counters.cache.hits = 1,
                 CacheRole::Install | CacheRole::Bypass => st.metrics.counters.cache.misses = 1,
@@ -1629,24 +1706,24 @@ impl<'a> FleetRun<'a> {
             if let Some(v) = exec.invariant {
                 self.invariants.push(v);
             }
-            let admitted = st.metrics.admitted_at;
-            let epoch = st.epoch;
             if st.cpu {
                 st.running = true;
             }
-            if let Some(d) = st.metrics.device {
-                if st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none() {
-                    let track = self.devices[d].exec;
-                    self.devices[d].timeline.instant(
+            let (client, index, admitted) =
+                (st.metrics.client, st.metrics.index, st.metrics.admitted_at);
+            let hit = st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none();
+            let epoch = st.epoch;
+            for track in tracks {
+                if hit {
+                    self.timeline.instant(
                         track,
-                        format!("cache hit r{}.{}", st.metrics.client, st.metrics.index),
+                        format!("cache hit r{client}.{index}"),
                         10,
                         admitted,
                     );
                 }
-                let track = self.devices[d].exec;
-                for (offset, label) in exec.fault_marks {
-                    self.devices[d].timeline.instant(track, label, 8, admitted + offset);
+                for (offset, label) in &exec.fault_marks {
+                    self.timeline.instant(track, label.clone(), 8, admitted + *offset);
                 }
             }
             // Inputs stay held until the Complete finalizes: a device
@@ -1676,7 +1753,7 @@ impl<'a> FleetRun<'a> {
                             .collect();
                         let host = HostSpec::dual_xeon_e5_2650l_v3();
                         let result = execute_exchange(
-                            &self.svc.engine,
+                            self.engine,
                             &participants,
                             r,
                             s,
@@ -1709,17 +1786,16 @@ impl<'a> FleetRun<'a> {
                 None => {
                     st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
                     self.invariants.push(format!("admitted cross request {id} has no inputs"));
-                    let epoch = self.requests[id].epoch;
-                    self.schedule(now + SimTime::from_nanos(1), Event::Complete { req: id, epoch });
-                    continue;
+                    SimTime::from_nanos(1)
                 }
             };
-            let epoch = st.epoch;
+            let epoch = self.requests[id].epoch;
             self.schedule(now + duration, Event::Complete { req: id, epoch });
         }
 
         // Plans: one at a time, against their device's accountant and
-        // cache, reseeded per (device, request).
+        // cache, reseeded per (device, request); each plan fans its own
+        // ready waves onto the pool (and reseeds again per op).
         for &id in &plans {
             let (spec, scans, degrade, device) = {
                 let st = &mut self.requests[id];
@@ -1735,12 +1811,12 @@ impl<'a> FleetRun<'a> {
                 self.schedule(now + SimTime::from_nanos(1), Event::Complete { req: id, epoch });
                 continue;
             };
-            let reseeded = self.svc.engine.config.faults.as_ref().map(|f| {
-                let mut e = self.svc.engine.clone();
+            let reseeded = self.engine.config.faults.as_ref().map(|f| {
+                let mut e = self.engine.clone();
                 e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
                 e
             });
-            let engine = reseeded.as_ref().unwrap_or(&self.svc.engine);
+            let engine = reseeded.as_ref().unwrap_or(self.engine);
             let d = &mut self.devices[device];
             let run = execute_plan(engine, &spec, scans, degrade, &d.memory, d.cache.as_mut());
             let st = &mut self.requests[id];
@@ -1748,6 +1824,9 @@ impl<'a> FleetRun<'a> {
             st.metrics.check_ok = run.check_ok;
             st.metrics.matches = run.matches;
             st.metrics.error = run.error;
+            // Fold per-op faults, counters and cache roles into the
+            // request rollup (one hit/miss per consulting op, matching the
+            // cache's own counters).
             for op in &run.ops {
                 st.metrics.faults.absorb(&op.faults);
                 st.metrics.counters.absorb(&op.counters);
@@ -1766,13 +1845,10 @@ impl<'a> FleetRun<'a> {
 
     /// Drain bookkeeping into the final [`ServiceReport`].
     fn finish(mut self) -> ServiceReport {
-        // Release anything stranded (mirrors the single-device service);
-        // a healthy run has nothing left to release.
+        // Release anything stranded; a healthy run has nothing left to
+        // release, and the leak audit below then reads zero.
         for st in self.requests.iter_mut() {
-            st.reservation = None;
-            st.extra_reservations.clear();
-            st.hit = None;
-            st.plan = None;
+            st.release();
         }
         let mut fleet_cache: Option<CacheReport> = None;
         let mut device_rollups: Vec<DeviceRollup> = Vec::new();
@@ -1780,7 +1856,6 @@ impl<'a> FleetRun<'a> {
         let mut capacity = 0u64;
         let mut used_at_end = 0u64;
         let mut trips = 0u32;
-        let mut timeline = self.timeline;
         for (i, d) in self.devices.into_iter().enumerate() {
             let report = d.cache.as_ref().map(|c| c.report());
             if let Some(r) = report {
@@ -1815,7 +1890,6 @@ impl<'a> FleetRun<'a> {
                 used_at_end: d.memory.used(),
                 cache: report,
             });
-            timeline.absorb(d.timeline, &format!("device {i} · "));
         }
         ServiceReport {
             makespan: self.makespan,
@@ -1833,7 +1907,7 @@ impl<'a> FleetRun<'a> {
                 breaker_trips: trips,
                 cache_invalidated: self.cache_invalidated,
             }),
-            timeline,
+            timeline: self.timeline,
             requests: self.requests.into_iter().map(|st| st.metrics).collect(),
         }
     }
@@ -1918,6 +1992,36 @@ mod tests {
                     d.id
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lone_device_acts_on_no_health_observation() {
+        // The heavy transients that trip a 3-device fleet's breakers, then
+        // a chaos plan that arms sticky device-lost: a fleet of one device
+        // has nowhere to fail over to, so it never trips, quarantines,
+        // drains or spills to the CPU lane. Every fault plays out inside
+        // its own request, and every request is accounted for.
+        let heavy =
+            FaultConfig { kernel_fault_p: 0.6, device_lost_p: 0.0, ..FaultConfig::disabled(3) };
+        for faults in [heavy, FaultConfig::chaos(23)] {
+            let svc = FleetService::new(
+                small_engine(Some(faults)),
+                ServiceConfig::default(),
+                FleetConfig::new(1),
+            );
+            let report = svc.run(&mixed_workload(12, 20, 1_000, 9));
+            let summary = report.summary();
+            let fleet = report.fleet.as_ref().expect("rollup present");
+            assert_eq!(fleet.breaker_trips, 0, "a lone device never trips:\n{summary}");
+            assert_eq!(fleet.lost(), 0, "a lone device is never lost:\n{summary}");
+            assert_eq!(fleet.drained, 0, "a lone device never drains:\n{summary}");
+            assert_eq!(fleet.cpu_spilled, 0, "a lone device never spills:\n{summary}");
+            assert!(fleet.devices[0].transitions.is_empty(), "{:?}", fleet.devices[0].transitions);
+            let accounted = report.completed() + report.deadline_exceeded() + report.errored();
+            assert_eq!((report.requests.len(), accounted), (240, 240), "{summary}");
+            assert_eq!(report.checks_passed(), report.completed(), "{summary}");
+            assert!(report.invariant_violations.is_empty(), "{:?}", report.invariant_violations);
         }
     }
 

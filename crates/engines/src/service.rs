@@ -7,11 +7,16 @@
 //! by He et al. (co-processing under shared memory) and Shanbhag et al.
 //! (contended-device crossovers).
 //!
+//! This module holds the service's vocabulary — workloads, per-request
+//! metrics, the report — and [`JoinService`], which runs the event loop
+//! of [`crate::fleet`] on one device. There is one loop; a fleet of N
+//! devices adds routing and failover on top of the same admission path.
+//!
 //! Design:
 //!
 //! * **Admission control.** Before a request may dispatch, the service
-//!   takes a [`DeviceMemory`] reservation for the planner's footprint
-//!   estimate of the request's current strategy
+//!   takes a [`hcj_gpu::DeviceMemory`] reservation for the planner's
+//!   footprint estimate of the request's current strategy
 //!   ([`HcjEngine::footprint_estimate`]). The reservation is held for the
 //!   whole simulated execution and freed on completion, so concurrently
 //!   admitted requests can never oversubscribe the modeled 8 GB part.
@@ -19,54 +24,48 @@
 //!   beyond it park in a FIFO of blocked clients and enter the queue as
 //!   slots free (closed-loop clients stall, they are not dropped).
 //! * **Backoff + degradation.** A rejected reservation retries with capped
-//!   exponential backoff; after `max_retries` failures at one rung the
-//!   request degrades down the strategy ladder (resident → streamed →
-//!   co-processing) and starts over. Co-processing is the floor and its
-//!   estimate never exceeds device capacity, so every request eventually
-//!   admits once running work drains — nothing panics, nothing starves
-//!   forever.
-//! * **Determinism.** The service is a single-threaded virtual-time event
-//!   loop (a [`SimTime`]-keyed calendar with a tie-breaking sequence
+//!   exponential backoff ([`ServiceConfig::backoff`]); after `max_retries`
+//!   failures at one rung the request degrades down the strategy ladder
+//!   (resident → streamed → co-processing) and starts over. Co-processing
+//!   is the floor and its estimate never exceeds device capacity, so
+//!   every request eventually admits once running work drains — nothing
+//!   panics, nothing starves forever.
+//! * **Determinism.** The loop is single-threaded and runs in virtual
+//!   time (a [`SimTime`]-keyed calendar with a tie-breaking sequence
 //!   number). Only the *execution* of an admitted batch fans out, via
-//!   [`Pool::map`], whose results are bit-identical for every worker
-//!   count (PR 2's guarantee). All reservations, queue moves and metric
-//!   updates happen on the loop thread at deterministic virtual times, so
-//!   the same seed reproduces the same admission decisions byte-for-byte
-//!   at any `--jobs` value.
+//!   [`hcj_host::pool::Pool::map`], whose results are bit-identical for
+//!   every worker count. All reservations, queue moves and metric updates
+//!   happen on the loop thread at deterministic virtual times, so the
+//!   same seed reproduces the same admission decisions byte-for-byte at
+//!   any `--jobs` value.
 //! * **Deadlines.** With [`ServiceConfig::deadline`] set, every request
 //!   carries a per-request virtual-time budget from submission. An expired
 //!   request cancels cleanly wherever it is — parked, queued, backing off
-//!   or mid-execution — releases its [`Reservation`] immediately, and
-//!   reports `deadline-exceeded`; its client moves on to the next request.
+//!   or mid-execution — releases its reservation immediately, and reports
+//!   `deadline-exceeded`; its client moves on to the next request.
 //! * **Typed invariants.** The event loop never panics on "cannot happen"
 //!   states: broken internal invariants are recorded as typed
-//!   [`JoinError::Internal`]-style violations, surfaced in the
+//!   [`hcj_gpu::JoinError::Internal`]-style violations, surfaced in the
 //!   [`ServiceReport`] and its summary, and the run keeps going.
 //! * **Observability.** Every request records queue wait, retries,
 //!   planned vs. executed strategy, device occupancy at admission, and
 //!   its device fault/retry counters; the whole run renders as one Chrome
-//!   timeline ([`hcj_sim::Timeline`]) with a track per client, a
-//!   device-memory counter, and instant markers for injected faults,
-//!   retries and deadline cancellations.
+//!   timeline ([`hcj_sim::Timeline`]) with a track per client, the
+//!   device's execution and health tracks, its reserved- and cached-bytes
+//!   counters, and instant markers for cache hits, injected faults and
+//!   deadline cancellations.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
-
-use hcj_core::{CachedBuild, CachedBuildJoin};
-use hcj_gpu::{CounterRollup, DeviceMemory, FaultSummary, JoinError, Reservation};
-use hcj_host::pool::Pool;
-use hcj_sim::{SimTime, Timeline, TrackId};
+use hcj_gpu::{CounterRollup, FaultSummary};
+use hcj_sim::{SimTime, Timeline};
 use hcj_workload::catalog::{BuildCatalog, BuildRef, PopularityStream};
 use hcj_workload::generate::{KeyDistribution, RelationSpec};
-use hcj_workload::oracle::JoinCheck;
-use hcj_workload::plan::{chain_plan, star_plan, PlanOp, PlanSpec};
+use hcj_workload::plan::{chain_plan, star_plan, PlanSpec};
 use hcj_workload::rng::{Rng, SmallRng};
-use hcj_workload::Relation;
 
-use crate::cache::{BuildCache, BuildCacheConfig, CachePeek, CacheReport, CachedTable};
-use crate::dag::{execute_plan, plan_envelope, planned_root, OpReport, PlanRun};
+use crate::cache::{BuildCacheConfig, CacheReport};
+use crate::dag::OpReport;
 use crate::facade::{HcjEngine, PlannedStrategy};
-use crate::fleet::FleetRollup;
+use crate::fleet::{serve, FleetConfig, FleetRollup};
 
 /// Tuning of the service layer (the engine config rides in [`HcjEngine`]).
 #[derive(Clone, Debug)]
@@ -115,6 +114,14 @@ impl ServiceConfig {
     pub fn with_cache(mut self, cache: Option<BuildCacheConfig>) -> Self {
         self.cache = cache;
         self
+    }
+
+    /// Retry delay after `attempts` consecutive rejections at one rung:
+    /// `backoff_base * 2^(attempts-1)`, capped at `backoff_cap`.
+    pub fn backoff(&self, attempts: u32) -> SimTime {
+        let base = self.backoff_base.as_nanos().max(1);
+        let delay = base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20));
+        SimTime::from_nanos(delay.min(self.backoff_cap.as_nanos()))
     }
 }
 
@@ -390,7 +397,8 @@ pub struct RequestMetrics {
     /// the request never ran or fell back to the CPU).
     pub counters: CounterRollup,
     /// Stable tag of the terminal error, when the request did not finish
-    /// ([`JoinError::tag`]; `"deadline-exceeded"` for cancelled requests).
+    /// ([`hcj_gpu::JoinError::tag`]; `"deadline-exceeded"` for cancelled
+    /// requests).
     pub error: Option<&'static str>,
     /// How the build cache participated (decided at admission).
     pub cache_role: CacheRole,
@@ -398,12 +406,14 @@ pub struct RequestMetrics {
     /// single joins): strategy, cache role, pin-vs-spill and virtual
     /// times of every operator, in completion order.
     pub plan_ops: Vec<OpReport>,
-    /// The fleet device that ran the request to completion. `None` on the
-    /// single-device service, and for fleet requests that ran host-side
-    /// (CPU fallback with no surviving device to account against).
+    /// The device that ran the request to completion: `Some(0)` on the
+    /// single-device service. `None` for requests never admitted, and for
+    /// fleet requests that ran host-side (CPU fallback with no surviving
+    /// device to account against).
     pub device: Option<usize>,
     /// How many times a device loss drained this request mid-flight and
-    /// re-routed it to another device (0 on the single-device service).
+    /// re-routed it to another device (0 on the single-device service,
+    /// whose lone device never drains).
     pub rerouted: u32,
 }
 
@@ -656,65 +666,9 @@ impl ServiceReport {
     }
 }
 
-/// Calendar events of the virtual-time loop.
-enum Event {
-    /// A client submits request `index`.
-    Submit { client: usize, index: usize },
-    /// A backoff timer fired; the request is eligible again.
-    Retry,
-    /// An admitted request finished its simulated execution.
-    Complete { req: usize },
-    /// A request's per-request deadline expired. Stale once the request
-    /// is done; otherwise cancels it wherever it is.
-    Deadline { req: usize },
-}
-
-/// Per-request live state (metrics plus loop bookkeeping).
-struct RequestState {
-    metrics: RequestMetrics,
-    /// Materialized inputs; dropped once the request completes.
-    inputs: Option<(Relation, Relation)>,
-    /// Current rung on the ladder (degrades under pressure).
-    level: PlannedStrategy,
-    /// Failed attempts at the current rung.
-    attempts: u32,
-    /// Not eligible for admission before this time (backoff).
-    eligible_at: SimTime,
-    /// Held from admission to completion.
-    reservation: Option<Reservation>,
-    /// Catalog identity of the build side, copied from the spec.
-    build: Option<BuildRef>,
-    /// On a cache hit: the pinned resident table, held from admission to
-    /// completion so eviction cannot free it mid-flight.
-    hit: Option<Arc<CachedTable>>,
-    /// On a cache miss that rebuilt: the table the execution produced,
-    /// installed into the cache at completion.
-    install: Option<CachedBuild>,
-    /// Plan-request state; `None` for single joins (which then follow
-    /// exactly the pre-plan code paths).
-    plan: Option<PlanWork>,
-    /// Set exactly once, by `Complete` or by a deadline cancellation;
-    /// whichever fires second sees the flag and becomes a no-op.
-    done: bool,
-}
-
-/// Live state of a multi-join plan request.
-struct PlanWork {
-    /// The operator DAG to execute.
-    spec: PlanSpec,
-    /// Materialized scan outputs, indexed by op id; taken at dispatch.
-    scans: Option<Vec<Option<Relation>>>,
-    /// Ladder rungs every join is stepped down (admission-retry
-    /// escalation, the plan analogue of a single join's `level`).
-    degrade: usize,
-    /// The execution's result, held from dispatch to completion: its
-    /// pins keep intermediates reserved and its installs await the
-    /// cache, exactly like a single request's reservation + install.
-    run: Option<PlanRun>,
-}
-
-/// The multi-tenant join service. Owns the engine (planner + strategies)
-/// and the device-memory accountant all requests share.
+/// The multi-tenant join service: one shared device arbitrated between
+/// closed-loop clients. It is the one-device case of the fleet's event
+/// loop ([`crate::fleet`]), reported without the fleet rollup.
 pub struct JoinService {
     /// Planner + strategy implementations shared by all requests.
     pub engine: HcjEngine,
@@ -728,731 +682,12 @@ impl JoinService {
         JoinService { engine, config }
     }
 
-    /// Retry delay after `attempts` consecutive failures at one rung:
-    /// `base * 2^(attempts-1)`, capped.
-    fn backoff(&self, attempts: u32) -> SimTime {
-        let base = self.config.backoff_base.as_nanos().max(1);
-        let delay = base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20));
-        SimTime::from_nanos(delay.min(self.config.backoff_cap.as_nanos()))
-    }
-
     /// Drive the whole workload to completion, returning per-request
     /// metrics, the service timeline and aggregate counters.
     pub fn run(&self, workload: &[ClientSpec]) -> ServiceReport {
-        let device = DeviceMemory::new(self.engine.config.device.device_mem_bytes);
-        let mut calendar: BTreeMap<(SimTime, u64), Event> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut schedule = |cal: &mut BTreeMap<(SimTime, u64), Event>, at: SimTime, e: Event| {
-            cal.insert((at, seq), e);
-            seq += 1;
-        };
-
-        let mut requests: Vec<RequestState> = Vec::new();
-        // Dispatch queue (request ids, FIFO) and the backpressure park.
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut blocked: VecDeque<usize> = VecDeque::new();
-
-        let mut timeline = Timeline::new("hcj join service");
-        let tracks: Vec<TrackId> =
-            (0..workload.len()).map(|c| timeline.track(format!("client {c}"))).collect();
-        let device_counter = timeline.counter("device reserved (B)");
-        let mut invariants: Vec<String> = Vec::new();
-
-        // The build-side cache. Entries hold real reservations against
-        // `device`, so admission control sees cached bytes like any
-        // tenant's working set; under pressure they are reclaimed in the
-        // admission wave below.
-        let mut cache = self
-            .config
-            .cache
-            .as_ref()
-            .map(|cfg| BuildCache::new(cfg.resolved_max_bytes(device.capacity())));
-        let cache_counter = cache.as_ref().map(|_| timeline.counter("build cache (B)"));
-        let mut cache_bytes_sampled = 0u64;
-
-        for (c, client) in workload.iter().enumerate() {
-            if !client.requests.is_empty() {
-                schedule(&mut calendar, SimTime::ZERO, Event::Submit { client: c, index: 0 });
-            }
-        }
-
-        let mut makespan = SimTime::ZERO;
-        while let Some((&(now, _), _)) = calendar.iter().next() {
-            // Drain every event at `now` in sequence order, then run one
-            // admission wave over the resulting queue state.
-            while let Some((&key, _)) = calendar.iter().next() {
-                if key.0 != now {
-                    break;
-                }
-                let Some(event) = calendar.remove(&key) else {
-                    // "Cannot happen": the key was just peeked. Record the
-                    // broken invariant and keep serving.
-                    invariants
-                        .push(format!("calendar key vanished between peek and remove at {now}"));
-                    continue;
-                };
-                match event {
-                    Event::Submit { client, index } => {
-                        // Materialize the query's inputs and plan it: a
-                        // single join keeps the pre-plan path; a plan
-                        // generates its scans and sizes its root join.
-                        let (inputs, build, plan, planned) = match &workload[client].requests[index]
-                        {
-                            QuerySpec::Join(spec) => {
-                                let (r, s) = (spec.r.generate(), spec.s.generate());
-                                let (b, p) = if r.len() <= s.len() { (&r, &s) } else { (&s, &r) };
-                                let planned = self.engine.plan(b, p);
-                                (Some((r, s)), spec.build, None, planned)
-                            }
-                            QuerySpec::Plan(plan) => {
-                                let scans: Vec<Option<Relation>> = plan
-                                    .ops
-                                    .iter()
-                                    .map(|op| match op {
-                                        PlanOp::Scan { spec, .. } => Some(spec.generate()),
-                                        _ => None,
-                                    })
-                                    .collect();
-                                let planned = planned_root(&self.engine, plan);
-                                let work = PlanWork {
-                                    spec: plan.clone(),
-                                    scans: Some(scans),
-                                    degrade: 0,
-                                    run: None,
-                                };
-                                (None, None, Some(work), planned)
-                            }
-                        };
-                        let id = requests.len();
-                        requests.push(RequestState {
-                            metrics: RequestMetrics {
-                                client,
-                                index,
-                                submitted_at: now,
-                                admitted_at: now,
-                                completed_at: now,
-                                retries: 0,
-                                blocked: false,
-                                planned,
-                                executed: None,
-                                device_used_at_admit: 0,
-                                check_ok: false,
-                                matches: 0,
-                                faults: FaultSummary::default(),
-                                counters: CounterRollup::default(),
-                                error: None,
-                                cache_role: CacheRole::None,
-                                plan_ops: Vec::new(),
-                                device: None,
-                                rerouted: 0,
-                            },
-                            inputs,
-                            level: planned,
-                            attempts: 0,
-                            eligible_at: now,
-                            reservation: None,
-                            build,
-                            hit: None,
-                            install: None,
-                            plan,
-                            done: false,
-                        });
-                        if queue.len() < self.config.queue_depth {
-                            queue.push_back(id);
-                        } else {
-                            requests[id].metrics.blocked = true;
-                            blocked.push_back(id);
-                        }
-                        if let Some(budget) = self.config.deadline {
-                            schedule(&mut calendar, now + budget, Event::Deadline { req: id });
-                        }
-                    }
-                    Event::Retry => {
-                        // Pure wake-up: eligibility is checked by the wave.
-                    }
-                    Event::Complete { req } => {
-                        let st = &mut requests[req];
-                        if st.done {
-                            // Cancelled by a deadline while executing; the
-                            // result was discarded and the reservation is
-                            // already released.
-                            continue;
-                        }
-                        st.done = true;
-                        st.metrics.completed_at = now;
-                        st.reservation = None; // frees the accounted bytes
-                        st.hit = None; // unpin the cached table, if any
-                        let install = st.install.take();
-                        let bref = st.build;
-                        let plan_run = st.plan.as_mut().and_then(|pw| pw.run.take());
-                        makespan = makespan.max(now);
-                        let m = &st.metrics;
-                        if m.queue_wait() > SimTime::ZERO {
-                            timeline.span(
-                                tracks[m.client],
-                                format!("wait r{}.{}", m.client, m.index),
-                                0,
-                                m.submitted_at,
-                                m.admitted_at,
-                            );
-                        }
-                        if let Some(run) = plan_run {
-                            // A plan renders as one span per join op at
-                            // its virtual interval within the request,
-                            // with the same fault/cache instant markers a
-                            // single join gets. Pinned intermediates
-                            // release here, and installs land now that
-                            // the plan's envelope reservation is free.
-                            let PlanRun { ops, pins, installs, .. } = run;
-                            let (client, index) = (m.client, m.index);
-                            let (track, admitted) = (tracks[client], m.admitted_at);
-                            for op in &ops {
-                                if op.kind != "join" {
-                                    continue;
-                                }
-                                let class = op.executed.map_or(9, |e| e.rank() as u32 + 1);
-                                let name = match op.executed {
-                                    Some(e) => format!("op{} {e} r{client}.{index}", op.op),
-                                    None => format!("op{} failed r{client}.{index}", op.op),
-                                };
-                                timeline.span(
-                                    track,
-                                    name,
-                                    class,
-                                    admitted + op.start,
-                                    admitted + op.finish,
-                                );
-                                if op.cache_role == CacheRole::Hit && op.error.is_none() {
-                                    timeline.instant(
-                                        track,
-                                        format!("cache hit r{client}.{index} op{}", op.op),
-                                        10,
-                                        admitted + op.start,
-                                    );
-                                }
-                                for (offset, label) in &op.fault_marks {
-                                    timeline.instant(
-                                        track,
-                                        label.clone(),
-                                        8,
-                                        admitted + op.start + *offset,
-                                    );
-                                }
-                            }
-                            st.metrics.plan_ops = ops;
-                            drop(pins); // intermediates leave the device
-                            if let Some(c) = cache.as_mut() {
-                                for (b, built) in installs {
-                                    c.insert(b, &device, built);
-                                }
-                            }
-                        } else if let Some(executed) = m.executed {
-                            timeline.span(
-                                tracks[m.client],
-                                format!("{} r{}.{}", executed, m.client, m.index),
-                                executed.rank() as u32 + 1,
-                                m.admitted_at,
-                                m.completed_at,
-                            );
-                        }
-                        timeline.sample(device_counter, now, device.used() as f64);
-                        let (client, index) = (st.metrics.client, st.metrics.index);
-                        // Install the table a cache-miss execution built,
-                        // now that the request's own working-set
-                        // reservation is released: policy evictions and
-                        // the table's device reservation happen here.
-                        if let (Some(c), Some(built), Some(b)) = (cache.as_mut(), install, bref) {
-                            c.insert(b, &device, built);
-                        }
-                        if index + 1 < workload[client].requests.len() {
-                            schedule(
-                                &mut calendar,
-                                now + self.config.think_time,
-                                Event::Submit { client, index: index + 1 },
-                            );
-                        }
-                    }
-                    Event::Deadline { req } => {
-                        let st = &mut requests[req];
-                        if st.done {
-                            continue; // completed in time; stale timer
-                        }
-                        // Cancel cleanly wherever the request is: parked,
-                        // queued, backing off, or mid-execution. The
-                        // reservation (if admitted) is released *now*, so
-                        // the expired request stops occupying the device.
-                        st.done = true;
-                        st.reservation = None;
-                        st.hit = None;
-                        st.install = None;
-                        st.inputs = None;
-                        st.plan = None; // drops any run: pins + installs release
-                        st.metrics.completed_at = now;
-                        st.metrics.error = Some(
-                            JoinError::DeadlineExceeded {
-                                deadline: self.config.deadline.unwrap_or(SimTime::ZERO),
-                                elapsed: now - st.metrics.submitted_at,
-                            }
-                            .tag(),
-                        );
-                        st.metrics.check_ok = false;
-                        makespan = makespan.max(now);
-                        let (client, index) = (st.metrics.client, st.metrics.index);
-                        queue.retain(|&id| id != req);
-                        blocked.retain(|&id| id != req);
-                        timeline.instant(
-                            tracks[client],
-                            format!("deadline r{client}.{index}"),
-                            9,
-                            now,
-                        );
-                        timeline.sample(device_counter, now, device.used() as f64);
-                        if index + 1 < workload[client].requests.len() {
-                            schedule(
-                                &mut calendar,
-                                now + self.config.think_time,
-                                Event::Submit { client, index: index + 1 },
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Backpressure release: parked submissions enter in FIFO order.
-            while queue.len() < self.config.queue_depth {
-                match blocked.pop_front() {
-                    Some(id) => queue.push_back(id),
-                    None => break,
-                }
-            }
-
-            // Admission wave: scan the queue in order; requests still
-            // backing off are skipped, rejected ones reschedule themselves.
-            let mut batch: Vec<usize> = Vec::new();
-            queue.retain(|&id| {
-                let st = &mut requests[id];
-                if st.eligible_at > now {
-                    return true;
-                }
-                if let Some(pw) = st.plan.as_ref() {
-                    // Plan admission: reserve the worst single-join
-                    // envelope at the current degrade level (joins run one
-                    // wave at a time against this same accountant; pins
-                    // reserve separately and opportunistically). Rejection
-                    // backs off and eventually degrades every join one
-                    // rung, like a single request's ladder.
-                    let estimate = plan_envelope(&self.engine, &pw.spec, pw.degrade);
-                    let reserved = device.reserve(estimate).or_else(|err| match cache.as_mut() {
-                        Some(c) => {
-                            if c.reclaim(&device, estimate, None) {
-                                device.reserve(estimate)
-                            } else {
-                                Err(err)
-                            }
-                        }
-                        None => Err(err),
-                    });
-                    return match reserved {
-                        Ok(res) => {
-                            st.reservation = Some(res);
-                            st.metrics.admitted_at = now;
-                            st.metrics.device_used_at_admit = device.used();
-                            batch.push(id);
-                            false
-                        }
-                        Err(_) => {
-                            st.metrics.retries += 1;
-                            st.attempts += 1;
-                            if st.attempts > self.config.max_retries {
-                                let pw = st.plan.as_mut().expect("checked above");
-                                if pw.degrade < PlannedStrategy::LADDER.len() - 1 {
-                                    pw.degrade += 1;
-                                    st.attempts = 0;
-                                }
-                            }
-                            st.eligible_at = now + self.backoff(st.attempts.max(1));
-                            true
-                        }
-                    };
-                }
-                let Some((r, s)) = st.inputs.as_ref() else {
-                    // "Cannot happen": only undone requests sit in the
-                    // queue, and undone requests keep their inputs. Record
-                    // the broken invariant, fail the request typed, and
-                    // drop it from the queue instead of panicking.
-                    invariants.push(format!("queued request {id} has no inputs at {now}"));
-                    st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
-                    st.metrics.completed_at = now;
-                    st.done = true;
-                    return false;
-                };
-                let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
-                // Cache consultation. Only requests that name their build
-                // relation — and whose named side (`spec.r`) actually is
-                // the build side — participate; a stale entry is
-                // invalidated the moment it is observed.
-                let bref = if r.len() <= s.len() { st.build } else { None };
-                let mut role = CacheRole::None;
-                if let (Some(c), Some(b)) = (cache.as_mut(), bref) {
-                    let on_miss = if st.level == PlannedStrategy::GpuResident {
-                        CacheRole::Install
-                    } else {
-                        CacheRole::Bypass
-                    };
-                    role = match c.peek(b) {
-                        CachePeek::Hit => CacheRole::Hit,
-                        CachePeek::Stale => {
-                            c.invalidate(b.id);
-                            on_miss
-                        }
-                        CachePeek::Miss => on_miss,
-                        CachePeek::Newer => CacheRole::Bypass,
-                    };
-                }
-                // A hit reserves only the probe-side footprint — the
-                // cached table's bytes are already reserved by its entry.
-                let estimate = match role {
-                    CacheRole::Hit => self.engine.cached_probe_estimate(probe),
-                    _ => self.engine.footprint_estimate(st.level, build, probe),
-                };
-                // On a hit, the entry about to be reused must survive the
-                // reclaim that makes room for its own probe.
-                let protect = if role == CacheRole::Hit { bref.map(|b| b.id) } else { None };
-                let reserved = device.reserve(estimate).or_else(|err| {
-                    // Cached bytes are reclaimable, not tenants: evict
-                    // cold entries and retry once before treating the
-                    // rejection as pressure (backoff / degradation).
-                    match cache.as_mut() {
-                        Some(c) => {
-                            if c.reclaim(&device, estimate, protect) {
-                                device.reserve(estimate)
-                            } else {
-                                Err(err)
-                            }
-                        }
-                        None => Err(err),
-                    }
-                });
-                match reserved {
-                    Ok(res) => {
-                        st.reservation = Some(res);
-                        st.metrics.admitted_at = now;
-                        st.metrics.device_used_at_admit = device.used();
-                        // Record the cache outcome once, at successful
-                        // admission, so backoff retries don't inflate the
-                        // hit/miss counts.
-                        if let Some(c) = cache.as_mut() {
-                            match role {
-                                CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
-                                    Some(table) => st.hit = Some(table),
-                                    None => {
-                                        // "Cannot happen": the entry was
-                                        // peeked in this same wave. Degrade
-                                        // to a bypass instead of panicking.
-                                        invariants.push(format!(
-                                            "cache hit for request {id} vanished before \
-                                             pinning at {now}"
-                                        ));
-                                        role = CacheRole::Bypass;
-                                        c.miss();
-                                    }
-                                },
-                                CacheRole::Install | CacheRole::Bypass => c.miss(),
-                                CacheRole::None => {}
-                            }
-                        }
-                        st.metrics.cache_role = role;
-                        batch.push(id);
-                        false
-                    }
-                    Err(_) => {
-                        st.metrics.retries += 1;
-                        st.attempts += 1;
-                        if st.attempts > self.config.max_retries {
-                            if let Some(next) = st.level.degraded() {
-                                st.level = next;
-                                st.attempts = 0;
-                            }
-                        }
-                        st.eligible_at = now + self.backoff(st.attempts.max(1));
-                        true
-                    }
-                }
-            });
-            // Wake the loop when each rejected request's backoff expires
-            // (Retry is a pure wake-up; eligibility is re-checked then).
-            let wakeups: Vec<SimTime> = queue
-                .iter()
-                .filter(|&&id| requests[id].eligible_at > now)
-                .map(|&id| requests[id].eligible_at)
-                .collect();
-            for at in wakeups {
-                schedule(&mut calendar, at, Event::Retry);
-            }
-
-            // Track resident cached bytes (installs, evictions, reclaims
-            // and invalidations all land by this point in the iteration).
-            if let (Some(c), Some(counter)) = (cache.as_ref(), cache_counter) {
-                if c.bytes() != cache_bytes_sampled {
-                    cache_bytes_sampled = c.bytes();
-                    timeline.sample(counter, now, cache_bytes_sampled as f64);
-                }
-            }
-
-            if batch.is_empty() {
-                continue;
-            }
-            timeline.sample(device_counter, now, device.used() as f64);
-            // Split the admitted batch: single joins fan out onto the host
-            // pool as one flat map; plan requests execute one at a time
-            // from this thread (each plan fans its own ready waves onto
-            // the same pool internally).
-            let (plans, singles): (Vec<usize>, Vec<usize>) =
-                batch.iter().partition(|&&id| requests[id].plan.is_some());
-            // Execute the admitted batch on the host pool. The closure is
-            // pure over shared state; results come back in batch order, so
-            // everything downstream is independent of the worker count.
-            struct Executed {
-                strategy: Option<PlannedStrategy>,
-                check: JoinCheck,
-                expected: JoinCheck,
-                duration: SimTime,
-                faults: FaultSummary,
-                counters: CounterRollup,
-                /// `(offset into the execution, label)` per fault event,
-                /// for timeline markers at service time.
-                fault_marks: Vec<(SimTime, String)>,
-                error: Option<&'static str>,
-                /// The build a cache-miss execution produced, for
-                /// installation at completion.
-                install: Option<CachedBuild>,
-                /// A broken invariant observed inside the (possibly
-                /// parallel) execution closure, reported typed.
-                invariant: Option<String>,
-            }
-            let engine = &self.engine;
-            let results: Vec<Executed> = Pool::current().map(&singles, |_, &id| {
-                let st = &requests[id];
-                // Each request draws from its own fault stream (seed mixed
-                // with the request id) — deterministic for any worker
-                // count, but not the same verdicts for every tenant.
-                let reseeded = engine.config.faults.as_ref().map(|f| {
-                    let mut e = engine.clone();
-                    e.config = e.config.clone().with_faults(f.reseeded(id as u64));
-                    e
-                });
-                let engine = reseeded.as_ref().unwrap_or(engine);
-                let Some((r, s)) = st.inputs.as_ref() else {
-                    // "Cannot happen": admission just verified the inputs.
-                    return Executed {
-                        strategy: None,
-                        check: JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 },
-                        expected: JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 },
-                        duration: SimTime::from_nanos(1),
-                        faults: FaultSummary::default(),
-                        counters: CounterRollup::default(),
-                        fault_marks: Vec::new(),
-                        error: Some(JoinError::Internal { detail: String::new() }.tag()),
-                        install: None,
-                        invariant: Some(format!("admitted request {id} has no inputs")),
-                    };
-                };
-                let expected = JoinCheck::compute(r, s);
-                // Cache-aware execution. A hit probes the pinned resident
-                // table — no rebuild, no build-side transfer. Everything
-                // else with a *named* build side running GPU-resident
-                // takes the staged cold path (inputs arrive from the host
-                // per request, so their h2d traffic is modeled whether or
-                // not the cache is on — a cached and an uncached run of
-                // the same stream compare counter-for-counter); only an
-                // `Install` keeps the table it built. Unnamed or degraded
-                // requests execute the regular ladder. A failing cached
-                // path falls back onto that ladder too, so it degrades
-                // exactly like an uncached request. Admission guaranteed
-                // `r` is the build side whenever a cache role is set.
-                let role = st.metrics.cache_role;
-                let named_build = st.build.is_some() && r.len() <= s.len();
-                let staged = named_build && st.level == PlannedStrategy::GpuResident;
-                let mut install: Option<CachedBuild> = None;
-                let attempt = if let (CacheRole::Hit, Some(table)) = (role, st.hit.as_ref()) {
-                    CachedBuildJoin::new(engine.config.clone())
-                        .execute_hot(&table.build, s)
-                        .map(|o| (PlannedStrategy::GpuResident, o))
-                } else if staged {
-                    CachedBuildJoin::new(engine.config.clone()).execute_cold(r, s).map(
-                        |(o, built)| {
-                            if role == CacheRole::Install {
-                                install = Some(built);
-                            }
-                            (PlannedStrategy::GpuResident, o)
-                        },
-                    )
-                } else {
-                    engine.execute_from(st.level, r, s)
-                };
-                let attempt = match attempt {
-                    Err(_) if role == CacheRole::Hit || staged => {
-                        install = None;
-                        engine.execute_from(st.level, r, s)
-                    }
-                    other => other,
-                };
-                match attempt {
-                    Ok((strategy, outcome)) => Executed {
-                        strategy: Some(strategy),
-                        check: outcome.check,
-                        expected,
-                        duration: SimTime::from_nanos(
-                            outcome.schedule.makespan().as_nanos().max(1),
-                        ),
-                        faults: outcome.faults.summary(),
-                        counters: outcome.counters.rollup(),
-                        fault_marks: outcome
-                            .faults
-                            .events
-                            .iter()
-                            .map(|e| {
-                                (
-                                    e.at.unwrap_or(SimTime::ZERO),
-                                    format!("{} {} `{}`", e.kind, e.site, e.label),
-                                )
-                            })
-                            .collect(),
-                        error: None,
-                        install,
-                        invariant: None,
-                    },
-                    Err(err) => Executed {
-                        strategy: None,
-                        check: expected,
-                        expected,
-                        duration: SimTime::from_nanos(1),
-                        faults: FaultSummary::default(),
-                        counters: CounterRollup::default(),
-                        fault_marks: Vec::new(),
-                        error: Some(err.tag()),
-                        install: None,
-                        invariant: None,
-                    },
-                }
-            });
-            for (&id, exec) in singles.iter().zip(results) {
-                let st = &mut requests[id];
-                st.metrics.executed = exec.strategy;
-                st.metrics.check_ok = exec.strategy.is_some() && exec.check == exec.expected;
-                st.metrics.matches = exec.check.matches;
-                st.metrics.faults = exec.faults;
-                st.metrics.counters = exec.counters;
-                st.metrics.error = exec.error;
-                st.install = exec.install;
-                // Per-request cache rollup: a hit is one hit, either kind
-                // of miss is one miss (the service-level counters in the
-                // cache itself aggregate the same events).
-                match st.metrics.cache_role {
-                    CacheRole::Hit => st.metrics.counters.cache.hits = 1,
-                    CacheRole::Install | CacheRole::Bypass => st.metrics.counters.cache.misses = 1,
-                    CacheRole::None => {}
-                }
-                if let Some(v) = exec.invariant {
-                    invariants.push(v);
-                }
-                let admitted = st.metrics.admitted_at;
-                let track = tracks[st.metrics.client];
-                if st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none() {
-                    timeline.instant(
-                        track,
-                        format!("cache hit r{}.{}", st.metrics.client, st.metrics.index),
-                        10,
-                        admitted,
-                    );
-                }
-                for (offset, label) in exec.fault_marks {
-                    timeline.instant(track, label, 8, admitted + offset);
-                }
-                st.inputs = None; // inputs are no longer needed; free them
-                schedule(&mut calendar, now + exec.duration, Event::Complete { req: id });
-            }
-
-            // Execute admitted plan requests. Each plan drains its DAG
-            // wave by wave (fanning ready joins onto the host pool), pins
-            // or spills intermediates against the shared accountant, and
-            // consults the build cache per named build side. Requests run
-            // in admission order; everything is deterministic for any
-            // worker count.
-            for &id in &plans {
-                let (spec, scans, degrade) = {
-                    let st = &mut requests[id];
-                    let pw = st.plan.as_mut().expect("partitioned on plan.is_some()");
-                    (pw.spec.clone(), pw.scans.take(), pw.degrade)
-                };
-                let Some(scans) = scans else {
-                    // "Cannot happen": scans are generated at submission
-                    // and taken exactly once, here.
-                    invariants.push(format!("admitted plan request {id} has no scans at {now}"));
-                    let st = &mut requests[id];
-                    st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
-                    schedule(
-                        &mut calendar,
-                        now + SimTime::from_nanos(1),
-                        Event::Complete { req: id },
-                    );
-                    continue;
-                };
-                // Same per-request fault decorrelation as single joins
-                // (each op reseeds again by op id inside the executor).
-                let reseeded = self.engine.config.faults.as_ref().map(|f| {
-                    let mut e = self.engine.clone();
-                    e.config = e.config.clone().with_faults(f.reseeded(id as u64));
-                    e
-                });
-                let engine = reseeded.as_ref().unwrap_or(&self.engine);
-                let run = execute_plan(engine, &spec, scans, degrade, &device, cache.as_mut());
-                let st = &mut requests[id];
-                st.metrics.executed = run.executed;
-                st.metrics.check_ok = run.check_ok;
-                st.metrics.matches = run.matches;
-                st.metrics.error = run.error;
-                // Fold per-op faults, counters and cache roles into the
-                // request rollup (one hit/miss per consulting op, matching
-                // the cache's own counters).
-                for op in &run.ops {
-                    st.metrics.faults.absorb(&op.faults);
-                    st.metrics.counters.absorb(&op.counters);
-                    match op.cache_role {
-                        CacheRole::Hit => st.metrics.counters.cache.hits += 1,
-                        CacheRole::Install | CacheRole::Bypass => {
-                            st.metrics.counters.cache.misses += 1
-                        }
-                        CacheRole::None => {}
-                    }
-                }
-                let duration = SimTime::from_nanos(run.duration.as_nanos().max(1));
-                st.plan.as_mut().expect("still a plan").run = Some(run);
-                schedule(&mut calendar, now + duration, Event::Complete { req: id });
-            }
-        }
-
-        // Capture the cache aggregate, then drop the cache (and any
-        // stranded pins/reservations) so cached bytes release before the
-        // leak audit: a healthy loop leaves zero bytes reserved.
-        let cache_report = cache.as_ref().map(|c| c.report());
-        drop(cache);
-        requests.iter_mut().for_each(|st| {
-            st.reservation = None;
-            st.hit = None;
-            st.plan = None;
-        });
-        ServiceReport {
-            makespan,
-            device_peak: device.peak(),
-            device_capacity: device.capacity(),
-            device_used_at_end: device.used(),
-            invariant_violations: invariants,
-            cache: cache_report,
-            fleet: None,
-            timeline,
-            requests: requests.into_iter().map(|st| st.metrics).collect(),
-        }
+        let mut report = serve(&self.engine, &self.config, &FleetConfig::new(1), workload);
+        report.fleet = None;
+        report
     }
 }
 
@@ -1669,11 +904,11 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let svc = service(1, 1_000);
-        let base = svc.config.backoff_base;
-        assert_eq!(svc.backoff(1), base);
-        assert_eq!(svc.backoff(2).as_nanos(), base.as_nanos() * 2);
-        assert_eq!(svc.backoff(3).as_nanos(), base.as_nanos() * 4);
-        assert_eq!(svc.backoff(63), svc.config.backoff_cap);
+        let config = ServiceConfig::default();
+        let base = config.backoff_base;
+        assert_eq!(config.backoff(1), base);
+        assert_eq!(config.backoff(2).as_nanos(), base.as_nanos() * 2);
+        assert_eq!(config.backoff(3).as_nanos(), base.as_nanos() * 4);
+        assert_eq!(config.backoff(63), config.backoff_cap);
     }
 }

@@ -2,7 +2,9 @@
 //! the cached and plan smokes, the chaos seeds, the fleet and the
 //! exchange runs. Each case runs the real binary and must print its
 //! checked-in summary byte for byte. Summaries do not depend on
-//! `--jobs`, so each workload is pinned once.
+//! `--jobs`, so each workload is pinned once. The Chrome timeline each
+//! run writes with `--trace` is gated too, by its FNV-64 digest in
+//! `timelines.txt`.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -10,8 +12,10 @@
 //! cargo test -p hcj-bench --test serve_golden -- --ignored rewrite
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use hcj_sim::baseline::fnv64_hex;
 
 /// `(golden file stem, serve arguments)`, one per distinct CI workload.
 const CASES: &[(&str, &str)] = &[
@@ -30,16 +34,20 @@ const CASES: &[(&str, &str)] = &[
     ("exchange_off", "--quick --devices 3 --capacity-div 65536"),
 ];
 
-fn golden_path(stem: &str) -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/serve"))
-        .join(format!("{stem}.txt"))
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/serve")).join(name)
 }
 
-/// Run `serve` with `args` and return its stdout; a failing exit panics
-/// with the stderr attached.
-fn serve(args: &str) -> String {
+/// Run `serve` with `args`, writing its trace under a scratch directory
+/// of its own. Returns stdout and the FNV-64 digest of the trace; a
+/// failing exit panics with the stderr attached.
+fn serve(stem: &str, args: &str) -> (String, String) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_golden").join(stem);
+    let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(args.split_whitespace())
+        .arg("--trace")
+        .arg(&dir)
         .output()
         .expect("the serve binary runs");
     assert!(
@@ -48,7 +56,20 @@ fn serve(args: &str) -> String {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    String::from_utf8(out.stdout).expect("serve prints UTF-8")
+    let trace = std::fs::read_dir(&dir)
+        .expect("serve --trace writes its directory")
+        .map(|entry| entry.expect("readable trace directory").path())
+        .find(|path| path.to_string_lossy().ends_with(".trace.json"))
+        .expect("serve --trace writes a timeline");
+    let timeline = std::fs::read_to_string(trace).expect("readable timeline");
+    (String::from_utf8(out.stdout).expect("serve prints UTF-8"), fnv64_hex(&timeline))
+}
+
+/// `timelines.txt`: one `<stem> <digest>` line per case.
+fn timeline_digests() -> String {
+    let path = golden_path("timelines.txt");
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing timeline digests {}: {e}", path.display()))
 }
 
 /// The first line where `got` and `want` differ, for the failure message.
@@ -65,15 +86,20 @@ fn first_difference(got: &str, want: &str) -> String {
 }
 
 #[test]
-fn serve_stdout_matches_the_goldens() {
+fn serve_stdout_and_timelines_match_the_goldens() {
+    let digests = timeline_digests();
     let mut drifted: Vec<String> = Vec::new();
     for (stem, args) in CASES {
-        let path = golden_path(stem);
+        let path = golden_path(&format!("{stem}.txt"));
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        let got = serve(args);
+        let (got, digest) = serve(stem, args);
         if got != want {
             drifted.push(format!("serve {args} ({stem}.txt), {}", first_difference(&got, &want)));
+        }
+        let pinned = digests.lines().find_map(|l| l.strip_prefix(&format!("{stem} ")));
+        if pinned != Some(digest.as_str()) {
+            drifted.push(format!("serve {args}: timeline digest {digest}, pinned {pinned:?}"));
         }
     }
     assert!(
@@ -88,10 +114,12 @@ fn serve_stdout_matches_the_goldens() {
 #[test]
 #[ignore = "golden rewriter, run explicitly"]
 fn rewrite() {
+    let mut digests = String::new();
     for (stem, args) in CASES {
-        let path = golden_path(stem);
-        std::fs::create_dir_all(path.parent().expect("golden dir")).unwrap();
-        std::fs::write(&path, serve(args)).unwrap();
-        eprintln!("rewrote {}", path.display());
+        let (stdout, digest) = serve(stem, args);
+        std::fs::write(golden_path(&format!("{stem}.txt")), stdout).unwrap();
+        digests.push_str(&format!("{stem} {digest}\n"));
     }
+    std::fs::write(golden_path("timelines.txt"), digests).unwrap();
+    eprintln!("rewrote {}", golden_path("").display());
 }

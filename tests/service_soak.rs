@@ -104,7 +104,7 @@ fn service_trace_renders_as_valid_chrome_json() {
     assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     assert!(json.contains("\"client 0\""));
     assert!(json.contains("\"client 1\""));
-    assert!(json.contains("device reserved (B)"));
+    assert!(json.contains("device 0 · reserved (B)"));
     assert!(json.contains("\"ph\":\"X\""), "duration events present");
     assert!(json.contains("\"ph\":\"C\""), "counter samples present");
 }
