@@ -169,6 +169,11 @@ impl BuildCache {
         self.entries.values().map(|e| e.table.build.table_bytes).sum()
     }
 
+    /// Bytes of the table resident for relation `id`, if any.
+    pub fn table_bytes(&self, id: u64) -> Option<u64> {
+        self.entries.get(&id).map(|e| e.table.build.table_bytes)
+    }
+
     /// High-water mark of resident bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes

@@ -1617,8 +1617,18 @@ impl<'a> FleetRun<'a> {
                         } else {
                             CacheRole::Bypass
                         };
+                        // A hit reserves its probe beside its own table,
+                        // which no reclaim may evict. When the two exceed
+                        // the device the hit can never admit (degrading
+                        // its rung does not shrink a hit's estimate), so
+                        // it runs as a miss at its rung instead.
+                        let hit_fits = || {
+                            let table = c.table_bytes(b.id).unwrap_or(0);
+                            engine.cached_probe_estimate(probe) + table <= d.memory.capacity()
+                        };
                         match c.peek(b) {
-                            CachePeek::Hit => CacheRole::Hit,
+                            CachePeek::Hit if hit_fits() => CacheRole::Hit,
+                            CachePeek::Hit => on_miss,
                             CachePeek::Stale => {
                                 c.invalidate(b.id);
                                 on_miss

@@ -246,3 +246,44 @@ fn cache_is_inert_for_anonymous_build_sides() {
         .collect();
     assert_eq!(stripped, uncached.summary(), "cache off == cache on minus cache lines");
 }
+
+#[test]
+fn hit_too_big_to_admit_beside_its_table_runs_as_a_miss() {
+    // Regression: a cache hit reserves only its probe-side footprint and
+    // protects its own table from the reclaim that makes room. When the
+    // two together exceed the device, the hit could never admit, and
+    // degrading its rung did not shrink a hit's estimate: the request
+    // retried until its deadline (16 retries, then deadline-exceeded).
+    // Such a hit now runs as a miss at its rung.
+    let device = DeviceSpec::gtx1080().scaled_capacity(1 << 14); // 512 KB
+    let engine = HcjEngine::new(
+        GpuJoinConfig::paper_default(device).with_radix_bits(8).with_tuned_buckets(8_000),
+    );
+    let config = ServiceConfig::default()
+        .with_cache(Some(BuildCacheConfig::default()))
+        .with_deadline(Some(hashjoin_gpu::sim::SimTime::from_nanos(10_000_000)));
+    let catalog = BuildCatalog::dimension_tables(1, 4_000, 5);
+    let table = catalog.get(0);
+    assert_eq!(table.tuples(), 8_000);
+    let request = |probe_factor: usize, seed: u64| -> QuerySpec {
+        let s = RelationSpec {
+            tuples: table.tuples() * probe_factor,
+            distribution: KeyDistribution::UniformFk { distinct: table.tuples() as u64 },
+            payload_width: table.payload_width,
+            seed,
+        };
+        RequestSpec { r: table.spec(), s, build: Some(table.build_ref()) }.into()
+    };
+    // One client: the 1x probe installs the table, then the 3x probe
+    // finds it resident but cannot fit beside it.
+    let workload = vec![ClientSpec { requests: vec![request(1, 11), request(3, 12)] }];
+    let report = JoinService::new(engine, config).run(&workload);
+    let summary = report.summary();
+    assert_eq!(report.completed(), 2, "both requests complete:\n{summary}");
+    assert_eq!(report.checks_passed(), 2, "{summary}");
+    assert_eq!(report.deadline_exceeded(), 0, "{summary}");
+    let second = &report.requests[1];
+    assert_eq!(second.cache_role, CacheRole::Install, "the unadmittable hit ran as a miss");
+    assert_eq!(second.retries, 0, "{summary}");
+    assert_eq!(report.device_used_at_end, 0, "{summary}");
+}
