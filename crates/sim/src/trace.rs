@@ -97,24 +97,6 @@ impl Timeline {
     pub fn span_count(&self) -> usize {
         self.tracks.iter().map(|(_, s)| s.len()).sum()
     }
-
-    /// Merge another timeline into this one, prefixing every absorbed
-    /// track and counter name with `prefix`. This is how a multi-device
-    /// layer aggregates per-device sub-timelines into one fleet view:
-    /// each device records its own history independently, then the fleet
-    /// absorbs them (`"device 0 · exec"`, `"device 1 · reserved (B)"`,
-    /// …) so the whole run still exports as a single Chrome trace.
-    /// Absorption preserves span/sample order within each source track.
-    pub fn absorb(&mut self, other: Timeline, prefix: &str) {
-        for (name, spans) in other.tracks {
-            let id = self.track(format!("{prefix}{name}"));
-            self.tracks[id.0].1 = spans;
-        }
-        for (name, samples) in other.counters {
-            let id = self.counter(format!("{prefix}{name}"));
-            self.counters[id.0].1 = samples;
-        }
-    }
 }
 
 /// Serializes schedules to Chrome trace JSON; see the module docs.
@@ -605,27 +587,5 @@ mod tests {
     fn empty_timeline_still_valid() {
         let json = TraceExporter::new().timeline_to_json(&Timeline::new("empty"));
         json::parse(&json).expect("empty timeline must parse");
-    }
-
-    #[test]
-    fn absorb_prefixes_and_preserves_device_subtimelines() {
-        let mut fleet = Timeline::new("fleet");
-        let own = fleet.track("router");
-        fleet.span(own, "route r0", 1, SimTime::ZERO, SimTime::from_nanos(10));
-        for d in 0..2u32 {
-            let mut dev = Timeline::new("device");
-            let t = dev.track("exec");
-            dev.span(t, format!("join d{d}"), 2, SimTime::ZERO, SimTime::from_nanos(100));
-            let c = dev.counter("reserved (B)");
-            dev.sample(c, SimTime::ZERO, 42.0 * f64::from(d + 1));
-            fleet.absorb(dev, &format!("device {d} · "));
-        }
-        assert_eq!(fleet.span_count(), 3);
-        let json = TraceExporter::new().timeline_to_json(&fleet);
-        json::parse(&json).expect("aggregated fleet timeline must parse");
-        for needle in ["router", "device 0 · exec", "device 1 · exec", "device 1 · reserved (B)"]
-        {
-            assert!(json.contains(needle), "missing aggregated track `{needle}`");
-        }
     }
 }
