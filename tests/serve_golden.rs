@@ -38,7 +38,7 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/serve")).join(name)
 }
 
-/// Run `serve` with `args`, writing its trace under a scratch directory
+/// Run `serve` with `args`, writing its trace under a temporary directory
 /// of its own. Returns stdout and the FNV-64 digest of the trace; a
 /// failing exit panics with the stderr attached.
 fn serve(stem: &str, args: &str) -> (String, String) {
