@@ -6,9 +6,17 @@
 //! model's clock is unaffected by how the host executes that work — which
 //! means the host side is free to use every core it has, as long as the
 //! results stay deterministic. This module provides that: a chunked,
-//! work-stealing `map` built on [`std::thread::scope`] whose output is
-//! **bit-identical for every worker count**, because each item's result is
-//! stored at the item's own index and merged in input order.
+//! work-stealing `map` whose output is **bit-identical for every worker
+//! count**, because each item's result is stored at the item's own index
+//! and merged in input order.
+//!
+//! The threads persist. Helper threads are spawned once, by the first map
+//! that wants them, and park on a condition variable between maps; a later
+//! pool that wants more workers spawns the difference. A map posts its work
+//! to the helpers and the calling thread takes part as one of the workers,
+//! so a pool of `n` workers is the caller plus `n − 1` helpers. The map
+//! returns only after every helper has left its work, and re-raises in the
+//! caller the first panic any item raised.
 //!
 //! The worker count comes from (highest priority first) an explicit
 //! [`Pool::new`], the process-wide [`set_jobs`] override (the `repro
@@ -16,21 +24,35 @@
 //! [`std::thread::available_parallelism`].
 //!
 //! Nested parallelism is flattened: a `map` issued from inside a pool
-//! worker runs inline on that worker. The outermost layer that asks for
+//! worker — a helper, or the calling thread while it works through its own
+//! map — runs inline on that worker. The outermost layer that asks for
 //! parallelism gets it (figures under `repro all`, sweep points within a
 //! single figure, or kernel blocks within a single join), and inner layers
-//! do not oversubscribe the machine with threads-spawning-threads.
+//! do not oversubscribe the machine. One map owns the helpers at a time: a
+//! top-level map issued from another thread while they are busy runs on
+//! its own thread instead of waiting for them.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Process-wide worker-count override; 0 = unset (fall back to the
 /// environment).
 static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
+/// The process's helper threads and the map they may be working on.
+static HELPERS: Helpers = Helpers {
+    state: Mutex::new(State { spawned: 0, busy: false, job: None, epoch: 0, seats: 0, inside: 0 }),
+    posted: Condvar::new(),
+    left: Condvar::new(),
+};
+
 thread_local! {
-    /// True on threads spawned by [`Pool::map`]: nested maps run inline.
+    /// True on pool helpers, and on a map's calling thread while it works
+    /// through that map: nested maps run inline.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -63,9 +85,9 @@ pub fn default_jobs() -> usize {
     })
 }
 
-/// A handle expressing "run with this many workers". Cheap to construct;
-/// threads are scoped per [`Pool::map`] call, so nothing persists between
-/// calls and the pool can be created anywhere without lifetime plumbing.
+/// A handle expressing "run with this many workers". Cheap to construct:
+/// the helper threads belong to the process and serve every pool, so a
+/// pool can be created anywhere without lifetime plumbing.
 #[derive(Clone, Copy, Debug)]
 pub struct Pool {
     jobs: usize,
@@ -87,8 +109,9 @@ impl Pool {
         self.jobs
     }
 
-    /// Whether this map call would actually spawn workers (false inside a
-    /// worker or with 1 job) — callers can use it to pick chunk counts.
+    /// Whether a map on this pool would hand work to helper threads (false
+    /// inside a worker or with 1 job) — callers can use it to pick chunk
+    /// counts.
     pub fn is_parallel(&self) -> bool {
         self.jobs > 1 && !IN_WORKER.with(Cell::get)
     }
@@ -99,6 +122,10 @@ impl Pool {
     /// queues); each result is written to its item's slot, so the output —
     /// and therefore everything downstream — is identical for every worker
     /// count, including 1.
+    ///
+    /// # Panics
+    /// Re-raises the first panic an item raised, once every helper has left
+    /// the map.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -115,33 +142,38 @@ impl Pool {
         }
         let mut out: Vec<Option<R>> = Vec::new();
         out.resize_with(n, || None);
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         {
             let slots = DisjointSlice::new(&mut out);
             let cursor = AtomicUsize::new(0);
             // Chunks small enough that uneven items still balance, large
             // enough that the cursor is not contended per item.
             let chunk = (n / (workers * 4)).max(1);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        IN_WORKER.with(|w| w.set(true));
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            let end = (start + chunk).min(n);
-                            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                let r = f(i, item);
-                                // SAFETY: the cursor hands out every index
-                                // exactly once, so slot `i` has a single
-                                // writer and no concurrent reader.
-                                unsafe { slots.write(i, Some(r)) };
-                            }
-                        }
-                    });
+            let work = || {
+                let drained = panic::catch_unwind(AssertUnwindSafe(|| loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    let end = (start + chunk).min(n);
+                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                        let r = f(i, item);
+                        // SAFETY: the cursor hands out every index
+                        // exactly once, so slot `i` has a single
+                        // writer and no concurrent reader.
+                        unsafe { slots.write(i, Some(r)) };
+                    }
+                }));
+                if let Err(payload) = drained {
+                    // Hand out no more chunks, and keep the first panic.
+                    cursor.store(n, Ordering::Relaxed);
+                    panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
                 }
-            });
+            };
+            run_on_helpers(workers - 1, &work);
+        }
+        if let Some(payload) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            panic::resume_unwind(payload);
         }
         out.into_iter().map(|r| r.expect("every map slot filled")).collect()
     }
@@ -163,6 +195,170 @@ impl Pool {
             start = end;
         }
         ranges
+    }
+}
+
+/// Run `work` on the calling thread and on up to `helpers` helper threads,
+/// returning once every helper that took part has left it. When another
+/// map owns the helpers, the calling thread runs `work` alone.
+fn run_on_helpers<W: Fn() + Sync>(helpers: usize, work: &W) {
+    let posted = {
+        let mut state = HELPERS.lock();
+        state.grow(helpers);
+        if state.busy {
+            false
+        } else {
+            state.busy = true;
+            state.job = Some(Job::new(work));
+            state.epoch += 1;
+            state.seats = helpers;
+            HELPERS.posted.notify_all();
+            true
+        }
+    };
+    // Declared before `work` runs, so it retracts the job and waits out
+    // the helpers on every exit, unwinding included.
+    let _leave = Leave { posted };
+    IN_WORKER.with(|w| w.set(true));
+    work();
+}
+
+/// Ends the calling thread's part in a map when dropped: it stops being a
+/// worker and, if it posted the map, retracts it, waits until no helper is
+/// inside, and frees the helpers for the next map.
+struct Leave {
+    posted: bool,
+}
+
+impl Drop for Leave {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(false));
+        if !self.posted {
+            return;
+        }
+        let mut state = HELPERS.lock();
+        state.job = None;
+        while state.inside > 0 {
+            state = HELPERS.left.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.busy = false;
+    }
+}
+
+/// The helper threads' rendezvous.
+struct Helpers {
+    state: Mutex<State>,
+    /// Signalled when a map posts a job; idle helpers park on it.
+    posted: Condvar,
+    /// Signalled when the last helper leaves a job; its caller waits on it.
+    left: Condvar,
+}
+
+/// What the helpers share, guarded by [`Helpers::state`].
+struct State {
+    /// Helper threads spawned so far. They never exit.
+    spawned: usize,
+    /// A map owns the helpers (from posting its job until every helper has
+    /// left it).
+    busy: bool,
+    /// The posted job; `None` once its caller has finished its own part,
+    /// after which no helper may join it.
+    job: Option<Job>,
+    /// Counts posted jobs, so a helper joins each job at most once.
+    epoch: u64,
+    /// Helpers the posted job still has room for.
+    seats: usize,
+    /// Helpers working on the posted job right now.
+    inside: usize,
+}
+
+impl Helpers {
+    /// Lock the shared state. No code panics while holding it, so it is
+    /// never poisoned; recovering the guard anyway keeps `Leave::drop` free
+    /// of panics.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl State {
+    /// Spawn helpers until `want` exist. A failed spawn leaves fewer, which
+    /// only costs speed: the calling thread works through every item its
+    /// helpers do not take.
+    fn grow(&mut self, want: usize) {
+        while self.spawned < want {
+            let name = format!("hcj-pool-{}", self.spawned);
+            // Helpers run until the process exits and never unwind (the
+            // map's work catches every item's panic), so no handle is kept.
+            if std::thread::Builder::new().name(name).spawn(helper).is_err() {
+                break;
+            }
+            self.spawned += 1;
+        }
+    }
+}
+
+/// A helper thread: wait for a posted job it has not yet taken part in,
+/// work through it, report leaving, repeat.
+fn helper() {
+    IN_WORKER.with(|w| w.set(true));
+    let mut last = 0;
+    let mut state = HELPERS.lock();
+    loop {
+        match state.job {
+            Some(job) if state.epoch != last && state.seats > 0 => {
+                last = state.epoch;
+                state.seats -= 1;
+                state.inside += 1;
+                drop(state);
+                // SAFETY: `inside` counts this helper until it re-locks
+                // below, and the map that posted `job` does not return
+                // before `inside` falls to zero (`Leave::drop`), so the
+                // work behind `job` is alive for the whole call.
+                unsafe { job.run() };
+                state = HELPERS.lock();
+                state.inside -= 1;
+                if state.inside == 0 {
+                    HELPERS.left.notify_all();
+                }
+            }
+            _ => state = HELPERS.posted.wait(state).unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// A posted map's work, with the lifetime of its borrow erased so that
+/// helpers, which outlive every map, can hold it.
+#[derive(Clone, Copy)]
+struct Job {
+    work: *const (),
+    call: unsafe fn(*const ()),
+}
+
+// SAFETY: `work` points at a `W: Fn() + Sync` (see `Job::new`), which any
+// thread may call through a shared reference, also concurrently. Keeping
+// it alive is `Job::run`'s contract, not the pointer's.
+unsafe impl Send for Job {}
+
+impl Job {
+    fn new<W: Fn() + Sync>(work: &W) -> Job {
+        /// # Safety
+        /// `work` must point at a live `W`.
+        unsafe fn call<W: Fn() + Sync>(work: *const ()) {
+            // SAFETY: `Job::new::<W>` made `work` from a `&W`, and the
+            // caller guarantees that `W` is still alive.
+            unsafe { (*work.cast::<W>())() }
+        }
+        Job { work: (work as *const W).cast(), call: call::<W> }
+    }
+
+    /// Call the job's work.
+    ///
+    /// # Safety
+    /// The work this job was made from must still be alive.
+    unsafe fn run(self) {
+        // SAFETY: forwarded from this function's contract.
+        unsafe { (self.call)(self.work) }
     }
 }
 
@@ -218,9 +414,20 @@ impl<'a, T> DisjointSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::thread;
+
+    /// Tests that map on more than one worker hold this lock, so a map
+    /// that needs a helper to join (the barrier tests) finds the helpers
+    /// free rather than owned by a test running beside it.
+    fn own_helpers() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn map_preserves_item_order() {
+        let _helpers = own_helpers();
         let items: Vec<u64> = (0..1000).collect();
         let got = Pool::new(4).map(&items, |i, &x| {
             assert_eq!(i as u64, x);
@@ -232,6 +439,7 @@ mod tests {
 
     #[test]
     fn map_is_identical_across_worker_counts() {
+        let _helpers = own_helpers();
         let items: Vec<u64> = (0..4097).collect();
         let serial = Pool::new(1).map(&items, |_, &x| x.wrapping_mul(0x9E37_79B1));
         for jobs in [2, 3, 8, 64] {
@@ -242,6 +450,7 @@ mod tests {
 
     #[test]
     fn map_balances_uneven_work() {
+        let _helpers = own_helpers();
         // One item is 1000x the others; with chunked stealing the other
         // workers drain the rest. (Correctness, not timing, is asserted.)
         let items: Vec<u32> = (0..64).collect();
@@ -254,6 +463,7 @@ mod tests {
 
     #[test]
     fn nested_maps_run_inline_without_deadlock() {
+        let _helpers = own_helpers();
         let outer: Vec<usize> = (0..8).collect();
         let got = Pool::new(4).map(&outer, |_, &i| {
             let inner: Vec<usize> = (0..16).collect();
@@ -271,7 +481,83 @@ mod tests {
     }
 
     #[test]
+    fn panicking_item_reaches_caller_and_helpers_survive() {
+        let _helpers = own_helpers();
+        // Both items wait for each other, so the caller and a helper each
+        // run one, and both panic.
+        let barrier = Barrier::new(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(2).map(&[0u32, 1], |i, _| -> u32 {
+                barrier.wait();
+                panic!("item {i} failed")
+            })
+        }));
+        let payload = caught.expect_err("the item's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message == "item 0 failed" || message == "item 1 failed", "{message}");
+        // Again both items must run at once: this map completes only if a
+        // helper is still there to take one.
+        let got = Pool::new(2).map(&[0u32, 1], |_, &x| {
+            barrier.wait();
+            x + 10
+        });
+        assert_eq!(got, vec![10, 11]);
+    }
+
+    #[test]
+    fn concurrent_top_level_maps_both_stay_in_order() {
+        let _helpers = own_helpers();
+        // Item 0 of each map waits for item 0 of the other, so both maps
+        // are in progress at once: one owns the helpers, the other runs on
+        // its own thread.
+        let barrier = Barrier::new(2);
+        let items: Vec<u64> = (0..2000).collect();
+        let run = |salt: u64| {
+            Pool::new(4).map(&items, |i, &x| {
+                if i == 0 {
+                    barrier.wait();
+                }
+                x * salt
+            })
+        };
+        let (a, b) = thread::scope(|s| {
+            let other = s.spawn(|| run(7));
+            (run(3), other.join().expect("the other thread's map returns"))
+        });
+        assert_eq!(a, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(b, items.iter().map(|x| x * 7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_larger_pool_grows_the_helper_set() {
+        let _helpers = own_helpers();
+        let items: Vec<u64> = (0..4096).collect();
+        let want: Vec<u64> = items.iter().map(|x| x ^ 0x5555).collect();
+        assert_eq!(Pool::new(2).map(&items, |_, &x| x ^ 0x5555), want);
+        assert!(HELPERS.lock().spawned >= 1);
+        assert_eq!(Pool::new(8).map(&items, |_, &x| x ^ 0x5555), want);
+        assert!(HELPERS.lock().spawned >= 7);
+    }
+
+    #[test]
+    fn is_parallel_is_false_inside_an_item_the_caller_runs() {
+        let _helpers = own_helpers();
+        // Four items that wait for each other on four workers: each worker,
+        // the calling thread included, runs exactly one.
+        let barrier = Barrier::new(4);
+        let seen = Pool::new(4).map(&[(); 4], |_, _| {
+            barrier.wait();
+            (thread::current().id(), Pool::new(4).is_parallel())
+        });
+        let caller = thread::current().id();
+        assert!(seen.iter().any(|&(id, _)| id == caller), "the calling thread takes part");
+        assert!(seen.iter().all(|&(_, parallel)| !parallel));
+        assert!(Pool::new(4).is_parallel(), "the caller is a top-level thread again");
+    }
+
+    #[test]
     fn disjoint_slice_scatter() {
+        let _helpers = own_helpers();
         let mut data = vec![0u32; 256];
         {
             let slice = DisjointSlice::new(&mut data);
