@@ -26,9 +26,11 @@ use crate::config::{GpuJoinConfig, ProbeKind};
 use crate::output::OutputSink;
 use crate::partition::PartitionedRelation;
 
-/// Minimum probe tuples per worker chunk inside a single kernel: below
-/// this, forking sinks and merging counters costs more than the loop, so
-/// tiny co-partitions stay inline.
+/// Minimum probe tuples worth handing to pool workers: the least per
+/// worker chunk inside a single kernel, and the least live probe side
+/// [`join_all_copartitions`] fans out over co-partitions for. Below it,
+/// forking sinks and merging counters costs more than the loop, so the
+/// work stays inline.
 pub(crate) const PROBE_PAR_MIN: usize = 8192;
 
 /// Join every co-partition pair of two identically-partitioned relations,
@@ -47,14 +49,17 @@ pub fn join_all_copartitions(
         "co-partition join requires identically partitioned inputs"
     );
     let shift = r.fixed_bits();
-    // Co-partition pairs are fully independent: run them on pool workers,
-    // each joining into a forked sink, and fold costs and sinks back in
-    // partition order so the outcome is identical to the serial loop.
+    // Co-partition pairs are fully independent: when the live probe side
+    // pays for the hand-off, run them on pool workers, each joining into a
+    // forked sink, and fold costs and sinks back in partition order so the
+    // outcome is identical to the serial loop.
     let live: Vec<usize> =
         (0..r.fanout()).filter(|&p| !r.chains[p].is_empty() && !s.chains[p].is_empty()).collect();
-    let per_partition = Pool::current().map(&live, |_, &p| {
-        let (r_keys, r_pays) = r.collect_partition(p);
-        let (s_keys, s_pays) = s.collect_partition(p);
+    let probe_tuples: u64 = live.iter().map(|&p| s.partition_len(p)).sum();
+    let pool = if probe_tuples >= PROBE_PAR_MIN as u64 { Pool::current() } else { Pool::new(1) };
+    let per_partition = pool.map(&live, |_, &p| {
+        let (r_keys, r_pays) = r.partition_columns(p);
+        let (s_keys, s_pays) = s.partition_columns(p);
         let mut local = sink.fork();
         let c = match config.probe {
             ProbeKind::HashJoin => {

@@ -12,6 +12,8 @@
 //! processed in shared-memory-sized blocks and the probe side is re-scanned
 //! per block (paper §V-E) — correctness is preserved, throughput pays.
 
+use std::cell::Cell;
+
 use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
@@ -21,6 +23,21 @@ use crate::join::PROBE_PAR_MIN;
 use crate::output::OutputSink;
 
 const NIL: u16 = u16::MAX;
+
+/// A build table's `heads` and `next` links.
+#[derive(Default)]
+struct Table {
+    heads: Vec<u16>,
+    next: Vec<u16>,
+}
+
+thread_local! {
+    /// This thread's build table, kept between joins so that a
+    /// co-partition neither allocates nor zeroes a fresh one: between
+    /// joins every head is NIL (each build block clears the heads it set),
+    /// and a block writes every `next` link it reads.
+    static TABLE: Cell<Table> = const { Cell::new(Table { heads: Vec::new(), next: Vec::new() }) };
+}
 
 /// Join one co-partition pair with the shared-memory hash table.
 /// `shift` is the number of radix bits already equal within the partition.
@@ -41,6 +58,17 @@ pub fn sm_hash_join(
     let buckets = config.hash_buckets;
     let mut cost = KernelCost::ZERO;
     let n_blocks = r_keys.len().div_ceil(block).max(1);
+    // Out of its slot for the whole join and put back only once clean, so
+    // a join that panics leaves a fresh table to the next one.
+    let mut table = TABLE.take();
+    if table.heads.len() < buckets {
+        table.heads.resize(buckets, NIL);
+    }
+    let longest_block = block.min(r_keys.len());
+    if table.next.len() < longest_block {
+        table.next.resize(longest_block, NIL);
+    }
+    debug_assert!(table.heads.iter().all(|&h| h == NIL), "stale heads in a reused build table");
     // Oversized partitions degrade to block nested loops; each block
     // re-scans the whole probe partition.
     for blk in 0..n_blocks {
@@ -51,8 +79,8 @@ pub fn sm_hash_join(
         debug_assert!(rk.len() <= usize::from(u16::MAX), "16-bit offsets require small blocks");
 
         // ---- build phase (Listing 2) ----
-        let mut heads = vec![NIL; buckets];
-        let mut next = vec![NIL; rk.len()];
+        let heads = &mut table.heads[..buckets];
+        let next = &mut table.next[..rk.len()];
         for (i, &key) in rk.iter().enumerate() {
             let h = bucket_hash(key, shift, buckets);
             // atomicExchange(&heads[h], i): wait-free front insertion.
@@ -120,7 +148,11 @@ pub fn sm_hash_join(
         cost.add_shared(32 * chain_steps);
         cost.add_shared(4 * match_count); // matched payload read
         cost.add_instructions(4 * s_keys.len() as u64 + 3 * chain_steps);
+        for &key in rk {
+            heads[bucket_hash(key, shift, buckets)] = NIL;
+        }
     }
+    TABLE.set(table);
     cost
 }
 
@@ -223,6 +255,37 @@ mod tests {
         assert_eq!(rows, want);
         // Two build blocks → the probe side is re-scanned twice.
         assert_eq!(cost.coalesced_bytes, 2 * 8 * s.len() as u64 + 8 * u64::from(n));
+    }
+
+    #[test]
+    fn reused_table_leaves_no_stale_heads() {
+        // Back to back on one thread, the table shrinks to 2 buckets and
+        // grows back; each join's keys are disjoint from the others', so a
+        // head left over from an earlier join would add chain steps (and
+        // cost) or fabricate matches.
+        let join = |buckets: usize, base: u32| {
+            let mut config = cfg();
+            config.hash_buckets = buckets;
+            let r: Vec<(u32, u32)> = (0..600u32).map(|i| (base + i * 3, i)).collect();
+            let s: Vec<(u32, u32)> = (0..900u32).map(|i| (base + i * 2, i + 7)).collect();
+            let (rk, rp): (Vec<u32>, Vec<u32>) = r.into_iter().unzip();
+            let (sk, sp): (Vec<u32>, Vec<u32>) = s.into_iter().unzip();
+            // Capped, so a chain that stale heads turned into a cycle cannot
+            // exhaust memory before the comparison fails.
+            let mut sink = OutputSink::new(OutputMode::Materialize, 512).with_row_cap(1000);
+            let cost = sm_hash_join(&config, 0, &rk, &rp, &sk, &sp, &mut sink);
+            (sink.into_rows(), cost)
+        };
+        let joins = [(2048, 0), (2, 100_000), (2048, 200_000)];
+        let reused: Vec<_> = joins.iter().map(|&(buckets, base)| join(buckets, base)).collect();
+        for (&(buckets, base), got) in joins.iter().zip(&reused) {
+            // A thread of its own starts from an empty table.
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| join(buckets, base)).join().expect("fresh-thread join")
+            });
+            assert_eq!(got, &fresh, "{buckets} buckets");
+            assert_eq!(got.0.len(), 300, "{buckets} buckets");
+        }
     }
 
     #[test]

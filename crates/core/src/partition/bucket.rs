@@ -1,5 +1,7 @@
 //! Bucket pools and partition chains: the paper's partition output layout.
 
+use std::borrow::Cow;
+
 use hcj_workload::Tuple;
 
 /// Sentinel for "no next bucket".
@@ -274,6 +276,32 @@ impl PartitionedRelation {
         })
     }
 
+    /// Partition `p`'s key and payload columns, borrowed from the pool when
+    /// its buckets form one gap-free run of consecutive ids — always the
+    /// case for a relation laid out by [`from_counts`](Self::from_counts)
+    /// — and otherwise copied by [`collect_partition`](Self::collect_partition).
+    pub fn partition_columns(&self, p: usize) -> (Cow<'_, [u32]>, Cow<'_, [u32]>) {
+        let chain = self.chains[p];
+        let n = chain.tuples as usize;
+        if n == 0 {
+            return (Cow::Borrowed(&[]), Cow::Borrowed(&[]));
+        }
+        let cap = self.pool.capacity;
+        let contiguous = self.buckets_of(p).all(|b| {
+            b == chain.tail || (self.pool.next_of(b) == b + 1 && self.pool.len_of(b) == cap)
+        });
+        if contiguous {
+            let start = chain.head as usize * cap;
+            let slots = start..start + n;
+            return (
+                Cow::Borrowed(&self.pool.keys[slots.clone()]),
+                Cow::Borrowed(&self.pool.payloads[slots]),
+            );
+        }
+        let (keys, payloads) = self.collect_partition(p);
+        (Cow::Owned(keys), Cow::Owned(payloads))
+    }
+
     /// Collect partition `p` into parallel key/payload vectors (the copy a
     /// join kernel stages into shared memory).
     pub fn collect_partition(&self, p: usize) -> (Vec<u32>, Vec<u32>) {
@@ -368,6 +396,49 @@ mod tests {
         let (keys, payloads) = pr.collect_partition(3);
         assert_eq!(keys, vec![3, 7, 11, 15, 19]);
         assert_eq!(payloads, vec![6, 14, 22, 30, 38]);
+    }
+
+    #[test]
+    fn partition_columns_borrow_a_from_counts_layout() {
+        // Partition 1 spans three buckets, partition 2 is empty.
+        let counts = [2u64, 7, 0, 3];
+        let (mut packed, base) = PartitionedRelation::from_counts(3, 2, 0, &counts);
+        {
+            let (keys, pays) = packed.columns_mut();
+            for (p, &count) in counts.iter().enumerate() {
+                for i in 0..count as usize {
+                    let key = (i * 4 + p) as u32;
+                    keys[base[p] + i] = key;
+                    pays[base[p] + i] = key * 2;
+                }
+            }
+        }
+        for p in 0..4 {
+            let (keys, pays) = packed.partition_columns(p);
+            assert!(
+                matches!((&keys, &pays), (Cow::Borrowed(_), Cow::Borrowed(_))),
+                "partition {p}"
+            );
+            let (want_keys, want_pays) = packed.collect_partition(p);
+            assert_eq!((keys.as_ref(), pays.as_ref()), (&want_keys[..], &want_pays[..]));
+        }
+    }
+
+    #[test]
+    fn partition_columns_equal_collect_partition_for_interleaved_chains() {
+        // Round-robin pushes interleave the partitions' buckets, so no
+        // chain is a run of consecutive bucket ids.
+        let mut pr = PartitionedRelation::new(2, 2);
+        for k in 0..29u32 {
+            pr.push((k % 4) as usize, t(k));
+        }
+        assert_ne!(pr.pool.next_of(pr.chains[1].head), pr.chains[1].head + 1);
+        for p in 0..4 {
+            let (keys, pays) = pr.partition_columns(p);
+            assert!(matches!(keys, Cow::Owned(_)), "partition {p}");
+            let (want_keys, want_pays) = pr.collect_partition(p);
+            assert_eq!((keys.as_ref(), pays.as_ref()), (&want_keys[..], &want_pays[..]));
+        }
     }
 
     #[test]
