@@ -9,12 +9,12 @@
 //! * **NPO** — the non-partitioned shared hash join of Blanas et al.: one
 //!   global chained hash table built by all threads, probed in parallel.
 //!
-//! Both are *functionally real* (multithreaded via std::thread::scope, outputs
-//! validated against the oracle). Execution time comes from the calibrated
-//! host model in `hcj-host`, scaled by thread count and cache behaviour —
-//! see DESIGN.md for the calibration argument. The machine defaults to the
-//! paper's dual 12-core Xeon, on which both algorithms run all 48 hardware
-//! threads in the figures.
+//! Both are *functionally real* (multithreaded on the host pool
+//! [`hcj_host::Pool`], outputs validated against the oracle). Execution
+//! time comes from the calibrated host model in `hcj-host`, scaled by
+//! thread count and cache behaviour — see DESIGN.md for the calibration
+//! argument. The machine defaults to the paper's dual 12-core Xeon, on
+//! which both algorithms run all 48 hardware threads in the figures.
 
 pub mod model;
 pub mod npo;
