@@ -45,7 +45,7 @@ static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// The process's helper threads and the map they may be working on.
 static HELPERS: Helpers = Helpers {
-    state: Mutex::new(State { spawned: 0, busy: false, job: None, epoch: 0, seats: 0, inside: 0 }),
+    state: Mutex::new(State { spawned: 0, busy: false, job: None, seats: 0, inside: 0 }),
     posted: Condvar::new(),
     left: Condvar::new(),
 };
@@ -210,7 +210,6 @@ fn run_on_helpers<W: Fn() + Sync>(helpers: usize, work: &W) {
         } else {
             state.busy = true;
             state.job = Some(Job::new(work));
-            state.epoch += 1;
             state.seats = helpers;
             HELPERS.posted.notify_all();
             true
@@ -264,9 +263,9 @@ struct State {
     /// The posted job; `None` once its caller has finished its own part,
     /// after which no helper may join it.
     job: Option<Job>,
-    /// Counts posted jobs, so a helper joins each job at most once.
-    epoch: u64,
-    /// Helpers the posted job still has room for.
+    /// Joins the posted job still admits, so that it runs on at most the
+    /// pool's worker count. A helper leaves only once every item has been
+    /// handed out, so a second join of the same job leaves at once.
     seats: usize,
     /// Helpers working on the posted job right now.
     inside: usize,
@@ -298,16 +297,14 @@ impl State {
     }
 }
 
-/// A helper thread: wait for a posted job it has not yet taken part in,
-/// work through it, report leaving, repeat.
+/// A helper thread: wait for a posted job with a free seat, work through
+/// it, report leaving, repeat.
 fn helper() {
     IN_WORKER.with(|w| w.set(true));
-    let mut last = 0;
     let mut state = HELPERS.lock();
     loop {
         match state.job {
-            Some(job) if state.epoch != last && state.seats > 0 => {
-                last = state.epoch;
+            Some(job) if state.seats > 0 => {
                 state.seats -= 1;
                 state.inside += 1;
                 drop(state);
