@@ -23,13 +23,13 @@
 //! --jobs N` flag), the `HCJ_JOBS` environment variable, and finally
 //! [`std::thread::available_parallelism`].
 //!
-//! Nested parallelism is flattened: a `map` issued from inside a pool
+//! Nested parallelism is flattened: a `map` called from inside a pool
 //! worker — a helper, or the calling thread while it works through its own
 //! map — runs inline on that worker. The outermost layer that asks for
 //! parallelism gets it (figures under `repro all`, sweep points within a
 //! single figure, or kernel blocks within a single join), and inner layers
 //! do not oversubscribe the machine. One map owns the helpers at a time: a
-//! top-level map issued from another thread while they are busy runs on
+//! top-level map called from another thread while they are busy runs on
 //! its own thread instead of waiting for them.
 
 use std::any::Any;
