@@ -10,13 +10,10 @@
 //! count**, because each item's result is stored at the item's own index
 //! and merged in input order.
 //!
-//! The threads persist. Helper threads are spawned once, by the first map
-//! that wants them, and park on a condition variable between maps; a later
-//! pool that wants more workers spawns the difference. A map posts its work
-//! to the helpers and the calling thread takes part as one of the workers,
-//! so a pool of `n` workers is the caller plus `n − 1` helpers. The map
-//! returns only after every helper has left its work, and re-raises in the
-//! caller the first panic any item raised.
+//! Threads are scoped to a map: [`Pool::map`] spawns its helper threads
+//! with [`std::thread::scope`], the calling thread works beside them as one
+//! of the workers, and the map returns once every helper has finished. It
+//! re-raises in the caller the first panic any item raised.
 //!
 //! The worker count comes from (highest priority first) an explicit
 //! [`Pool::new`], the process-wide [`set_jobs`] override (the `repro
@@ -28,27 +25,18 @@
 //! map — runs inline on that worker. The outermost layer that asks for
 //! parallelism gets it (figures under `repro all`, sweep points within a
 //! single figure, or kernel blocks within a single join), and inner layers
-//! do not oversubscribe the machine. One map owns the helpers at a time: a
-//! top-level map called from another thread while they are busy runs on
-//! its own thread instead of waiting for them.
+//! do not oversubscribe the machine with threads-spawning-threads.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Process-wide worker-count override; 0 = unset (fall back to the
 /// environment).
 static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// The process's helper threads and the map they may be working on.
-static HELPERS: Helpers = Helpers {
-    state: Mutex::new(State { spawned: 0, busy: false, job: None, seats: 0, inside: 0 }),
-    posted: Condvar::new(),
-    left: Condvar::new(),
-};
 
 thread_local! {
     /// True on pool helpers, and on a map's calling thread while it works
@@ -85,9 +73,9 @@ pub fn default_jobs() -> usize {
     })
 }
 
-/// A handle expressing "run with this many workers". Cheap to construct:
-/// the helper threads belong to the process and serve every pool, so a
-/// pool can be created anywhere without lifetime plumbing.
+/// A handle expressing "run with this many workers". Cheap to construct;
+/// threads are scoped per [`Pool::map`] call, so nothing persists between
+/// calls and the pool can be created anywhere without lifetime plumbing.
 #[derive(Clone, Copy, Debug)]
 pub struct Pool {
     jobs: usize,
@@ -109,9 +97,9 @@ impl Pool {
         self.jobs
     }
 
-    /// Whether a map on this pool would hand work to helper threads (false
-    /// inside a worker or with 1 job) — callers can use it to pick chunk
-    /// counts.
+    /// Whether a map of two or more items on this pool would spawn helper
+    /// threads (false inside a worker or with 1 job) — callers can use it
+    /// to pick chunk counts.
     pub fn is_parallel(&self) -> bool {
         self.jobs > 1 && !IN_WORKER.with(Cell::get)
     }
@@ -124,8 +112,8 @@ impl Pool {
     /// count, including 1.
     ///
     /// # Panics
-    /// Re-raises the first panic an item raised, once every helper has left
-    /// the map.
+    /// Re-raises the first panic an item raised, once every helper has
+    /// finished.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -170,7 +158,19 @@ impl Pool {
                     panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
                 }
             };
-            run_on_helpers(workers - 1, &work);
+            std::thread::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(|| {
+                        IN_WORKER.with(|w| w.set(true));
+                        work();
+                    });
+                }
+                // `work` catches every item's panic, so the flag is always
+                // cleared again.
+                IN_WORKER.with(|w| w.set(true));
+                work();
+                IN_WORKER.with(|w| w.set(false));
+            });
         }
         if let Some(payload) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
             panic::resume_unwind(payload);
@@ -195,167 +195,6 @@ impl Pool {
             start = end;
         }
         ranges
-    }
-}
-
-/// Run `work` on the calling thread and on up to `helpers` helper threads,
-/// returning once every helper that took part has left it. When another
-/// map owns the helpers, the calling thread runs `work` alone.
-fn run_on_helpers<W: Fn() + Sync>(helpers: usize, work: &W) {
-    let posted = {
-        let mut state = HELPERS.lock();
-        state.grow(helpers);
-        if state.busy {
-            false
-        } else {
-            state.busy = true;
-            state.job = Some(Job::new(work));
-            state.seats = helpers;
-            HELPERS.posted.notify_all();
-            true
-        }
-    };
-    // Declared before `work` runs, so it retracts the job and waits out
-    // the helpers on every exit, unwinding included.
-    let _leave = Leave { posted };
-    IN_WORKER.with(|w| w.set(true));
-    work();
-}
-
-/// Ends the calling thread's part in a map when dropped: it stops being a
-/// worker and, if it posted the map, retracts it, waits until no helper is
-/// inside, and frees the helpers for the next map.
-struct Leave {
-    posted: bool,
-}
-
-impl Drop for Leave {
-    fn drop(&mut self) {
-        IN_WORKER.with(|w| w.set(false));
-        if !self.posted {
-            return;
-        }
-        let mut state = HELPERS.lock();
-        state.job = None;
-        while state.inside > 0 {
-            state = HELPERS.left.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.busy = false;
-    }
-}
-
-/// The helper threads' rendezvous.
-struct Helpers {
-    state: Mutex<State>,
-    /// Signalled when a map posts a job; idle helpers park on it.
-    posted: Condvar,
-    /// Signalled when the last helper leaves a job; its caller waits on it.
-    left: Condvar,
-}
-
-/// What the helpers share, guarded by [`Helpers::state`].
-struct State {
-    /// Helper threads spawned so far. They never exit.
-    spawned: usize,
-    /// A map owns the helpers (from posting its job until every helper has
-    /// left it).
-    busy: bool,
-    /// The posted job; `None` once its caller has finished its own part,
-    /// after which no helper may join it.
-    job: Option<Job>,
-    /// Joins the posted job still admits, so that it runs on at most the
-    /// pool's worker count. A helper leaves only once every item has been
-    /// handed out, so a second join of the same job leaves at once.
-    seats: usize,
-    /// Helpers working on the posted job right now.
-    inside: usize,
-}
-
-impl Helpers {
-    /// Lock the shared state. No code panics while holding it, so it is
-    /// never poisoned; recovering the guard anyway keeps `Leave::drop` free
-    /// of panics.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl State {
-    /// Spawn helpers until `want` exist. A failed spawn leaves fewer, which
-    /// only costs speed: the calling thread works through every item its
-    /// helpers do not take.
-    fn grow(&mut self, want: usize) {
-        while self.spawned < want {
-            let name = format!("hcj-pool-{}", self.spawned);
-            // Helpers run until the process exits and never unwind (the
-            // map's work catches every item's panic), so no handle is kept.
-            if std::thread::Builder::new().name(name).spawn(helper).is_err() {
-                break;
-            }
-            self.spawned += 1;
-        }
-    }
-}
-
-/// A helper thread: wait for a posted job with a free seat, work through
-/// it, report leaving, repeat.
-fn helper() {
-    IN_WORKER.with(|w| w.set(true));
-    let mut state = HELPERS.lock();
-    loop {
-        match state.job {
-            Some(job) if state.seats > 0 => {
-                state.seats -= 1;
-                state.inside += 1;
-                drop(state);
-                // SAFETY: `inside` counts this helper until it re-locks
-                // below, and the map that posted `job` does not return
-                // before `inside` falls to zero (`Leave::drop`), so the
-                // work behind `job` is alive for the whole call.
-                unsafe { job.run() };
-                state = HELPERS.lock();
-                state.inside -= 1;
-                if state.inside == 0 {
-                    HELPERS.left.notify_all();
-                }
-            }
-            _ => state = HELPERS.posted.wait(state).unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-/// A posted map's work, with the lifetime of its borrow erased so that
-/// helpers, which outlive every map, can hold it.
-#[derive(Clone, Copy)]
-struct Job {
-    work: *const (),
-    call: unsafe fn(*const ()),
-}
-
-// SAFETY: `work` points at a `W: Fn() + Sync` (see `Job::new`), which any
-// thread may call through a shared reference, also concurrently. Keeping
-// it alive is `Job::run`'s contract, not the pointer's.
-unsafe impl Send for Job {}
-
-impl Job {
-    fn new<W: Fn() + Sync>(work: &W) -> Job {
-        /// # Safety
-        /// `work` must point at a live `W`.
-        unsafe fn call<W: Fn() + Sync>(work: *const ()) {
-            // SAFETY: `Job::new::<W>` made `work` from a `&W`, and the
-            // caller guarantees that `W` is still alive.
-            unsafe { (*work.cast::<W>())() }
-        }
-        Job { work: (work as *const W).cast(), call: call::<W> }
-    }
-
-    /// Call the job's work.
-    ///
-    /// # Safety
-    /// The work this job was made from must still be alive.
-    unsafe fn run(self) {
-        // SAFETY: forwarded from this function's contract.
-        unsafe { (self.call)(self.work) }
     }
 }
 
@@ -414,17 +253,8 @@ mod tests {
     use std::sync::Barrier;
     use std::thread;
 
-    /// Tests that map on more than one worker hold this lock, so a map
-    /// that needs a helper to join (the barrier tests) finds the helpers
-    /// free rather than owned by a test running beside it.
-    fn own_helpers() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn map_preserves_item_order() {
-        let _helpers = own_helpers();
         let items: Vec<u64> = (0..1000).collect();
         let got = Pool::new(4).map(&items, |i, &x| {
             assert_eq!(i as u64, x);
@@ -436,7 +266,6 @@ mod tests {
 
     #[test]
     fn map_is_identical_across_worker_counts() {
-        let _helpers = own_helpers();
         let items: Vec<u64> = (0..4097).collect();
         let serial = Pool::new(1).map(&items, |_, &x| x.wrapping_mul(0x9E37_79B1));
         for jobs in [2, 3, 8, 64] {
@@ -447,7 +276,6 @@ mod tests {
 
     #[test]
     fn map_balances_uneven_work() {
-        let _helpers = own_helpers();
         // One item is 1000x the others; with chunked stealing the other
         // workers drain the rest. (Correctness, not timing, is asserted.)
         let items: Vec<u32> = (0..64).collect();
@@ -460,7 +288,6 @@ mod tests {
 
     #[test]
     fn nested_maps_run_inline_without_deadlock() {
-        let _helpers = own_helpers();
         let outer: Vec<usize> = (0..8).collect();
         let got = Pool::new(4).map(&outer, |_, &i| {
             let inner: Vec<usize> = (0..16).collect();
@@ -478,8 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_item_reaches_caller_and_helpers_survive() {
-        let _helpers = own_helpers();
+    fn panicking_item_reaches_the_caller() {
         // Both items wait for each other, so the caller and a helper each
         // run one, and both panic.
         let barrier = Barrier::new(2);
@@ -492,8 +318,7 @@ mod tests {
         let payload = caught.expect_err("the item's panic reaches the caller");
         let message = payload.downcast_ref::<String>().expect("a formatted panic message");
         assert!(message == "item 0 failed" || message == "item 1 failed", "{message}");
-        // Again both items must run at once: this map completes only if a
-        // helper is still there to take one.
+        // The pool maps on afterwards, again with both items at once.
         let got = Pool::new(2).map(&[0u32, 1], |_, &x| {
             barrier.wait();
             x + 10
@@ -503,10 +328,8 @@ mod tests {
 
     #[test]
     fn concurrent_top_level_maps_both_stay_in_order() {
-        let _helpers = own_helpers();
         // Item 0 of each map waits for item 0 of the other, so both maps
-        // are in progress at once: one owns the helpers, the other runs on
-        // its own thread.
+        // are in progress at once.
         let barrier = Barrier::new(2);
         let items: Vec<u64> = (0..2000).collect();
         let run = |salt: u64| {
@@ -526,19 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn a_larger_pool_grows_the_helper_set() {
-        let _helpers = own_helpers();
-        let items: Vec<u64> = (0..4096).collect();
-        let want: Vec<u64> = items.iter().map(|x| x ^ 0x5555).collect();
-        assert_eq!(Pool::new(2).map(&items, |_, &x| x ^ 0x5555), want);
-        assert!(HELPERS.lock().spawned >= 1);
-        assert_eq!(Pool::new(8).map(&items, |_, &x| x ^ 0x5555), want);
-        assert!(HELPERS.lock().spawned >= 7);
-    }
-
-    #[test]
     fn is_parallel_is_false_inside_an_item_the_caller_runs() {
-        let _helpers = own_helpers();
         // Four items that wait for each other on four workers: each worker,
         // the calling thread included, runs exactly one.
         let barrier = Barrier::new(4);
@@ -554,7 +365,6 @@ mod tests {
 
     #[test]
     fn disjoint_slice_scatter() {
-        let _helpers = own_helpers();
         let mut data = vec![0u32; 256];
         {
             let slice = DisjointSlice::new(&mut data);
