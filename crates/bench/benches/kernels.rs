@@ -6,7 +6,7 @@
 use hcj_bench::microbench::{bench, bench_with_setup};
 
 use hcj_core::join::ballot_nl::ballot_nl_join;
-use hcj_core::join::sm_hash::sm_hash_join;
+use hcj_core::join::sm_hash::{sm_hash_join, BuildTable};
 use hcj_core::output::OutputSink;
 use hcj_core::packing::{pack_working_sets, PartitionSize};
 use hcj_core::partition::GpuPartitioner;
@@ -35,11 +35,12 @@ fn bench_probe_kernels() {
     let config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080());
     let keys: Vec<u32> = (0..n as u32).collect();
     let pays = keys.clone();
+    let mut table = BuildTable::default();
     bench_with_setup(
         "probe-kernels",
         "sm-hash-4k-copartition",
         || OutputSink::new(OutputMode::Aggregate, 512),
-        |mut sink| sm_hash_join(&config, 0, &keys, &pays, &keys, &pays, &mut sink),
+        |mut sink| sm_hash_join(&config, 0, &keys, &pays, &keys, &pays, &mut sink, &mut table),
     );
     bench_with_setup(
         "probe-kernels",

@@ -103,7 +103,7 @@ mod tests {
     use hcj_workload::{Relation, Tuple};
 
     use crate::config::OutputMode;
-    use crate::join::sm_hash::sm_hash_join;
+    use crate::join::sm_hash::{sm_hash_join, BuildTable};
 
     fn cfg() -> GpuJoinConfig {
         GpuJoinConfig::paper_default(DeviceSpec::gtx1080())
@@ -140,7 +140,8 @@ mod tests {
         let mut sink_d = OutputSink::new(OutputMode::Aggregate, 512);
         let dev = device_hash_join(&cfg(), 0, &rk, &rp, &sk, &sp, &mut sink_d);
         let mut sink_s = OutputSink::new(OutputMode::Aggregate, 512);
-        let shm = sm_hash_join(&cfg(), 0, &rk, &rp, &sk, &sp, &mut sink_s);
+        let shm =
+            sm_hash_join(&cfg(), 0, &rk, &rp, &sk, &sp, &mut sink_s, &mut BuildTable::default());
         assert_eq!(sink_d.matches(), sink_s.matches());
         assert!(
             dev.time(&spec) > 2.0 * shm.time(&spec),

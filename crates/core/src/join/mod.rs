@@ -23,6 +23,7 @@ use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
 use crate::config::{GpuJoinConfig, ProbeKind};
+use crate::join::sm_hash::BuildTable;
 use crate::output::OutputSink;
 use crate::partition::PartitionedRelation;
 
@@ -49,22 +50,19 @@ pub fn join_all_copartitions(
         "co-partition join requires identically partitioned inputs"
     );
     let shift = r.fixed_bits();
-    // Co-partition pairs are fully independent: when the live probe side
-    // pays for the hand-off, run them on pool workers, each joining into a
-    // forked sink, and fold costs and sinks back in partition order so the
+    // Co-partition pairs are fully independent: each joins into a forked
+    // sink, and costs and sinks fold back in partition order, so the
     // outcome is identical to the serial loop.
     let live: Vec<usize> =
         (0..r.fanout()).filter(|&p| !r.chains[p].is_empty() && !s.chains[p].is_empty()).collect();
-    let probe_tuples: u64 = live.iter().map(|&p| s.partition_len(p)).sum();
-    let pool = if probe_tuples >= PROBE_PAR_MIN as u64 { Pool::current() } else { Pool::new(1) };
-    let per_partition = pool.map(&live, |_, &p| {
+    let join = |p: usize, table: &mut BuildTable| {
         let (r_keys, r_pays) = r.partition_columns(p);
         let (s_keys, s_pays) = s.partition_columns(p);
         let mut local = sink.fork();
         let c = match config.probe {
-            ProbeKind::HashJoin => {
-                sm_hash::sm_hash_join(config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local)
-            }
+            ProbeKind::HashJoin => sm_hash::sm_hash_join(
+                config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local, table,
+            ),
             ProbeKind::NestedLoop => ballot_nl::ballot_nl_join(
                 config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local,
             ),
@@ -73,9 +71,18 @@ pub fn join_all_copartitions(
             ),
         };
         (c, local)
+    };
+    // Fan out over pool workers only when the live probe side pays for the
+    // hand-off; a serial pool runs one chunk of every co-partition. Each
+    // chunk reuses one build table.
+    let probe_tuples: u64 = live.iter().map(|&p| s.partition_len(p)).sum();
+    let pool = if probe_tuples >= PROBE_PAR_MIN as u64 { Pool::current() } else { Pool::new(1) };
+    let per_chunk = pool.map(&pool.chunks(live.len(), 1), |_, range| {
+        let mut table = BuildTable::default();
+        live[range.clone()].iter().map(|&p| join(p, &mut table)).collect::<Vec<_>>()
     });
     let mut cost = KernelCost::ZERO;
-    for (c, local) in per_partition {
+    for (c, local) in per_chunk.into_iter().flatten() {
         cost += c;
         sink.merge(local);
     }

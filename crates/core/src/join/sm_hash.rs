@@ -12,8 +12,6 @@
 //! processed in shared-memory-sized blocks and the probe side is re-scanned
 //! per block (paper §V-E) — correctness is preserved, throughput pays.
 
-use std::cell::Cell;
-
 use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
@@ -24,23 +22,21 @@ use crate::output::OutputSink;
 
 const NIL: u16 = u16::MAX;
 
-/// A build table's `heads` and `next` links.
-#[derive(Default)]
-struct Table {
+/// The build table's `heads` and `next` links, reusable from one join to
+/// the next without allocating or zeroing: between joins every head is NIL
+/// (each build block clears the heads it set), and a block writes every
+/// `next` link it reads. A join that panics can leave heads set, so a
+/// table must not outlive a panicking join.
+#[derive(Debug, Default)]
+pub struct BuildTable {
     heads: Vec<u16>,
     next: Vec<u16>,
 }
 
-thread_local! {
-    /// This thread's build table, kept between joins so that a
-    /// co-partition neither allocates nor zeroes a fresh one: between
-    /// joins every head is NIL (each build block clears the heads it set),
-    /// and a block writes every `next` link it reads.
-    static TABLE: Cell<Table> = const { Cell::new(Table { heads: Vec::new(), next: Vec::new() }) };
-}
-
-/// Join one co-partition pair with the shared-memory hash table.
-/// `shift` is the number of radix bits already equal within the partition.
+/// Join one co-partition pair with the shared-memory hash table, built in
+/// `table`. `shift` is the number of radix bits already equal within the
+/// partition.
+#[allow(clippy::too_many_arguments)]
 pub fn sm_hash_join(
     config: &GpuJoinConfig,
     shift: u32,
@@ -49,6 +45,7 @@ pub fn sm_hash_join(
     s_keys: &[u32],
     s_pays: &[u32],
     sink: &mut OutputSink,
+    table: &mut BuildTable,
 ) -> KernelCost {
     // The chain links are 16-bit and `u16::MAX` is the NIL sentinel, so a
     // build block may never exceed 65535 elements no matter how much shared
@@ -58,9 +55,6 @@ pub fn sm_hash_join(
     let buckets = config.hash_buckets;
     let mut cost = KernelCost::ZERO;
     let n_blocks = r_keys.len().div_ceil(block).max(1);
-    // Out of its slot for the whole join and put back only once clean, so
-    // a join that panics leaves a fresh table to the next one.
-    let mut table = TABLE.take();
     if table.heads.len() < buckets {
         table.heads.resize(buckets, NIL);
     }
@@ -152,7 +146,6 @@ pub fn sm_hash_join(
             heads[bucket_hash(key, shift, buckets)] = NIL;
         }
     }
-    TABLE.set(table);
     cost
 }
 
@@ -179,7 +172,8 @@ mod tests {
         let sk: Vec<u32> = s.iter().map(|t| t.0).collect();
         let sp: Vec<u32> = s.iter().map(|t| t.1).collect();
         let mut sink = OutputSink::new(OutputMode::Materialize, 512);
-        let cost = sm_hash_join(config, 0, &rk, &rp, &sk, &sp, &mut sink);
+        let cost =
+            sm_hash_join(config, 0, &rk, &rp, &sk, &sp, &mut sink, &mut BuildTable::default());
         let mut rows = sink.into_rows();
         rows.sort_unstable();
         (rows, cost)
@@ -259,11 +253,11 @@ mod tests {
 
     #[test]
     fn reused_table_leaves_no_stale_heads() {
-        // Back to back on one thread, the table shrinks to 2 buckets and
-        // grows back; each join's keys are disjoint from the others', so a
+        // Back to back on one table, the joins use 2048, 2 and 2048
+        // buckets; each join's keys are disjoint from the others', so a
         // head left over from an earlier join would add chain steps (and
         // cost) or fabricate matches.
-        let join = |buckets: usize, base: u32| {
+        let join = |buckets: usize, base: u32, table: &mut BuildTable| {
             let mut config = cfg();
             config.hash_buckets = buckets;
             let r: Vec<(u32, u32)> = (0..600u32).map(|i| (base + i * 3, i)).collect();
@@ -273,16 +267,15 @@ mod tests {
             // Capped, so a chain that stale heads turned into a cycle cannot
             // exhaust memory before the comparison fails.
             let mut sink = OutputSink::new(OutputMode::Materialize, 512).with_row_cap(1000);
-            let cost = sm_hash_join(&config, 0, &rk, &rp, &sk, &sp, &mut sink);
+            let cost = sm_hash_join(&config, 0, &rk, &rp, &sk, &sp, &mut sink, table);
             (sink.into_rows(), cost)
         };
         let joins = [(2048, 0), (2, 100_000), (2048, 200_000)];
-        let reused: Vec<_> = joins.iter().map(|&(buckets, base)| join(buckets, base)).collect();
+        let mut table = BuildTable::default();
+        let reused: Vec<_> =
+            joins.iter().map(|&(buckets, base)| join(buckets, base, &mut table)).collect();
         for (&(buckets, base), got) in joins.iter().zip(&reused) {
-            // A thread of its own starts from an empty table.
-            let fresh = std::thread::scope(|s| {
-                s.spawn(|| join(buckets, base)).join().expect("fresh-thread join")
-            });
+            let fresh = join(buckets, base, &mut BuildTable::default());
             assert_eq!(got, &fresh, "{buckets} buckets");
             assert_eq!(got.0.len(), 300, "{buckets} buckets");
         }
@@ -307,7 +300,7 @@ mod tests {
         let sk: Vec<u32> = s.iter().map(|t| t.0).collect();
         let sp: Vec<u32> = s.iter().map(|t| t.1).collect();
         let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
-        let _ = sm_hash_join(&cfg(), 4, &rk, &rp, &sk, &sp, &mut sink);
+        let _ = sm_hash_join(&cfg(), 4, &rk, &rp, &sk, &sp, &mut sink, &mut BuildTable::default());
         assert_eq!(sink.matches(), 100);
     }
 }
