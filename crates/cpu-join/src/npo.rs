@@ -6,14 +6,13 @@
 //! table eats a cache (and possibly TLB) miss — the decay visible in the
 //! paper's Figures 8 and 12.
 
-use hcj_host::{HostSpec, Pool};
-use hcj_workload::oracle::JoinCheck;
+use hcj_host::HostSpec;
+use hcj_workload::oracle::{JoinCheck, JoinRow};
 use hcj_workload::Relation;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::model::{join_seconds, probe_rate, CpuJoinOutcome};
-use crate::partition::thread_chunks;
 
 const NIL: u32 = u32::MAX;
 
@@ -48,40 +47,64 @@ impl NpoJoin {
         // ---- build: lock-free front insertion into a shared table ----
         let heads: Vec<AtomicU32> = (0..slots).map(|_| AtomicU32::new(NIL)).collect();
         let next: Vec<AtomicU32> = (0..r.len()).map(|_| AtomicU32::new(NIL)).collect();
-        let pool = Pool::current();
-        pool.map(&thread_chunks(r.len(), fthreads), |_, range| {
-            for i in range.clone() {
-                let h = hash(r.keys[i]) & mask;
-                // atomic exchange + link: wait-free front insert.
-                let old = heads[h as usize].swap(i as u32, Ordering::AcqRel);
-                next[i].store(old, Ordering::Release);
+        let chunk = r.len().div_ceil(fthreads).max(1);
+        std::thread::scope(|scope| {
+            for t in 0..fthreads {
+                let lo = t * chunk;
+                let hi = ((t + 1) * chunk).min(r.len());
+                let heads = &heads;
+                let next = &next;
+                let keys = &r.keys;
+                scope.spawn(move || {
+                    for i in lo..hi {
+                        let h = hash(keys[i]) & mask;
+                        // atomic exchange + link: wait-free front insert.
+                        let old = heads[h as usize].swap(i as u32, Ordering::AcqRel);
+                        next[i].store(old, Ordering::Release);
+                    }
+                });
             }
         });
 
         // ---- probe in parallel ----
-        let (rk, rp) = (&r.keys, &r.payloads);
-        let (sk, sp) = (&s.keys, &s.payloads);
-        let partials = pool.map(&thread_chunks(s.len(), fthreads), |_, range| {
-            let mut matches = 0u64;
-            let (mut sum_r, mut sum_s) = (0u64, 0u64);
-            let mut rows = Vec::new();
-            for j in range.clone() {
-                let h = hash(sk[j]) & mask;
-                let mut idx = heads[h as usize].load(Ordering::Acquire);
-                while idx != NIL {
-                    let i = idx as usize;
-                    if rk[i] == sk[j] {
-                        matches += 1;
-                        sum_r = sum_r.wrapping_add(u64::from(rp[i]));
-                        sum_s = sum_s.wrapping_add(u64::from(sp[j]));
-                        if self.materialize {
-                            rows.push((sk[j], rp[i], sp[j]));
+        let chunk = s.len().div_ceil(fthreads).max(1);
+        let mut partials: Vec<(u64, u64, u64, Vec<JoinRow>)> = Vec::with_capacity(fthreads);
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(fthreads);
+            for t in 0..fthreads {
+                let lo = t * chunk;
+                let hi = ((t + 1) * chunk).min(s.len());
+                let heads = &heads;
+                let next = &next;
+                let materialize = self.materialize;
+                let (rk, rp) = (&r.keys, &r.payloads);
+                let (sk, sp) = (&s.keys, &s.payloads);
+                handles.push(scope.spawn(move || {
+                    let mut matches = 0u64;
+                    let (mut sum_r, mut sum_s) = (0u64, 0u64);
+                    let mut rows = Vec::new();
+                    for j in lo..hi {
+                        let h = hash(sk[j]) & mask;
+                        let mut idx = heads[h as usize].load(Ordering::Acquire);
+                        while idx != NIL {
+                            let i = idx as usize;
+                            if rk[i] == sk[j] {
+                                matches += 1;
+                                sum_r = sum_r.wrapping_add(u64::from(rp[i]));
+                                sum_s = sum_s.wrapping_add(u64::from(sp[j]));
+                                if materialize {
+                                    rows.push((sk[j], rp[i], sp[j]));
+                                }
+                            }
+                            idx = next[i].load(Ordering::Acquire);
                         }
                     }
-                    idx = next[i].load(Ordering::Acquire);
-                }
+                    (matches, sum_r, sum_s, rows)
+                }));
             }
-            (matches, sum_r, sum_s, rows)
+            for h in handles {
+                partials.push(h.join().expect("probe worker panicked"));
+            }
         });
 
         let mut check = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };

@@ -9,9 +9,6 @@
 //! Fanout per pass is bounded by the TLB (paper §II-B); deeper fanouts
 //! take multiple passes.
 
-use std::ops::Range;
-
-use hcj_host::Pool;
 use hcj_workload::{Relation, Tuple};
 
 /// Histogram of partition sizes for one radix range.
@@ -25,25 +22,40 @@ pub fn histogram(rel: &Relation, bits: u32, shift: u32) -> Vec<u64> {
     h
 }
 
-/// Partition `rel` on key bits `[shift, shift+bits)` in `threads` chunks,
-/// mapped over the host pool. Returns one `Relation` per partition (tuples
-/// in thread-chunk order, matching the concatenation step of the original).
+/// Partition `rel` on key bits `[shift, shift+bits)` using `threads`
+/// worker threads. Returns one `Relation` per partition (tuples in
+/// thread-chunk order, matching the concatenation step of the original).
 pub fn parallel_radix_partition(
     rel: &Relation,
     bits: u32,
     shift: u32,
     threads: usize,
 ) -> Vec<Relation> {
+    assert!(threads >= 1, "need at least one thread");
     let fanout = 1usize << bits;
     let mask = (fanout - 1) as u32;
+    let chunk_len = rel.len().div_ceil(threads).max(1);
 
     // Each thread partitions its chunk into local buffers.
-    let per_thread = Pool::current().map(&thread_chunks(rel.len(), threads), |_, range| {
-        let mut local = vec![Relation::default(); fanout];
-        for (&k, &p) in rel.keys[range.clone()].iter().zip(&rel.payloads[range.clone()]) {
-            local[((k >> shift) & mask) as usize].push(Tuple { key: k, payload: p });
+    let chunks: Vec<(usize, usize)> =
+        (0..rel.len()).step_by(chunk_len).map(|s| (s, (s + chunk_len).min(rel.len()))).collect();
+    let mut per_thread: Vec<Vec<Relation>> = Vec::with_capacity(chunks.len());
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(chunks.len());
+        for &(lo, hi) in &chunks {
+            let keys = &rel.keys[lo..hi];
+            let pays = &rel.payloads[lo..hi];
+            handles.push(scope.spawn(move || {
+                let mut local = vec![Relation::default(); fanout];
+                for (&k, &p) in keys.iter().zip(pays) {
+                    local[((k >> shift) & mask) as usize].push(Tuple { key: k, payload: p });
+                }
+                local
+            }));
         }
-        local
+        for h in handles {
+            per_thread.push(h.join().expect("partition worker panicked"));
+        }
     });
 
     // Concatenate the per-thread buffers of each partition.
@@ -58,16 +70,6 @@ pub fn parallel_radix_partition(
         part.payload_width = rel.payload_width;
     }
     out
-}
-
-/// `0..len` cut into at most `threads` chunks of equal length, the last
-/// one possibly shorter: the per-thread split of the original algorithms,
-/// kept so that output order never depends on how many pool workers run
-/// the chunks.
-pub(crate) fn thread_chunks(len: usize, threads: usize) -> Vec<Range<usize>> {
-    assert!(threads >= 1, "need at least one thread");
-    let chunk = len.div_ceil(threads).max(1);
-    (0..len).step_by(chunk).map(|start| start..(start + chunk).min(len)).collect()
 }
 
 /// Multi-pass partitioning to `total_bits`, each pass at most
