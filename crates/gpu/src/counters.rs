@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use hcj_sim::{Schedule, Timeline};
+use hcj_sim::{json, Schedule, Timeline};
 
 use hcj_sim::OpId;
 
@@ -633,13 +633,13 @@ impl CounterSet {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"device\": {},", json_string(&self.device));
-        let _ = writeln!(out, "  \"mem_bandwidth\": {},", json_f64(self.mem_bandwidth));
+        let _ = writeln!(out, "  \"device\": {},", json::string(&self.device));
+        let _ = writeln!(out, "  \"mem_bandwidth\": {},", json::number(self.mem_bandwidth));
         out.push_str("  \"kernels\": {\n");
         for (i, (label, stats)) in self.kernels.iter().enumerate() {
-            let _ = writeln!(out, "    {}: {{", json_string(label));
+            let _ = writeln!(out, "    {}: {{", json::string(label));
             let _ = writeln!(out, "      \"launches\": {},", stats.launches);
-            let _ = writeln!(out, "      \"seconds\": {},", json_f64(stats.seconds));
+            let _ = writeln!(out, "      \"seconds\": {},", json::number(stats.seconds));
             let c = &stats.cost;
             let _ = writeln!(out, "      \"coalesced_bytes\": {},", c.coalesced_bytes);
             let _ = writeln!(out, "      \"random_transactions\": {},", c.random_transactions);
@@ -656,20 +656,20 @@ impl CounterSet {
             let _ = writeln!(
                 out,
                 "      \"coalescing_efficiency\": {},",
-                json_f64(stats.coalescing_efficiency())
+                json::number(stats.coalescing_efficiency())
             );
             let _ = writeln!(out, "      \"device_bytes\": {},", stats.device_bytes());
             let _ = writeln!(
                 out,
                 "      \"achieved_bandwidth\": {},",
-                json_f64(stats.achieved_bandwidth())
+                json::number(stats.achieved_bandwidth())
             );
             let roof = if self.mem_bandwidth > 0.0 {
                 stats.achieved_bandwidth() / self.mem_bandwidth
             } else {
                 0.0
             };
-            let _ = writeln!(out, "      \"roofline_fraction\": {},", json_f64(roof));
+            let _ = writeln!(out, "      \"roofline_fraction\": {},", json::number(roof));
             let _ = writeln!(out, "      \"blocks\": {},", stats.shape.blocks);
             let _ =
                 writeln!(out, "      \"threads_per_block\": {},", stats.shape.threads_per_block);
@@ -679,11 +679,11 @@ impl CounterSet {
                 stats.shape.shared_bytes_per_block
             );
             let occ = match stats.occupancy {
-                Some(o) => json_f64(o),
+                Some(o) => json::number(o),
                 None => "null".to_string(),
             };
             let _ = writeln!(out, "      \"occupancy\": {occ},");
-            let _ = writeln!(out, "      \"bottleneck\": {}", json_string(stats.bottleneck));
+            let _ = writeln!(out, "      \"bottleneck\": {}", json::string(stats.bottleneck));
             let _ = writeln!(out, "    }}{}", if i + 1 < self.kernels.len() { "," } else { "" });
         }
         out.push_str("  },\n");
@@ -700,7 +700,7 @@ impl CounterSet {
                 dir.transfers,
                 dir.bytes,
                 dir.pageable_bytes,
-                json_f64(dir.seconds),
+                json::number(dir.seconds),
             );
         }
         let cc = &self.cache;
@@ -714,7 +714,7 @@ impl CounterSet {
             cc.reclaims,
             cc.invalidations,
             cc.reclaimed_bytes,
-            json_f64(cc.hit_rate()),
+            json::number(cc.hit_rate()),
         );
         let roll = self.rollup();
         let _ = writeln!(
@@ -732,7 +732,7 @@ impl CounterSet {
             roll.exchange_in_bytes,
             roll.issued_transactions,
             roll.minimum_transactions,
-            json_f64(roll.coalescing_efficiency()),
+            json::number(roll.coalescing_efficiency()),
         );
         out.push_str("}\n");
         out
@@ -804,33 +804,6 @@ fn normalize_label(label: &str) -> String {
         }
     }
     out.trim_end().to_string()
-}
-
-/// A finite f64 as a JSON number.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string literal with minimal escaping (labels are ASCII here).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! floating-point ratios (coalescing efficiency, occupancy, roofline
 //! attainment) compared within a relative tolerance band, and opaque text
 //! metrics (output digests) compared exactly. Baselines serialize to a
-//! stable hand-emitted JSON file per figure (`baselines/<figure>.json`);
-//! parsing uses a minimal std-only JSON reader so a corrupt file is a typed
+//! stable hand-emitted JSON file per figure (`baselines/<figure>.json`),
+//! read back with [`crate::json::parse`] so a corrupt file is a typed
 //! [`BaselineError`], never a panic.
 //!
 //! The comparison rule is deliberately asymmetric in strictness:
@@ -26,6 +26,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use crate::json;
 
 /// Relative tolerance applied to [`Metric::Float`] comparisons by default:
 /// wide enough to absorb decimal round-trips of values printed with 12
@@ -196,13 +198,13 @@ impl FigureBaseline {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"figure\": {},\n", json_string(&self.figure)));
+        out.push_str(&format!("  \"figure\": {},\n", json::string(&self.figure)));
         out.push_str("  \"context\": {");
         for (i, (k, v)) in self.context.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {}", json_string(k), json_string(v)));
+            out.push_str(&format!("\n    {}: {}", json::string(k), json::string(v)));
         }
         if !self.context.is_empty() {
             out.push_str("\n  ");
@@ -217,10 +219,10 @@ impl FigureBaseline {
                 Metric::Exact(n) => format!("{{ \"kind\": \"exact\", \"value\": {n} }}"),
                 Metric::Float(x) => format!("{{ \"kind\": \"float\", \"value\": {x:.12e} }}"),
                 Metric::Text(s) => {
-                    format!("{{ \"kind\": \"text\", \"value\": {} }}", json_string(s))
+                    format!("{{ \"kind\": \"text\", \"value\": {} }}", json::string(s))
                 }
             };
-            out.push_str(&format!("\n    {}: {body}", json_string(k)));
+            out.push_str(&format!("\n    {}: {body}", json::string(k)));
         }
         if !self.metrics.is_empty() {
             out.push_str("\n  ");
@@ -231,11 +233,11 @@ impl FigureBaseline {
 
     /// Parse a baseline document; `Err` carries a human-readable detail.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = JsonParser::new(text).parse_document()?;
+        let value = json::parse(text)?;
         let obj = value.as_object().ok_or("top level must be an object")?;
         let figure = obj
             .get("figure")
-            .and_then(Json::as_str)
+            .and_then(json::Value::as_str)
             .ok_or("missing string field \"figure\"")?
             .to_string();
         let mut baseline = FigureBaseline::new(figure);
@@ -248,11 +250,12 @@ impl FigureBaseline {
         }
         let metrics = obj
             .get("metrics")
-            .and_then(Json::as_object)
+            .and_then(json::Value::as_object)
             .ok_or("missing object field \"metrics\"")?;
         for (name, entry) in metrics {
             let entry = entry.as_object().ok_or("metric entries must be objects")?;
-            let kind = entry.get("kind").and_then(Json::as_str).ok_or("metric without \"kind\"")?;
+            let kind =
+                entry.get("kind").and_then(json::Value::as_str).ok_or("metric without \"kind\"")?;
             let value = entry.get("value").ok_or("metric without \"value\"")?;
             let metric = match kind {
                 "exact" => Metric::Exact(
@@ -311,268 +314,6 @@ pub fn fnv64_hex(data: &str) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{h:016x}")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the baseline document subset. Baseline files
-/// only ever contain objects, strings, and numbers; booleans, nulls, and
-/// arrays still *parse* (so corrupt-file diagnostics stay precise) but
-/// carry no payload — a baseline field of such a kind is simply invalid.
-#[derive(Clone, Debug)]
-enum Json {
-    Object(BTreeMap<String, Json>),
-    String(String),
-    Number(f64),
-    Bool,
-    Null,
-    Array,
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            // Exact metrics are written as plain integers; f64 represents
-            // them exactly up to 2^53, far above any simulated total here.
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Hand-rolled recursive-descent parser for the JSON subset the baseline
-/// files use (objects, arrays, strings, numbers, booleans, null). Std-only
-/// by design: the workspace vendors no serde.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn parse_document(mut self) -> Result<Json, String> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(Json::String(self.parse_string()?)),
-            b't' => self.parse_keyword("true", Json::Bool),
-            b'f' => self.parse_keyword("false", Json::Bool),
-            b'n' => self.parse_keyword("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            other => Err(format!("unexpected character {:?} at byte {}", other as char, self.pos)),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Array);
-        }
-        loop {
-            self.parse_value()?;
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array);
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("invalid \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                            );
-                        }
-                        other => return Err(format!("invalid escape \\{}", other as char)),
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: the input is a &str, so the sequence
-                    // is valid; copy it through byte-accurately.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@
 
 pub mod baseline;
 mod engine;
+pub mod json;
 mod op;
 mod resource;
 mod schedule;

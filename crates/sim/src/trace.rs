@@ -10,12 +10,12 @@
 //! The format is the "JSON Object Format" of the Trace Event spec: a
 //! top-level object with a `traceEvents` array; `ph: "X"` complete events
 //! carry microsecond `ts`/`dur`; `ph: "M"` metadata events name the
-//! process and threads; `ph: "C"` counter events plot the rates. All JSON
-//! is rendered by hand — the workspace is dependency-free by design.
+//! process and threads; `ph: "C"` counter events plot the rates. Strings
+//! and numbers are written by [`crate::json`].
 
-use std::fmt::Write as _;
 use std::path::Path;
 
+use crate::json;
 use crate::resource::ResourceKind;
 use crate::schedule::Schedule;
 use crate::time::SimTime;
@@ -157,7 +157,7 @@ impl TraceExporter {
             events.push(format!(
                 r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{},"args":{{"name":{}}}}}"#,
                 i,
-                json_string(&format!("{} ({kind}, {:.3e}/s)", meta.name, meta.rate)),
+                json::string(&format!("{} ({kind}, {:.3e}/s)", meta.name, meta.rate)),
             ));
         }
         if schedule.spans().iter().any(|sp| sp.resource.is_none()) {
@@ -173,14 +173,14 @@ impl TraceExporter {
                 if sp.label.is_empty() { format!("op{}", sp.op.index()) } else { sp.label.clone() };
             events.push(format!(
                 r#"{{"name":{},"cat":{},"ph":"X","pid":0,"tid":{},"ts":{},"dur":{},"args":{{"op":{},"class":{},"work":{}}}}}"#,
-                json_string(&name),
-                json_string(&format!("class-{}", sp.class)),
+                json::string(&name),
+                json::string(&format!("class-{}", sp.class)),
                 tid,
                 micros(sp.start),
                 micros(sp.duration()),
                 sp.op.index(),
                 sp.class,
-                json_f64(sp.work),
+                json::number(sp.work),
             ));
         }
 
@@ -200,14 +200,14 @@ impl TraceExporter {
             let mut bounds: Vec<SimTime> = segs.iter().flat_map(|g| [g.start, g.end]).collect();
             bounds.sort_unstable();
             bounds.dedup();
-            let counter = json_string(&format!("{} rate", meta.name));
+            let counter = json::string(&format!("{} rate", meta.name));
             for w in bounds.windows(2) {
                 let total: f64 =
                     segs.iter().filter(|g| g.start <= w[0] && g.end >= w[1]).map(|g| g.rate).sum();
                 events.push(format!(
                     r#"{{"name":{counter},"ph":"C","pid":0,"ts":{},"args":{{"rate":{}}}}}"#,
                     micros(w[0]),
-                    json_f64(total),
+                    json::number(total),
                 ));
             }
             // Drop the counter back to zero at the end of the last segment.
@@ -236,20 +236,20 @@ impl TraceExporter {
         let mut events: Vec<String> = Vec::new();
         events.push(format!(
             r#"{{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{{"name":{}}}}}"#,
-            json_string(&timeline.process_name),
+            json::string(&timeline.process_name),
         ));
         for (tid, (name, _)) in timeline.tracks.iter().enumerate() {
             events.push(format!(
                 r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":{}}}}}"#,
-                json_string(name),
+                json::string(name),
             ));
         }
         for (tid, (_, spans)) in timeline.tracks.iter().enumerate() {
             for sp in spans {
                 events.push(format!(
                     r#"{{"name":{},"cat":{},"ph":"X","pid":0,"tid":{tid},"ts":{},"dur":{},"args":{{"class":{}}}}}"#,
-                    json_string(&sp.label),
-                    json_string(&format!("class-{}", sp.class)),
+                    json::string(&sp.label),
+                    json::string(&format!("class-{}", sp.class)),
                     micros(sp.start),
                     micros(sp.end - sp.start),
                     sp.class,
@@ -274,12 +274,12 @@ impl TraceExporter {
 /// Append one `ph: "C"` event per sample of every counter series.
 fn push_counter_events(timeline: &Timeline, events: &mut Vec<String>) {
     for (name, points) in &timeline.counters {
-        let counter = json_string(name);
+        let counter = json::string(name);
         for (at, value) in points {
             events.push(format!(
                 r#"{{"name":{counter},"ph":"C","pid":0,"ts":{},"args":{{"value":{}}}}}"#,
                 micros(*at),
-                json_f64(*value),
+                json::number(*value),
             ));
         }
     }
@@ -303,164 +303,10 @@ fn micros(t: SimTime) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// A finite f64 as a JSON number (trace args never need inf/NaN).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Op, Sim};
-
-    /// Minimal recursive-descent JSON syntax checker so the tests prove the
-    /// hand-rolled output is structurally valid, not merely non-empty.
-    mod json {
-        pub fn parse(s: &str) -> Result<(), String> {
-            let b = s.as_bytes();
-            let mut i = 0;
-            value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing bytes at {i}"));
-            }
-            Ok(())
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => object(b, i),
-                Some(b'[') => array(b, i),
-                Some(b'"') => string(b, i),
-                Some(b't') => literal(b, i, b"true"),
-                Some(b'f') => literal(b, i, b"false"),
-                Some(b'n') => literal(b, i, b"null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-
-        fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // {
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at {i}"));
-                }
-                *i += 1;
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?} at {i}")),
-                }
-            }
-        }
-
-        fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // [
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?} at {i}")),
-                }
-            }
-        }
-
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("expected string at {i}"));
-            }
-            *i += 1;
-            while let Some(&c) = b.get(*i) {
-                match c {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    c if c < 0x20 => return Err(format!("raw control byte in string at {i}")),
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-
-        fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-            let start = *i;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                *i += 1;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(|_| ())
-                .ok_or_else(|| format!("bad number at {start}"))
-        }
-
-        fn literal(b: &[u8], i: &mut usize, want: &[u8]) -> Result<(), String> {
-            if b.len() - *i >= want.len() && &b[*i..*i + want.len()] == want {
-                *i += want.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at {i}"))
-            }
-        }
-    }
 
     fn sample_schedule() -> Schedule {
         let mut sim = Sim::new();
@@ -510,12 +356,6 @@ mod tests {
         assert_eq!(micros(SimTime::from_nanos(1500)), "1.500");
         assert_eq!(micros(SimTime::from_nanos(42)), "0.042");
         assert_eq!(micros(SimTime::from_nanos(2_000_000)), "2000.000");
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), r#""a\"b\\c\n""#);
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
