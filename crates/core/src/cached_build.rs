@@ -27,8 +27,7 @@
 //! diverges from `JoinCheck::compute` on the request's own inputs and the
 //! serving tests catch it.
 
-use hcj_gpu::stream::TransferKind;
-use hcj_gpu::{JoinError, RetryPolicy};
+use hcj_gpu::{Gpu, JoinError, Stream, TransferKind};
 use hcj_sim::Sim;
 use hcj_workload::Relation;
 
@@ -111,37 +110,19 @@ impl CachedBuildJoin {
     ) -> Result<(JoinOutcome, CachedBuild), JoinError> {
         let mut sim = Sim::new();
         let gpu = self.config.build_gpu(&mut sim);
-        let retry = RetryPolicy::default();
         let mut stream = gpu.stream();
         let partitioner = GpuPartitioner::new(&self.config);
 
         // ---- stage + partition the build side ----
         let r_input = gpu.mem.reserve(r.bytes())?;
         if !r_resident {
-            gpu.copy_h2d_retrying(
-                &mut sim,
-                &mut stream,
-                "h2d build",
-                r.bytes(),
-                TransferKind::Pinned,
-                &retry,
-            )?;
+            gpu.copy_h2d(&mut sim, &mut stream, "h2d build", r.bytes(), TransferKind::Pinned)?;
         }
         let r_out = partitioner.partition(r);
         drop(r_input); // bucket-pool recycling, as in the resident join
         let _r_pool = gpu.mem.reserve(r_out.partitioned.pool.device_bytes())?;
         let r_shape = self.config.partition_launch_shape(r.len());
-        for (i, pass) in r_out.passes.iter().enumerate() {
-            gpu.kernel_costed_retrying(
-                &mut sim,
-                &mut stream,
-                &format!("part build pass{i}"),
-                pass.seconds,
-                &pass.cost,
-                r_shape,
-                &retry,
-            )?;
-        }
+        r_out.charge_passes(&mut sim, &gpu, &mut stream, "part build", r_shape)?;
         // Rebuild cost of the table just built: all H2D seconds so far
         // belong to the build side (the probe has not been staged yet).
         let build_seconds: f64 =
@@ -150,36 +131,19 @@ impl CachedBuildJoin {
         // ---- stage + partition the probe side ----
         let s_input = gpu.mem.reserve(s.bytes())?;
         if !s_resident {
-            gpu.copy_h2d_retrying(
-                &mut sim,
-                &mut stream,
-                "h2d probe",
-                s.bytes(),
-                TransferKind::Pinned,
-                &retry,
-            )?;
+            gpu.copy_h2d(&mut sim, &mut stream, "h2d probe", s.bytes(), TransferKind::Pinned)?;
         }
         let s_out = partitioner.partition_following(s, &r_out.refine_plan);
         drop(s_input);
         let _s_pool = gpu.mem.reserve(s_out.partitioned.pool.device_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
-        for (i, pass) in s_out.passes.iter().enumerate() {
-            gpu.kernel_costed_retrying(
-                &mut sim,
-                &mut stream,
-                &format!("part probe pass{i}"),
-                pass.seconds,
-                &pass.cost,
-                s_shape,
-                &retry,
-            )?;
-        }
+        s_out.charge_passes(&mut sim, &gpu, &mut stream, "part probe", s_shape)?;
 
-        let outcome = self.join_partitioned(
+        let outcome = join_partitioned(
+            &self.config,
             sim,
             &gpu,
             &mut stream,
-            &retry,
             &r_out.partitioned,
             r.payload_width,
             &s_out.partitioned,
@@ -223,7 +187,6 @@ impl CachedBuildJoin {
     ) -> Result<JoinOutcome, JoinError> {
         let mut sim = Sim::new();
         let gpu = self.config.build_gpu(&mut sim);
-        let retry = RetryPolicy::default();
         let mut stream = gpu.stream();
         let partitioner = GpuPartitioner::new(&self.config);
 
@@ -232,36 +195,19 @@ impl CachedBuildJoin {
 
         let s_input = gpu.mem.reserve(s.bytes())?;
         if !s_resident {
-            gpu.copy_h2d_retrying(
-                &mut sim,
-                &mut stream,
-                "h2d probe",
-                s.bytes(),
-                TransferKind::Pinned,
-                &retry,
-            )?;
+            gpu.copy_h2d(&mut sim, &mut stream, "h2d probe", s.bytes(), TransferKind::Pinned)?;
         }
         let s_out = partitioner.partition_following(s, &cached.refine_plan);
         drop(s_input);
         let _s_pool = gpu.mem.reserve(s_out.partitioned.pool.device_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
-        for (i, pass) in s_out.passes.iter().enumerate() {
-            gpu.kernel_costed_retrying(
-                &mut sim,
-                &mut stream,
-                &format!("part probe pass{i}"),
-                pass.seconds,
-                &pass.cost,
-                s_shape,
-                &retry,
-            )?;
-        }
+        s_out.charge_passes(&mut sim, &gpu, &mut stream, "part probe", s_shape)?;
 
-        self.join_partitioned(
+        join_partitioned(
+            &self.config,
             sim,
             &gpu,
             &mut stream,
-            &retry,
             &cached.partitioned,
             cached.payload_width,
             &s_out.partitioned,
@@ -269,56 +215,46 @@ impl CachedBuildJoin {
             cached.build_tuples + s.len() as u64,
         )
     }
+}
 
-    /// The shared tail of both paths: join two partitioned relations,
-    /// charge the one co-partition join kernel, and package the outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn join_partitioned(
-        &self,
-        mut sim: Sim,
-        gpu: &hcj_gpu::stream::Gpu,
-        stream: &mut hcj_gpu::stream::Stream,
-        retry: &RetryPolicy,
-        r_part: &PartitionedRelation,
-        r_width: u32,
-        s_part: &PartitionedRelation,
-        s_width: u32,
-        tuples_in: u64,
-    ) -> Result<JoinOutcome, JoinError> {
-        let mut sink = self.config.make_sink();
-        let mut join_cost = join_all_copartitions(&self.config, r_part, s_part, &mut sink);
-        join_cost += sink.cost();
-        join_cost += late_materialization_cost(sink.matches(), r_width, true);
-        join_cost += late_materialization_cost(sink.matches(), s_width, true);
-        let _result_buf = match self.config.output {
-            OutputMode::Materialize => {
-                Some(gpu.mem.reserve(self.config.result_buffer_bytes(sink.matches()))?)
-            }
-            OutputMode::Aggregate => None,
-        };
-        let join_shape = self.config.join_launch_shape(live_copartitions(r_part, s_part));
-        gpu.kernel_costed_retrying(
-            &mut sim,
-            stream,
-            "join copartitions",
-            join_cost.time(&gpu.spec),
-            &join_cost,
-            join_shape,
-            retry,
-        )?;
-
-        let schedule = sim.run();
-        let faults = gpu.fault_log(&schedule);
-        let counters = gpu.counters();
-        let check = sink.check();
-        let rows = match self.config.output {
-            OutputMode::Materialize => Some(sink.into_rows()),
-            OutputMode::Aggregate => None,
-        };
-        Ok(JoinOutcome::new(check, rows, schedule, tuples_in)
-            .with_faults(faults)
-            .with_counters(counters))
-    }
+/// The tail every partitioned GPU join shares (resident, cold, hot):
+/// join two partitioned relations, charge the one co-partition join
+/// kernel, and package the outcome. Both sides were reordered by
+/// partitioning, so late materialization of wide payloads pays scattered
+/// fetches on each (Figs. 9–10).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn join_partitioned(
+    config: &GpuJoinConfig,
+    mut sim: Sim,
+    gpu: &Gpu,
+    stream: &mut Stream,
+    r_part: &PartitionedRelation,
+    r_width: u32,
+    s_part: &PartitionedRelation,
+    s_width: u32,
+    tuples_in: u64,
+) -> Result<JoinOutcome, JoinError> {
+    let mut sink = config.make_sink();
+    let mut join_cost = join_all_copartitions(config, r_part, s_part, &mut sink);
+    join_cost += sink.cost();
+    join_cost += late_materialization_cost(sink.matches(), r_width, true);
+    join_cost += late_materialization_cost(sink.matches(), s_width, true);
+    let _result_buf = match config.output {
+        OutputMode::Materialize => {
+            Some(gpu.mem.reserve(config.result_buffer_bytes(sink.matches()))?)
+        }
+        OutputMode::Aggregate => None,
+    };
+    let join_shape = config.join_launch_shape(live_copartitions(r_part, s_part));
+    gpu.kernel(
+        &mut sim,
+        stream,
+        "join copartitions",
+        join_cost.time(&gpu.spec),
+        &join_cost,
+        join_shape,
+    )?;
+    Ok(JoinOutcome::finish(sim, gpu, sink, tuples_in))
 }
 
 #[cfg(test)]

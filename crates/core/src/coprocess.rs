@@ -23,7 +23,7 @@
 //! twice. Device-lost aborts with a typed error; the facade then falls
 //! back to the CPU baseline.
 
-use hcj_gpu::{JoinError, RetryPolicy, TransferKind};
+use hcj_gpu::{JoinError, KernelCost, LaunchShape, TransferKind};
 use hcj_host::{tasks, CpuTaskKind, HostMachine, HostSpec, Socket};
 use hcj_sim::{Op, OpId, Sim, SimTime};
 use hcj_workload::{Relation, Tuple};
@@ -185,7 +185,6 @@ impl CoProcessingJoin {
         // ---- simulation setup ----
         let mut sim = Sim::new();
         let gpu = jcfg.build_gpu(&mut sim);
-        let retry = RetryPolicy::default();
         let host = HostMachine::new(&mut sim, cfg.host.clone());
         let pool = host.thread_pool(&mut sim, "partition-threads", cfg.cpu_threads);
 
@@ -302,18 +301,16 @@ impl CoProcessingJoin {
                 &gpu,
                 &mut xfer,
                 &host,
-                pool,
                 format!("h2d r ws{w}"),
                 near_half,
                 far_half,
                 &deps,
-                &retry,
             )?;
 
             // -- GPU sub-partitioning of the working set's R side --
             let mut r_sub = Vec::with_capacity(ws.len());
             let mut part_seconds = 0.0;
-            let mut part_cost = hcj_gpu::KernelCost::ZERO;
+            let mut part_cost = KernelCost::ZERO;
             for &p in ws {
                 let out = sub_partitioner.partition_with_base(&r_parts[p], cpu_bits);
                 part_seconds += out.total_seconds();
@@ -324,14 +321,13 @@ impl CoProcessingJoin {
             }
             exec.wait_op(r_xfer);
             let ws_tuples: usize = ws.iter().map(|&p| r_parts[p].len()).sum();
-            gpu.kernel_costed_retrying(
+            gpu.kernel(
                 &mut sim,
                 &mut exec,
                 &format!("part r ws{w}"),
                 part_seconds,
                 &part_cost,
                 sub_cfg.partition_launch_shape(ws_tuples),
-                &retry,
             )?;
 
             // -- stream S chunk by chunk --
@@ -388,17 +384,15 @@ impl CoProcessingJoin {
                     &gpu,
                     &mut xfer,
                     &host,
-                    pool,
                     format!("h2d s ws{w} c{c}"),
                     near_half,
                     far_half,
                     &tdeps,
-                    &retry,
                 )?;
 
                 // -- GPU sub-partition + join of this chunk piece --
                 let matches_before = sink.matches();
-                let mut cost = hcj_gpu::KernelCost::ZERO;
+                let mut cost = KernelCost::ZERO;
                 let mut sub_seconds = 0.0;
                 let mut live = 0usize;
                 for (i, &p) in ws.iter().enumerate() {
@@ -417,17 +411,14 @@ impl CoProcessingJoin {
                 cost += late_materialization_cost(new_matches, r.payload_width, true);
                 cost += late_materialization_cost(new_matches, s.payload_width, true);
                 exec.wait_op(s_xfer);
-                let join = gpu
-                    .kernel_costed_retrying(
-                        &mut sim,
-                        &mut exec,
-                        &format!("join ws{w} c{c}"),
-                        sub_seconds + cost.time(device),
-                        &cost,
-                        jcfg.join_launch_shape(live),
-                        &retry,
-                    )?
-                    .op;
+                let join = gpu.kernel(
+                    &mut sim,
+                    &mut exec,
+                    &format!("join ws{w} c{c}"),
+                    sub_seconds + cost.time(device),
+                    &cost,
+                    jcfg.join_launch_shape(live),
+                )?;
                 join_ops.push(join);
 
                 // -- drain results (materialization) --
@@ -436,16 +427,13 @@ impl CoProcessingJoin {
                     if drain_ops.len() >= 2 {
                         drain.wait_op(drain_ops[drain_ops.len() - 2]);
                     }
-                    let d = gpu
-                        .copy_d2h_retrying(
-                            &mut sim,
-                            &mut drain,
-                            &format!("d2h ws{w} c{c}"),
-                            new_matches * ROW_BYTES,
-                            TransferKind::Pinned,
-                            &retry,
-                        )?
-                        .op;
+                    let d = gpu.copy_d2h(
+                        &mut sim,
+                        &mut drain,
+                        &format!("d2h ws{w} c{c}"),
+                        new_matches * ROW_BYTES,
+                        TransferKind::Pinned,
+                    )?;
                     drain_ops.push(d);
                 }
             }
@@ -454,21 +442,12 @@ impl CoProcessingJoin {
 
         // Account the output sink's device-side traffic.
         let sink_cost = sink.cost();
-        if sink_cost != hcj_gpu::KernelCost::ZERO {
-            gpu.kernel_retrying(&mut sim, &mut exec, "join output-flush", &sink_cost, &retry)?;
+        if sink_cost != KernelCost::ZERO {
+            let seconds = sink_cost.time(device);
+            let shape = LaunchShape::UNSHAPED;
+            gpu.kernel(&mut sim, &mut exec, "join output-flush", seconds, &sink_cost, shape)?;
         }
-
-        let schedule = sim.run();
-        let faults = gpu.fault_log(&schedule);
-        let counters = gpu.counters();
-        let check = sink.check();
-        let rows = match jcfg.output {
-            OutputMode::Materialize => Some(sink.into_rows()),
-            OutputMode::Aggregate => None,
-        };
-        Ok(JoinOutcome::new(check, rows, schedule, (r.len() + s.len()) as u64)
-            .with_faults(faults)
-            .with_counters(counters))
+        Ok(JoinOutcome::finish(sim, &gpu, sink, (r.len() + s.len()) as u64))
     }
 
     /// One host→device transfer: the PCIe copy and its host-side legs
@@ -486,12 +465,10 @@ impl CoProcessingJoin {
         gpu: &hcj_gpu::Gpu,
         xfer: &mut hcj_gpu::Stream,
         host: &HostMachine,
-        _pool: hcj_host::numa::ThreadPool,
         label: String,
         near_bytes: u64,
         far_bytes: u64,
         deps: &[OpId],
-        retry: &RetryPolicy,
     ) -> Result<OpId, JoinError> {
         let pcie = gpu.spec.pcie_bandwidth;
         // Shadows align with the copy: they also wait for whatever the
@@ -505,16 +482,13 @@ impl CoProcessingJoin {
         }
         let mut legs: Vec<OpId> = Vec::new();
         if near_bytes > 0 {
-            let copy_near = gpu
-                .copy_h2d_retrying(
-                    sim,
-                    xfer,
-                    &format!("{label} near"),
-                    near_bytes,
-                    TransferKind::Pinned,
-                    retry,
-                )?
-                .op;
+            let copy_near = gpu.copy_h2d(
+                sim,
+                xfer,
+                &format!("{label} near"),
+                near_bytes,
+                TransferKind::Pinned,
+            )?;
             legs.push(copy_near);
             legs.push(tasks::dma_host_traffic(
                 sim,
@@ -529,16 +503,8 @@ impl CoProcessingJoin {
             // Inflate the on-engine work so the engine runs this span at
             // `pcie * qpi_dma_efficiency`.
             let inflated = (far_bytes as f64 / host.spec.qpi_dma_efficiency) as u64;
-            let copy_far = gpu
-                .copy_h2d_retrying(
-                    sim,
-                    xfer,
-                    &format!("{label} far"),
-                    inflated,
-                    TransferKind::Pinned,
-                    retry,
-                )?
-                .op;
+            let copy_far =
+                gpu.copy_h2d(sim, xfer, &format!("{label} far"), inflated, TransferKind::Pinned)?;
             legs.push(copy_far);
             legs.push(tasks::dma_host_traffic(
                 sim,

@@ -1,9 +1,12 @@
 //! Results of a join execution: correctness artifacts plus the solved
 //! timeline and the throughput metrics the paper reports.
 
-use hcj_gpu::{CounterSet, FaultLog};
-use hcj_sim::{Schedule, SimTime};
+use hcj_gpu::{CounterSet, FaultLog, Gpu};
+use hcj_sim::{Schedule, Sim, SimTime};
 use hcj_workload::oracle::{JoinCheck, JoinRow};
+
+use crate::config::OutputMode;
+use crate::output::OutputSink;
 
 /// Phases of a join execution, recognized by span-label prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,17 +112,19 @@ impl JoinOutcome {
         }
     }
 
-    /// Attach the device's fault log (resolved against this outcome's
-    /// schedule).
-    pub fn with_faults(mut self, faults: FaultLog) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attach the device's hardware-counter snapshot.
-    pub fn with_counters(mut self, counters: CounterSet) -> Self {
-        self.counters = counters;
-        self
+    /// The shared end of every GPU strategy: solve `sim`, then package
+    /// `gpu`'s fault log and counters with `sink`'s check and, when it
+    /// materializes, its rows.
+    pub(crate) fn finish(sim: Sim, gpu: &Gpu, sink: OutputSink, tuples_in: u64) -> Self {
+        let schedule = sim.run();
+        let faults = gpu.fault_log(&schedule);
+        let counters = gpu.counters();
+        let check = sink.check();
+        let rows = match sink.mode() {
+            OutputMode::Materialize => Some(sink.into_rows()),
+            OutputMode::Aggregate => None,
+        };
+        JoinOutcome { faults, counters, ..JoinOutcome::new(check, rows, schedule, tuples_in) }
     }
 
     /// End-to-end simulated seconds.

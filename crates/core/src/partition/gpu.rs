@@ -2,8 +2,9 @@
 //! it really moves every tuple into bucket chains while counting the
 //! hardware traffic each pass generates.
 
-use hcj_gpu::KernelCost;
+use hcj_gpu::{Gpu, JoinError, KernelCost, LaunchShape, Stream};
 use hcj_host::{DisjointSlice, Pool};
+use hcj_sim::Sim;
 use hcj_workload::Relation;
 
 use crate::balance::round_robin_imbalance;
@@ -62,6 +63,22 @@ impl PartitionOutcome {
     /// Sum of the per-pass modeled times.
     pub fn total_seconds(&self) -> f64 {
         self.passes.iter().map(|p| p.seconds).sum()
+    }
+
+    /// Charge every pass on `stream` as one `"{label} pass{i}"` kernel
+    /// launched with `shape`.
+    pub(crate) fn charge_passes(
+        &self,
+        sim: &mut Sim,
+        gpu: &Gpu,
+        stream: &mut Stream,
+        label: &str,
+        shape: LaunchShape,
+    ) -> Result<(), JoinError> {
+        for (i, pass) in self.passes.iter().enumerate() {
+            gpu.kernel(sim, stream, &format!("{label} pass{i}"), pass.seconds, &pass.cost, shape)?;
+        }
+        Ok(())
     }
 
     /// Peak device memory held by partition buffers during the passes:

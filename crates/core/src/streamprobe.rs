@@ -20,7 +20,7 @@
 //! counted. Device-lost aborts with a typed error for the facade's CPU
 //! fallback.
 
-use hcj_gpu::{JoinError, RetryPolicy, TransferKind};
+use hcj_gpu::{JoinError, KernelCost, LaunchShape, TransferKind};
 use hcj_host::{tasks, HostMachine, HostSpec, Socket};
 use hcj_sim::{OpId, Sim};
 use hcj_workload::Relation;
@@ -90,7 +90,6 @@ impl StreamedProbeJoin {
         let cfg = &self.config.join;
         let mut sim = Sim::new();
         let gpu = cfg.build_gpu(&mut sim);
-        let retry = RetryPolicy::default();
         let host = HostMachine::new(&mut sim, self.config.host.clone());
 
         let chunk_tuples = self.config.chunk_tuples.unwrap_or_else(|| (r.len() / 2).max(1));
@@ -122,8 +121,7 @@ impl StreamedProbeJoin {
         let mut exec = gpu.stream();
         let mut xfer = gpu.stream();
         let mut drain = gpu.stream();
-        let r_copy =
-            gpu.copy_h2d_retrying(&mut sim, &mut xfer, "h2d r", r.bytes(), kind, &retry)?.op;
+        let r_copy = gpu.copy_h2d(&mut sim, &mut xfer, "h2d r", r.bytes(), kind)?;
         let r_shadow = tasks::dma_host_traffic(
             &mut sim,
             &host,
@@ -135,17 +133,7 @@ impl StreamedProbeJoin {
         exec.wait_op(r_copy);
         exec.wait_op(r_shadow);
         let part_shape = cfg.partition_launch_shape(r.len());
-        for (i, pass) in r_out.passes.iter().enumerate() {
-            gpu.kernel_costed_retrying(
-                &mut sim,
-                &mut exec,
-                &format!("part r pass{i}"),
-                pass.seconds,
-                &pass.cost,
-                part_shape,
-                &retry,
-            )?;
-        }
+        r_out.charge_passes(&mut sim, &gpu, &mut exec, "part r", part_shape)?;
 
         // Stream S chunk by chunk.
         let chunks = s.chunks(chunk_tuples);
@@ -167,16 +155,8 @@ impl StreamedProbeJoin {
             let shadow_deps: Vec<OpId> = xfer.last_op().into_iter().collect();
             // Chunk-level bounded retry: a transient PCIe fault re-issues
             // only this chunk's copy (after backoff), not the stream.
-            let copy = gpu
-                .copy_h2d_retrying(
-                    &mut sim,
-                    &mut xfer,
-                    &format!("h2d s chunk{k}"),
-                    bytes,
-                    kind,
-                    &retry,
-                )?
-                .op;
+            let copy =
+                gpu.copy_h2d(&mut sim, &mut xfer, &format!("h2d s chunk{k}"), bytes, kind)?;
             let shadow = tasks::dma_host_traffic(
                 &mut sim,
                 &host,
@@ -211,17 +191,14 @@ impl StreamedProbeJoin {
                 &r_out.partitioned,
                 &s_out.partitioned,
             ));
-            let join = gpu
-                .kernel_costed_retrying(
-                    &mut sim,
-                    &mut exec,
-                    &format!("join chunk{k}"),
-                    cost.time(&gpu.spec),
-                    &cost,
-                    join_shape,
-                    &retry,
-                )?
-                .op;
+            let join = gpu.kernel(
+                &mut sim,
+                &mut exec,
+                &format!("join chunk{k}"),
+                cost.time(&gpu.spec),
+                &cost,
+                join_shape,
+            )?;
             join_done.push(join);
 
             // -- result drain (materialization only): D2H of this chunk's
@@ -234,16 +211,13 @@ impl StreamedProbeJoin {
                     // whose previous drain completed; order explicitly.
                     drain.wait_op(drain_done[drain_done.len() - nbuf]);
                 }
-                let d = gpu
-                    .copy_d2h_retrying(
-                        &mut sim,
-                        &mut drain,
-                        &format!("d2h rows chunk{k}"),
-                        out_bytes,
-                        kind,
-                        &retry,
-                    )?
-                    .op;
+                let d = gpu.copy_d2h(
+                    &mut sim,
+                    &mut drain,
+                    &format!("d2h rows chunk{k}"),
+                    out_bytes,
+                    kind,
+                )?;
                 drain_done.push(d);
             }
         }
@@ -251,21 +225,12 @@ impl StreamedProbeJoin {
         // op's stream position (spread across chunks in reality; the total
         // is what matters for the timeline's last kernel).
         let sink_cost = sink.cost();
-        if sink_cost != hcj_gpu::KernelCost::ZERO {
-            gpu.kernel_retrying(&mut sim, &mut exec, "join output-flush", &sink_cost, &retry)?;
+        if sink_cost != KernelCost::ZERO {
+            let seconds = sink_cost.time(&gpu.spec);
+            let shape = LaunchShape::UNSHAPED;
+            gpu.kernel(&mut sim, &mut exec, "join output-flush", seconds, &sink_cost, shape)?;
         }
-
-        let schedule = sim.run();
-        let faults = gpu.fault_log(&schedule);
-        let counters = gpu.counters();
-        let check = sink.check();
-        let rows = match cfg.output {
-            OutputMode::Materialize => Some(sink.into_rows()),
-            OutputMode::Aggregate => None,
-        };
-        Ok(JoinOutcome::new(check, rows, schedule, (r.len() + s.len()) as u64)
-            .with_faults(faults)
-            .with_counters(counters))
+        Ok(JoinOutcome::finish(sim, &gpu, sink, (r.len() + s.len()) as u64))
     }
 }
 

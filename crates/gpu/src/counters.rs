@@ -53,9 +53,9 @@ pub type CounterHandle = Arc<Mutex<CounterSet>>;
 
 /// The grid configuration of a kernel launch, for occupancy accounting.
 ///
-/// Strategies that know their launch geometry pass it via
-/// [`crate::Gpu::kernel_costed`]; launches made through the shape-less
-/// entry points record [`LaunchShape::UNSHAPED`] and report no occupancy.
+/// Strategies that know their launch geometry pass it to
+/// [`crate::Gpu::kernel`]; launches that pass [`LaunchShape::UNSHAPED`]
+/// report no occupancy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaunchShape {
     /// Thread blocks in the grid.

@@ -12,8 +12,9 @@
 //! Faults are drawn from the same xoshiro256** generator family as
 //! `hcj_workload::rng` (vendored here: this crate sits below the workload
 //! layer). Injection sites live in [`crate::stream::Gpu`] (ops) and
-//! [`crate::memory::DeviceMemory`] (allocations); recovery policy lives in
-//! the layers above.
+//! [`crate::memory::DeviceMemory`] (allocations). `Gpu` retries a transient
+//! op fault up to [`MAX_ATTEMPTS`] attempts in all; every other recovery
+//! lives in the layers above.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -477,37 +478,22 @@ impl FaultSummary {
     }
 }
 
-/// Bounded-retry policy for transient device faults. Backoff is virtual
-/// time charged to the issuing stream (exponential, capped), mirroring a
-/// driver-level retry loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (so 4 = up to 3 retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_base: SimTime,
-    /// Upper bound on any backoff delay.
-    pub backoff_cap: SimTime,
-}
+/// Attempts every [`crate::Gpu`] op gets, the first included (so up to 3
+/// retries), before its last transient fault surfaces as an error.
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: SimTime::from_nanos(50_000),
-            backoff_cap: SimTime::from_nanos(1_000_000),
-        }
-    }
-}
+/// Backoff before the first retry, in nanoseconds; it doubles per retry.
+const BACKOFF_BASE_NS: u64 = 50_000;
 
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based): base·2^(attempt-1),
-    /// capped.
-    pub fn delay(&self, attempt: u32) -> SimTime {
-        let shift = (attempt.saturating_sub(1)).min(20);
-        let ns = self.backoff_base.as_nanos().saturating_mul(1u64 << shift);
-        SimTime::from_nanos(ns.min(self.backoff_cap.as_nanos()))
-    }
+/// Upper bound on any backoff, in nanoseconds.
+const BACKOFF_CAP_NS: u64 = 1_000_000;
+
+/// Virtual-time backoff before retry number `attempt` (1-based):
+/// 50 µs·2^(attempt-1), capped at 1 ms. The issuing stream is charged it,
+/// as a driver-level retry loop would be.
+pub(crate) fn retry_backoff(attempt: u32) -> SimTime {
+    let shift = (attempt.saturating_sub(1)).min(20);
+    SimTime::from_nanos(BACKOFF_BASE_NS.saturating_mul(1u64 << shift).min(BACKOFF_CAP_NS))
 }
 
 static AMBIENT: Mutex<Option<FaultConfig>> = Mutex::new(None);
@@ -661,11 +647,10 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_doubles_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay(1).as_nanos(), 50_000);
-        assert_eq!(p.delay(2).as_nanos(), 100_000);
-        assert_eq!(p.delay(3).as_nanos(), 200_000);
-        assert_eq!(p.delay(30).as_nanos(), 1_000_000);
+        assert_eq!(retry_backoff(1).as_nanos(), 50_000);
+        assert_eq!(retry_backoff(2).as_nanos(), 100_000);
+        assert_eq!(retry_backoff(3).as_nanos(), 200_000);
+        assert_eq!(retry_backoff(30).as_nanos(), 1_000_000);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * [`KernelCost`] — the roofline-style cost model converting a kernel's
 //!   observed memory traffic (coalesced bytes, random transactions, shared
 //!   accesses, atomics) into simulated execution time;
-//! * [`Gpu`] + [`Stream`] / [`GpuEvent`] — CUDA-like streams, events and the
-//!   two DMA copy engines, mapped onto `hcj-sim` resources so that
-//!   transfers and kernels overlap exactly as the hardware allows;
+//! * [`Gpu`] + [`Stream`] — CUDA-like streams and the two DMA copy engines,
+//!   mapped onto `hcj-sim` resources so that transfers and kernels overlap
+//!   exactly as the hardware allows. Work is issued through three retrying
+//!   primitives: [`Gpu::kernel`], [`Gpu::copy_h2d`] and [`Gpu::copy_d2h`];
 //! * [`uva`] / [`unified`] — models of zero-copy (UVA) access and Unified
 //!   Memory page migration, used by the paper's Figure 21–22 comparisons.
 //!
@@ -50,13 +51,13 @@ pub use counters::{
 pub use error::{ErrorClass, JoinError};
 pub use faults::{
     DeviceFault, FaultConfig, FaultEvent, FaultEventKind, FaultKind, FaultLog, FaultPlan,
-    FaultSite, FaultSummary, RetryPolicy,
+    FaultSite, FaultSummary,
 };
 pub use interconnect::InterconnectLink;
 pub use memory::{DeviceBuffer, DeviceMemory, OutOfDeviceMemory, Reservation};
 pub use shared::{SharedMemLayout, SharedMemOverflow};
 pub use spec::DeviceSpec;
-pub use stream::{Gpu, GpuEvent, Retried, Stream, TransferKind};
+pub use stream::{Gpu, Stream, TransferKind};
 pub use unified::UnifiedMemory;
 pub use uva::UvaAccessPattern;
 

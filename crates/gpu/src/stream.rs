@@ -1,15 +1,16 @@
-//! CUDA-like streams, events and DMA copy engines over the sim engine.
+//! CUDA-like streams and DMA copy engines over the sim engine.
 //!
 //! A [`Gpu`] registers three `hcj-sim` resources: the compute engine (one
 //! grid at a time — the paper's kernels each saturate the device) and the
 //! two DMA copy engines, one per PCIe direction, which is what lets input
 //! transfers, kernel execution and result write-back all overlap
-//! (paper §IV-A/§IV-C, Figs. 2–4).
+//! (paper §IV-A/§IV-C, Figs. 2–4). Work reaches them through the paper's
+//! three primitives, [`Gpu::kernel`], [`Gpu::copy_h2d`] and
+//! [`Gpu::copy_d2h`], each of which retries a transient fault.
 //!
 //! [`Stream`] reproduces CUDA stream semantics: operations issued to the
 //! same stream serialize in issue order; operations in different streams
-//! overlap unless ordered through a recorded [`GpuEvent`] that another
-//! stream waits on.
+//! overlap unless one waits on an op of the other ([`Stream::wait_op`]).
 
 use hcj_sim::{Op, OpId, ResourceId, Schedule, Sim, SimTime};
 
@@ -17,8 +18,8 @@ use crate::cost::KernelCost;
 use crate::counters::{CounterHandle, CounterSet, LaunchShape};
 use crate::error::JoinError;
 use crate::faults::{
-    DeviceFault, FaultConfig, FaultEventKind, FaultHandle, FaultKind, FaultLog, FaultPlan,
-    FaultSite, OpVerdict, RetryPolicy,
+    retry_backoff, DeviceFault, FaultConfig, FaultEventKind, FaultHandle, FaultKind, FaultLog,
+    FaultPlan, FaultSite, OpVerdict, MAX_ATTEMPTS,
 };
 use crate::memory::DeviceMemory;
 use crate::spec::DeviceSpec;
@@ -86,16 +87,6 @@ impl Gpu {
         self.faults = Some(plan);
     }
 
-    /// The armed fault plan, if any (shared with [`DeviceMemory`]).
-    pub fn fault_plan(&self) -> Option<&FaultHandle> {
-        self.faults.as_ref()
-    }
-
-    /// Has a sticky device-lost fault fired?
-    pub fn device_lost(&self) -> bool {
-        self.faults.as_ref().is_some_and(|p| p.lock().expect("fault plan poisoned").device_lost())
-    }
-
     /// The fault log resolved against a solved schedule: every injection,
     /// retry and shrink stamped with virtual time. Empty when unarmed.
     pub fn fault_log(&self, schedule: &Schedule) -> FaultLog {
@@ -110,11 +101,6 @@ impl Gpu {
     /// A snapshot of the hardware counters accumulated so far.
     pub fn counters(&self) -> CounterSet {
         self.counters.lock().expect("counter set poisoned").clone()
-    }
-
-    /// The shared counter handle (e.g. to keep after the `Gpu` is gone).
-    pub fn counter_handle(&self) -> CounterHandle {
-        CounterHandle::clone(&self.counters)
     }
 
     /// Record one successfully issued kernel into the counters.
@@ -146,210 +132,56 @@ impl Gpu {
         Stream { last: None, waits: Vec::new() }
     }
 
-    /// The compute resource id (for timeline queries).
-    pub fn compute_resource(&self) -> ResourceId {
-        self.compute
-    }
-
-    /// The host→device DMA engine resource id.
-    pub fn h2d_resource(&self) -> ResourceId {
-        self.dma_h2d
-    }
-
-    /// The device→host DMA engine resource id.
-    pub fn d2h_resource(&self) -> ResourceId {
-        self.dma_d2h
-    }
-
-    /// Launch a kernel on `stream`: executes for `cost.time(spec)` plus the
-    /// launch overhead, after all stream-order and waited-event deps.
-    /// `Err` only when an armed fault plan injects a fault into this op.
+    /// Launch a kernel on `stream` that runs for `seconds` plus the launch
+    /// overhead, after every stream-order and waited-on dependency. `cost`
+    /// is the traffic behind `seconds` and `shape` the grid geometry; the
+    /// counters record both once, for the attempt that succeeds. `Err`
+    /// when the device is lost or every attempt faults (see
+    /// [`MAX_ATTEMPTS`]).
     pub fn kernel(
         &self,
         sim: &mut Sim,
         stream: &mut Stream,
-        label: impl Into<String>,
-        cost: &KernelCost,
-    ) -> Result<OpId, JoinError> {
-        self.kernel_costed(sim, stream, label, cost.time(&self.spec), cost, LaunchShape::UNSHAPED)
-    }
-
-    /// [`kernel`](Self::kernel) with full counter attribution: `seconds`
-    /// is the externally computed duration (e.g. a cost scaled by a
-    /// load-imbalance factor), `cost` the traffic behind it, and `shape`
-    /// the grid geometry for occupancy accounting.
-    pub fn kernel_costed(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: impl Into<String>,
+        label: &str,
         seconds: f64,
         cost: &KernelCost,
         shape: LaunchShape,
     ) -> Result<OpId, JoinError> {
-        let label = label.into();
-        let op =
-            self.launch(sim, stream, label.clone(), self.compute, CLASS_KERNEL, seconds, true)?;
-        self.note_kernel(op, &label, cost, shape, seconds);
+        let op = self.with_retries(sim, stream, label, FaultSite::Kernel, seconds)?;
+        self.note_kernel(op, label, cost, shape, seconds);
         Ok(op)
     }
 
-    /// Launch a kernel whose duration was computed externally (e.g. a cost
-    /// already scaled by a load-imbalance factor). `seconds` excludes the
-    /// launch overhead, which is added as on a normal launch.
-    pub fn kernel_raw(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: impl Into<String>,
-        seconds: f64,
-    ) -> Result<OpId, JoinError> {
-        self.kernel_costed(sim, stream, label, seconds, &KernelCost::ZERO, LaunchShape::UNSHAPED)
-    }
-
-    /// Asynchronous host→device copy of `bytes` on `stream`.
+    /// Asynchronous host→device copy of `bytes` on `stream`, retried like
+    /// [`kernel`](Self::kernel).
     pub fn copy_h2d(
         &self,
         sim: &mut Sim,
         stream: &mut Stream,
-        label: impl Into<String>,
+        label: &str,
         bytes: u64,
         kind: TransferKind,
     ) -> Result<OpId, JoinError> {
-        let op = self.launch(
-            sim,
-            stream,
-            label.into(),
-            self.dma_h2d,
-            CLASS_H2D,
-            bytes as f64 * self.pageable_slowdown(kind),
-            false,
-        )?;
+        let work = bytes as f64 * self.pageable_slowdown(kind);
+        let op = self.with_retries(sim, stream, label, FaultSite::H2D, work)?;
         self.note_transfer(op, true, bytes, kind);
         Ok(op)
     }
 
-    /// Asynchronous device→host copy of `bytes` on `stream`.
+    /// Asynchronous device→host copy of `bytes` on `stream`, retried like
+    /// [`kernel`](Self::kernel).
     pub fn copy_d2h(
         &self,
         sim: &mut Sim,
         stream: &mut Stream,
-        label: impl Into<String>,
+        label: &str,
         bytes: u64,
         kind: TransferKind,
     ) -> Result<OpId, JoinError> {
-        let op = self.launch(
-            sim,
-            stream,
-            label.into(),
-            self.dma_d2h,
-            CLASS_D2H,
-            bytes as f64 * self.pageable_slowdown(kind),
-            false,
-        )?;
+        let work = bytes as f64 * self.pageable_slowdown(kind);
+        let op = self.with_retries(sim, stream, label, FaultSite::D2H, work)?;
         self.note_transfer(op, false, bytes, kind);
         Ok(op)
-    }
-
-    /// [`kernel`](Self::kernel) with bounded retry: transient faults are
-    /// retried after an exponential virtual-time backoff charged to the
-    /// stream; device-lost and retry exhaustion propagate.
-    pub fn kernel_retrying(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: &str,
-        cost: &KernelCost,
-        policy: &RetryPolicy,
-    ) -> Result<Retried, JoinError> {
-        let work = cost.time(&self.spec);
-        self.kernel_costed_retrying(sim, stream, label, work, cost, LaunchShape::UNSHAPED, policy)
-    }
-
-    /// [`kernel_raw`](Self::kernel_raw) with bounded retry.
-    pub fn kernel_raw_retrying(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: &str,
-        seconds: f64,
-        policy: &RetryPolicy,
-    ) -> Result<Retried, JoinError> {
-        let zero = KernelCost::ZERO;
-        self.kernel_costed_retrying(
-            sim,
-            stream,
-            label,
-            seconds,
-            &zero,
-            LaunchShape::UNSHAPED,
-            policy,
-        )
-    }
-
-    /// [`kernel_costed`](Self::kernel_costed) with bounded retry. Counters
-    /// record the launch once, on overall success — faulted attempts and
-    /// backoffs charge schedule time but never count as kernel work, which
-    /// keeps counters chaos-invariant for runs that complete.
-    #[allow(clippy::too_many_arguments)]
-    pub fn kernel_costed_retrying(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: &str,
-        seconds: f64,
-        cost: &KernelCost,
-        shape: LaunchShape,
-        policy: &RetryPolicy,
-    ) -> Result<Retried, JoinError> {
-        let r = self.with_retries(
-            sim,
-            stream,
-            label,
-            FaultSite::Kernel,
-            policy,
-            |g, sim, stream, l| g.launch(sim, stream, l, g.compute, CLASS_KERNEL, seconds, true),
-        )?;
-        self.note_kernel(r.op, label, cost, shape, seconds);
-        Ok(r)
-    }
-
-    /// [`copy_h2d`](Self::copy_h2d) with bounded retry.
-    pub fn copy_h2d_retrying(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: &str,
-        bytes: u64,
-        kind: TransferKind,
-        policy: &RetryPolicy,
-    ) -> Result<Retried, JoinError> {
-        let work = bytes as f64 * self.pageable_slowdown(kind);
-        let r =
-            self.with_retries(sim, stream, label, FaultSite::H2D, policy, |g, sim, stream, l| {
-                g.launch(sim, stream, l, g.dma_h2d, CLASS_H2D, work, false)
-            })?;
-        self.note_transfer(r.op, true, bytes, kind);
-        Ok(r)
-    }
-
-    /// [`copy_d2h`](Self::copy_d2h) with bounded retry.
-    pub fn copy_d2h_retrying(
-        &self,
-        sim: &mut Sim,
-        stream: &mut Stream,
-        label: &str,
-        bytes: u64,
-        kind: TransferKind,
-        policy: &RetryPolicy,
-    ) -> Result<Retried, JoinError> {
-        let work = bytes as f64 * self.pageable_slowdown(kind);
-        let r =
-            self.with_retries(sim, stream, label, FaultSite::D2H, policy, |g, sim, stream, l| {
-                g.launch(sim, stream, l, g.dma_d2h, CLASS_D2H, work, false)
-            })?;
-        self.note_transfer(r.op, false, bytes, kind);
-        Ok(r)
     }
 
     fn pageable_slowdown(&self, kind: TransferKind) -> f64 {
@@ -361,30 +193,24 @@ impl Gpu {
         }
     }
 
-    /// Issue one op, consulting the fault plan (if armed) exactly once.
-    /// Faulted ops still charge a partial amount of work on the resource
-    /// (tagged [`CLASS_FAULT`]), and the failed attempt stays in stream
-    /// order so a retry serializes after it.
-    #[allow(clippy::too_many_arguments)]
+    /// Issue one op on the engine that serves `site`, consulting the fault
+    /// plan (if armed) exactly once. Faulted ops still charge a partial
+    /// amount of work on the resource (tagged [`CLASS_FAULT`]), and the
+    /// failed attempt stays in stream order so a retry serializes after it.
     fn launch(
         &self,
         sim: &mut Sim,
         stream: &mut Stream,
         label: String,
-        resource: ResourceId,
-        class: u32,
+        site: FaultSite,
         work: f64,
-        launch_overhead: bool,
     ) -> Result<OpId, JoinError> {
-        let site = match class {
-            CLASS_H2D => FaultSite::H2D,
-            CLASS_D2H => FaultSite::D2H,
-            _ => FaultSite::Kernel,
-        };
-        let pre = if launch_overhead {
-            SimTime::from_secs_f64(self.spec.launch_overhead_s)
-        } else {
-            SimTime::ZERO
+        let (resource, class, pre) = match site {
+            FaultSite::H2D => (self.dma_h2d, CLASS_H2D, SimTime::ZERO),
+            FaultSite::D2H => (self.dma_d2h, CLASS_D2H, SimTime::ZERO),
+            FaultSite::Kernel | FaultSite::Alloc => {
+                (self.compute, CLASS_KERNEL, SimTime::from_secs_f64(self.spec.launch_overhead_s))
+            }
         };
         let issue = |sim: &mut Sim, stream: &mut Stream, label: String, work: f64, class: u32| {
             let op = Op::new(resource, work)
@@ -426,27 +252,28 @@ impl Gpu {
         }
     }
 
-    /// Bounded-retry driver shared by the `*_retrying` variants. Each
-    /// retry is preceded by a [`CLASS_RETRY`] virtual-time backoff op in
-    /// stream order, so recovery costs show up on the timeline.
+    /// Bounded retry around [`launch`](Self::launch): a transient fault is
+    /// retried up to [`MAX_ATTEMPTS`] attempts in all, each retry preceded
+    /// by a [`CLASS_RETRY`] virtual-time backoff op in stream order, so
+    /// recovery costs show up on the timeline. Device loss and the last
+    /// attempt's transient fault propagate.
     fn with_retries(
         &self,
         sim: &mut Sim,
         stream: &mut Stream,
         label: &str,
         site: FaultSite,
-        policy: &RetryPolicy,
-        attempt: impl Fn(&Gpu, &mut Sim, &mut Stream, String) -> Result<OpId, JoinError>,
-    ) -> Result<Retried, JoinError> {
+        work: f64,
+    ) -> Result<OpId, JoinError> {
         let mut retries = 0u32;
         loop {
-            let lbl =
+            let attempt =
                 if retries == 0 { label.to_string() } else { format!("{label} [retry {retries}]") };
-            match attempt(self, sim, stream, lbl) {
-                Ok(op) => return Ok(Retried { op, retries }),
-                Err(e) if e.is_transient() && retries + 1 < policy.max_attempts => {
+            match self.launch(sim, stream, attempt, site, work) {
+                Ok(op) => return Ok(op),
+                Err(e) if e.is_transient() && retries + 1 < MAX_ATTEMPTS => {
                     retries += 1;
-                    let backoff = Op::latency(policy.delay(retries))
+                    let backoff = Op::latency(retry_backoff(retries))
                         .label(format!("{label} [backoff {retries}]"))
                         .class(CLASS_RETRY)
                         .after_all(stream.take_deps());
@@ -467,16 +294,6 @@ impl Gpu {
     }
 }
 
-/// The outcome of a successful `*_retrying` op: the final op id plus how
-/// many faulted attempts preceded it.
-#[derive(Clone, Copy, Debug)]
-pub struct Retried {
-    /// The op that finally succeeded.
-    pub op: OpId,
-    /// Faulted attempts before it (0 = first try succeeded).
-    pub retries: u32,
-}
-
 /// An ordered queue of GPU operations (CUDA stream semantics).
 #[derive(Clone, Debug, Default)]
 pub struct Stream {
@@ -485,19 +302,6 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Record an event capturing everything issued to this stream so far.
-    /// Waiting on the event (from any stream) orders after that work.
-    pub fn record_event(&self) -> GpuEvent {
-        GpuEvent { after: self.last }
-    }
-
-    /// Make the *next* operation issued to this stream wait for `event`.
-    pub fn wait_event(&mut self, event: &GpuEvent) {
-        if let Some(op) = event.after {
-            self.waits.push(op);
-        }
-    }
-
     /// Make the next operation wait for an arbitrary sim op (used to tie
     /// GPU work to host-side phases like CPU partitioning).
     pub fn wait_op(&mut self, op: OpId) {
@@ -519,12 +323,6 @@ impl Stream {
     }
 }
 
-/// A recorded point in a stream's history (CUDA event).
-#[derive(Clone, Copy, Debug)]
-pub struct GpuEvent {
-    after: Option<OpId>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,13 +331,41 @@ mod tests {
         Gpu::new(sim, DeviceSpec::gtx1080())
     }
 
+    /// A shape-less kernel that runs for exactly what `cost` models.
+    fn kernel(
+        g: &Gpu,
+        sim: &mut Sim,
+        s: &mut Stream,
+        label: &str,
+        cost: &KernelCost,
+    ) -> Result<OpId, JoinError> {
+        g.kernel(sim, s, label, cost.time(&g.spec), cost, LaunchShape::UNSHAPED)
+    }
+
+    /// 1.2 GB over PCIe at `transfer_fault_p` 0.9: seed 7 faults twice,
+    /// then succeeds on the third attempt.
+    fn recovering_copy() -> (Gpu, Sim, OpId) {
+        let cfg = crate::faults::FaultConfig {
+            transfer_fault_p: 0.9,
+            ..crate::faults::FaultConfig::disabled(7)
+        };
+        let mut sim = Sim::new();
+        let mut g = gpu(&mut sim);
+        g.arm_faults(cfg);
+        let mut s = g.stream();
+        let op = g
+            .copy_h2d(&mut sim, &mut s, "h2d r", 1_200_000_000, TransferKind::Pinned)
+            .expect("seed 7 recovers within the retry budget");
+        (g, sim, op)
+    }
+
     #[test]
     fn same_stream_serializes() {
         let mut sim = Sim::new();
         let g = gpu(&mut sim);
         let mut s = g.stream();
         let a = g.copy_h2d(&mut sim, &mut s, "copy", 12_000_000_000, TransferKind::Pinned).unwrap();
-        let k = g.kernel(&mut sim, &mut s, "join", &KernelCost::coalesced(320_000_000)).unwrap();
+        let k = kernel(&g, &mut sim, &mut s, "join", &KernelCost::coalesced(320_000_000)).unwrap();
         let sched = sim.run();
         // 12 GB at 12 GB/s = 1 s; kernel starts after.
         assert_eq!(sched.finish(a).as_secs_f64(), 1.0);
@@ -555,9 +381,9 @@ mod tests {
         let c = g
             .copy_h2d(&mut sim, &mut copy_stream, "copy", 12_000_000_000, TransferKind::Pinned)
             .unwrap();
-        let k = g
-            .kernel(&mut sim, &mut exec_stream, "join", &KernelCost::coalesced(320_000_000_000))
-            .unwrap();
+        let k =
+            kernel(&g, &mut sim, &mut exec_stream, "join", &KernelCost::coalesced(320_000_000_000))
+                .unwrap();
         let sched = sim.run();
         // Both start at t≈0: the copy does not wait for the kernel.
         assert_eq!(sched.start(c), SimTime::ZERO);
@@ -574,9 +400,8 @@ mod tests {
         let c = g
             .copy_h2d(&mut sim, &mut copy_stream, "copy", 1_200_000_000, TransferKind::Pinned)
             .unwrap();
-        let ev = copy_stream.record_event();
-        exec_stream.wait_event(&ev);
-        let k = g.kernel(&mut sim, &mut exec_stream, "join", &KernelCost::coalesced(1)).unwrap();
+        exec_stream.wait_op(copy_stream.last_op().expect("the copy was issued"));
+        let k = kernel(&g, &mut sim, &mut exec_stream, "join", &KernelCost::coalesced(1)).unwrap();
         let sched = sim.run();
         assert!(sched.start(k) >= sched.finish(c));
     }
@@ -628,7 +453,7 @@ mod tests {
         let mut sim = Sim::new();
         let g = gpu(&mut sim);
         let mut s = g.stream();
-        let k = g.kernel(&mut sim, &mut s, "empty", &KernelCost::ZERO).unwrap();
+        let k = kernel(&g, &mut sim, &mut s, "empty", &KernelCost::ZERO).unwrap();
         let sched = sim.run();
         assert_eq!(sched.finish(k).as_secs_f64(), g.spec.launch_overhead_s);
     }
@@ -645,7 +470,7 @@ mod tests {
             }
             let mut s = g.stream();
             g.copy_h2d(&mut sim, &mut s, "copy", 12_000_000_000, TransferKind::Pinned).unwrap();
-            g.kernel(&mut sim, &mut s, "join", &KernelCost::coalesced(320_000_000)).unwrap();
+            kernel(&g, &mut sim, &mut s, "join", &KernelCost::coalesced(320_000_000)).unwrap();
             let sched = sim.run();
             (sched.makespan(), sched.spans().len())
         };
@@ -668,15 +493,16 @@ mod tests {
         assert!(err.is_transient());
         assert!(err.to_string().contains("transient h2d fault"));
         let sched = sim.run();
-        // The failed attempt still charged partial time on the DMA engine.
-        assert_eq!(sched.spans().len(), 1);
-        let span = &sched.spans()[0];
-        assert_eq!(span.class, CLASS_FAULT);
-        assert!(span.label.contains("[fault]"));
-        let t = (span.end - span.start).as_secs_f64();
-        assert!(t > 0.0 && t < 1.0, "partial work must be a strict fraction of the 1 s copy");
+        // Every failed attempt still charged partial time on the DMA engine.
+        let faulted: Vec<_> = sched.spans().iter().filter(|sp| sp.class == CLASS_FAULT).collect();
+        assert_eq!(faulted.len() as u32, MAX_ATTEMPTS);
+        for span in faulted {
+            assert!(span.label.contains("[fault]"));
+            let t = (span.end - span.start).as_secs_f64();
+            assert!(t > 0.0 && t < 1.0, "partial work must be a strict fraction of the 1 s copy");
+        }
         let log = g.fault_log(&sched);
-        assert_eq!(log.summary().transfer_faults, 1);
+        assert_eq!(log.summary().transfer_faults, MAX_ATTEMPTS);
         assert!(log.events[0].at.is_some());
     }
 
@@ -693,36 +519,28 @@ mod tests {
         let mut g = gpu(&mut sim);
         g.arm_faults(cfg);
         let mut s = g.stream();
-        let policy = RetryPolicy::default();
-        let mut recovered_retries = 0;
         let mut exhausted = 0;
         for i in 0..32 {
-            match g.copy_h2d_retrying(
-                &mut sim,
-                &mut s,
-                &format!("h2d chunk{i}"),
-                1_200_000,
-                TransferKind::Pinned,
-                &policy,
-            ) {
-                Ok(r) => recovered_retries += r.retries,
-                // A chain that exhausts its 4 attempts is still a *typed*
-                // transient error, never a panic.
-                Err(e) => {
-                    assert!(e.is_transient());
-                    exhausted += 1;
-                }
+            let label = format!("h2d chunk{i}");
+            // A chain that exhausts its attempts is still a *typed*
+            // transient error, never a panic.
+            if let Err(e) = g.copy_h2d(&mut sim, &mut s, &label, 1_200_000, TransferKind::Pinned) {
+                assert!(e.is_transient());
+                exhausted += 1;
             }
         }
-        assert!(recovered_retries > 0, "seed 3 at p=0.5 must recover via retry at least once");
         let sched = sim.run();
-        let log = g.fault_log(&sched);
-        // The log counts every backoff, including those of exhausted chains.
-        assert!(log.summary().retries >= recovered_retries);
+        let log = g.fault_log(&sched).summary();
+        // A chain retries after every fault but the last of an exhausted
+        // chain, and the log counts the backoffs of exhausted chains too.
         assert_eq!(
-            log.summary().retries,
-            recovered_retries + 3 * exhausted,
-            "an exhausted chain backs off exactly max_attempts-1 times"
+            log.retries,
+            log.transfer_faults - exhausted,
+            "a chain backs off once per fault it recovers from"
+        );
+        assert!(
+            log.retries > (MAX_ATTEMPTS - 1) * exhausted,
+            "seed 3 at p=0.5 must recover via retry at least once"
         );
         // Backoff ops appear on the timeline between attempts.
         assert!(sched.spans().iter().any(|sp| sp.class == CLASS_RETRY));
@@ -742,9 +560,8 @@ mod tests {
         g.arm_faults(cfg);
         let mut s = g.stream();
         let err =
-            g.kernel(&mut sim, &mut s, "join p0", &KernelCost::coalesced(1 << 20)).unwrap_err();
+            kernel(&g, &mut sim, &mut s, "join p0", &KernelCost::coalesced(1 << 20)).unwrap_err();
         assert!(err.is_device_lost());
-        assert!(g.device_lost());
         // Every subsequent op fails without charging new work...
         let mut other = g.stream();
         let before = sim.op_count();
@@ -753,16 +570,12 @@ mod tests {
         assert!(err2.is_device_lost());
         assert_eq!(sim.op_count(), before, "ops after device-lost must not be issued");
         // ...and retrying does not help (fatal, not transient).
-        assert!(g
-            .kernel_retrying(
-                &mut sim,
-                &mut s,
-                "join p1",
-                &KernelCost::coalesced(1),
-                &RetryPolicy::default()
-            )
-            .unwrap_err()
-            .is_device_lost());
+        let err3 = kernel(&g, &mut sim, &mut s, "join p1", &KernelCost::coalesced(1)).unwrap_err();
+        assert!(err3.is_device_lost());
+        let sched = sim.run();
+        let log = g.fault_log(&sched).summary();
+        assert!(log.device_lost);
+        assert_eq!(log.retries, 0, "a lost device is never retried");
     }
 
     #[test]
@@ -796,30 +609,19 @@ mod tests {
     fn faulted_attempt_stays_in_stream_order() {
         // A faulted op's partial work must still serialize the stream: the
         // retry starts only after the failed attempt (plus backoff).
-        let cfg = crate::faults::FaultConfig {
-            transfer_fault_p: 0.9,
-            ..crate::faults::FaultConfig::disabled(12)
-        };
-        let mut sim = Sim::new();
-        let mut g = gpu(&mut sim);
-        g.arm_faults(cfg);
-        let mut s = g.stream();
-        if let Ok(r) = g.copy_h2d_retrying(
-            &mut sim,
-            &mut s,
-            "h2d r",
-            1_200_000_000,
-            TransferKind::Pinned,
-            &RetryPolicy::default(),
-        ) {
-            let sched = sim.run();
-            let final_start = sched.start(r.op);
-            for sp in sched.spans() {
-                if sp.label.contains("[fault]") || sp.label.contains("[backoff") {
-                    assert!(sp.end <= final_start, "recovery work precedes the final attempt");
-                }
-            }
+        let (_, sim, op) = recovering_copy();
+        let sched = sim.run();
+        let final_start = sched.start(op);
+        let recovery: Vec<_> = sched
+            .spans()
+            .iter()
+            .filter(|sp| sp.label.contains("[fault]") || sp.label.contains("[backoff"))
+            .collect();
+        assert_eq!(recovery.len(), 4, "two faulted attempts, each followed by a backoff");
+        for sp in recovery {
+            assert!(sp.end <= final_start, "recovery work precedes the final attempt");
         }
+        assert_eq!(sched.spans().last().map(|sp| sp.label.as_str()), Some("h2d r [retry 2]"));
     }
 
     #[test]
@@ -832,7 +634,7 @@ mod tests {
         let cost = KernelCost::coalesced(3200);
         let shape =
             LaunchShape { blocks: 20, threads_per_block: 1024, shared_bytes_per_block: 1024 };
-        g.kernel_costed(&mut sim, &mut s, "join chunk0", cost.time(&g.spec), &cost, shape).unwrap();
+        g.kernel(&mut sim, &mut s, "join chunk0", cost.time(&g.spec), &cost, shape).unwrap();
         g.copy_d2h(&mut sim, &mut s, "d2h rows chunk0", 64, TransferKind::Pinned).unwrap();
         let sched = sim.run();
         let counters = g.counters();
@@ -856,27 +658,14 @@ mod tests {
         // how many faulted attempts preceded success: counters reflect
         // useful charged work, so they are chaos-invariant for completed
         // runs.
-        let cfg = crate::faults::FaultConfig {
-            transfer_fault_p: 0.9,
-            ..crate::faults::FaultConfig::disabled(12)
-        };
-        let mut sim = Sim::new();
-        let mut g = gpu(&mut sim);
-        g.arm_faults(cfg);
-        let mut s = g.stream();
-        if let Ok(r) = g.copy_h2d_retrying(
-            &mut sim,
-            &mut s,
-            "h2d r",
-            1_200_000_000,
-            TransferKind::Pinned,
-            &RetryPolicy::default(),
-        ) {
-            let _ = r;
-            let counters = g.counters();
-            assert_eq!(counters.h2d.transfers, 1);
-            assert_eq!(counters.h2d.bytes, 1_200_000_000);
-        }
+        let (g, sim, _) = recovering_copy();
+        let counters = g.counters();
+        assert_eq!(counters.h2d.transfers, 1);
+        assert_eq!(counters.h2d.bytes, 1_200_000_000);
+        let sched = sim.run();
+        let faulted = sched.spans().iter().filter(|sp| sp.label.contains("[fault]")).count();
+        assert_eq!(faulted, 2, "the counted copy succeeded after two faulted attempts");
+        assert_eq!(g.fault_log(&sched).summary().transfer_faults, 2);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Regression test for the retry-exhaustion branch of
-//! `Gpu::copy_h2d_retrying`. A PR 5 review probe (`tmp_probe_review.rs`)
-//! poked this branch with an unconditional `panic!` and was accidentally
-//! left in the tree, keeping tier-1 red; this is the real, deterministic
-//! test it should have been: under a near-certain per-attempt transfer
-//! fault the retry loop must exhaust its [`RetryPolicy`] and surface a
-//! *typed transient* [`JoinError`] — never panic, never report success.
+//! Regression test for the retry-exhaustion branch of `Gpu::copy_h2d`.
+//! A PR 5 review probe (`tmp_probe_review.rs`) poked this branch with an
+//! unconditional `panic!` and was accidentally left in the tree, keeping
+//! tier-1 red; this is the real, deterministic test it should have been:
+//! under a near-certain per-attempt transfer fault the retry loop must use
+//! up its [`MAX_ATTEMPTS`] and surface a *typed transient* [`JoinError`] —
+//! never panic, never report success.
 
-use hcj_gpu::faults::FaultConfig;
+use hcj_gpu::faults::{FaultConfig, MAX_ATTEMPTS};
 use hcj_gpu::spec::DeviceSpec;
 use hcj_gpu::stream::{Gpu, TransferKind};
-use hcj_gpu::{JoinError, RetryPolicy};
+use hcj_gpu::{JoinError, KernelCost, LaunchShape};
 use hcj_sim::Sim;
 
 /// Seed pinned so the fault stream is reproducible: at
-/// `transfer_fault_p = 0.9` every one of the policy's 4 attempts faults
-/// for seed 12, so the copy exhausts its retries.
+/// `transfer_fault_p = 0.9` every one of the 4 attempts faults for seed
+/// 12, so the copy exhausts its retries.
 #[test]
 fn h2d_retry_exhaustion_is_a_typed_transient_error() {
     let cfg = FaultConfig { transfer_fault_p: 0.9, ..FaultConfig::disabled(12) };
@@ -22,33 +22,23 @@ fn h2d_retry_exhaustion_is_a_typed_transient_error() {
     let mut g = Gpu::new(&mut sim, DeviceSpec::gtx1080());
     g.arm_faults(cfg);
     let mut s = g.stream();
-    let policy = RetryPolicy::default();
-    let r = g.copy_h2d_retrying(
-        &mut sim,
-        &mut s,
-        "h2d r",
-        1_200_000_000,
-        TransferKind::Pinned,
-        &policy,
-    );
-    let err = match r {
-        Err(err) => err,
-        Ok(ok) => panic!("expected retry exhaustion, got success after {} retries", ok.retries),
-    };
+    let err = g
+        .copy_h2d(&mut sim, &mut s, "h2d r", 1_200_000_000, TransferKind::Pinned)
+        .expect_err("expected retry exhaustion, got success");
     assert!(err.is_transient(), "exhaustion surfaces the last transient fault: {err}");
     assert!(!err.is_device_lost(), "a faulted transfer is not a lost device");
     assert_eq!(err.tag(), "device-fault");
     assert!(matches!(err, JoinError::Device(_)), "typed device-layer error: {err:?}");
-    // The retry loop really ran: all `max_attempts` tries are in the
+    // The retry loop really ran: all `MAX_ATTEMPTS` tries are in the
     // fault log as transfer faults before the typed error came back.
     let schedule = sim.run();
     let faults = g.fault_log(&schedule).summary();
-    assert_eq!(faults.transfer_faults, policy.max_attempts);
-    assert_eq!(faults.retries, policy.max_attempts - 1);
+    assert_eq!(faults.transfer_faults, MAX_ATTEMPTS);
+    assert_eq!(faults.retries, MAX_ATTEMPTS - 1);
 }
 
-/// A sticky device-lost must short-circuit the `*_retrying` family: the
-/// loss is not a transient fault, so the retry loop must surface it on
+/// A sticky device-lost must short-circuit every retrying op: the loss
+/// is not a transient fault, so the retry loop must surface it on
 /// the first attempt — never burn backoff attempts on a dead device, and
 /// never misreport it as a retryable transfer/kernel fault.
 #[test]
@@ -60,22 +50,21 @@ fn device_lost_is_sticky_across_retrying_attempts() {
     let mut g = Gpu::new(&mut sim, DeviceSpec::gtx1080());
     g.arm_faults(cfg);
     let mut s = g.stream();
-    let policy = RetryPolicy::default();
     let err = g
-        .kernel_raw_retrying(&mut sim, &mut s, "join p0", 1e-3, &policy)
+        .kernel(&mut sim, &mut s, "join p0", 1e-3, &KernelCost::ZERO, LaunchShape::UNSHAPED)
         .expect_err("a lost device cannot run kernels");
     assert!(err.is_device_lost(), "the loss surfaces typed: {err}");
     assert!(!err.is_transient(), "device-lost must never be classed transient");
     assert_eq!(err.tag(), "device-lost");
 
-    // Every later retrying op — kernel or transfer, any policy — sees the
-    // same sticky loss immediately, with zero retry attempts charged.
+    // Every later op — kernel or transfer — sees the same sticky loss
+    // immediately, with zero retry attempts charged.
     let err2 = g
-        .copy_h2d_retrying(&mut sim, &mut s, "h2d r", 1 << 20, TransferKind::Pinned, &policy)
+        .copy_h2d(&mut sim, &mut s, "h2d r", 1 << 20, TransferKind::Pinned)
         .expect_err("transfers to a lost device fail");
     assert!(err2.is_device_lost(), "stickiness survives across ops: {err2}");
     let err3 = g
-        .kernel_raw_retrying(&mut sim, &mut s, "join p1", 1e-3, &policy)
+        .kernel(&mut sim, &mut s, "join p1", 1e-3, &KernelCost::ZERO, LaunchShape::UNSHAPED)
         .expect_err("the device never comes back");
     assert!(err3.is_device_lost());
 
@@ -98,15 +87,9 @@ fn same_copy_without_faults_succeeds_first_try() {
     let mut sim = Sim::new();
     let g = Gpu::new(&mut sim, DeviceSpec::gtx1080());
     let mut s = g.stream();
-    let r = g
-        .copy_h2d_retrying(
-            &mut sim,
-            &mut s,
-            "h2d r",
-            1_200_000_000,
-            TransferKind::Pinned,
-            &RetryPolicy::default(),
-        )
+    g.copy_h2d(&mut sim, &mut s, "h2d r", 1_200_000_000, TransferKind::Pinned)
         .expect("unfaulted transfer succeeds");
-    assert_eq!(r.retries, 0);
+    let schedule = sim.run();
+    assert_eq!(schedule.spans().len(), 1, "one attempt, no backoff");
+    assert!(g.fault_log(&schedule).is_empty());
 }

@@ -68,7 +68,7 @@ pub mod prelude {
         FleetService, HcjEngine, JoinService, OpReport, PlanRun, PlanShape, PlannedStrategy,
         QuerySpec, RequestSpec, ServiceConfig, ServiceReport,
     };
-    pub use hcj_gpu::{DeviceSpec, ErrorClass, FaultConfig, FaultSummary, JoinError, RetryPolicy};
+    pub use hcj_gpu::{DeviceSpec, ErrorClass, FaultConfig, FaultSummary, JoinError};
     pub use hcj_host::HostSpec;
     pub use hcj_sim::{Schedule, ScheduleValidator, TraceExporter};
     pub use hcj_workload::generate::canonical_pair;
