@@ -112,9 +112,9 @@ impl JoinOutcome {
         }
     }
 
-    /// The shared end of every GPU strategy: solve `sim`, then package
-    /// `gpu`'s fault log and counters with `sink`'s check and, when it
-    /// materializes, its rows.
+    /// The shared end of every strategy that issues work on a `Gpu`:
+    /// solve `sim`, then package `gpu`'s fault log and counters with
+    /// `sink`'s check and, when it materializes, its rows.
     pub(crate) fn finish(sim: Sim, gpu: &Gpu, sink: OutputSink, tuples_in: u64) -> Self {
         let schedule = sim.run();
         let faults = gpu.fault_log(&schedule);

@@ -302,8 +302,9 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Make the next operation wait for an arbitrary sim op (used to tie
-    /// GPU work to host-side phases like CPU partitioning).
+    /// Make the next operation issued to this stream wait for `op`: an op
+    /// of another stream (what a CUDA event orders) or a host-side phase
+    /// like CPU partitioning.
     pub fn wait_op(&mut self, op: OpId) {
         self.waits.push(op);
     }
