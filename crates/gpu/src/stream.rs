@@ -509,9 +509,9 @@ mod tests {
 
     #[test]
     fn retrying_copy_survives_transient_faults_with_backoff() {
-        // Fault probability 1 on the first draws, then... still 1: with
-        // max_attempts 4 the op fails. Use a seed-dependent plan instead:
-        // moderate probability so some attempt succeeds.
+        // At fault probability 1 every attempt faults and the op fails.
+        // Use a seed-dependent plan instead: moderate probability so some
+        // attempt succeeds.
         let cfg = crate::faults::FaultConfig {
             transfer_fault_p: 0.5,
             ..crate::faults::FaultConfig::disabled(3)

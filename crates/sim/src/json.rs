@@ -3,10 +3,9 @@
 //! baselines, counter profiles). Std-only by design: the workspace vendors
 //! no serde.
 //!
-//! [`parse`] reads the full JSON grammar into a [`Value`] and returns a
-//! human-readable error, never a panic, for malformed input. It rejects
-//! raw control bytes inside strings, so a document that parses is one
-//! [`string`] could have written.
+//! [`parse`] reads every kind of JSON value into a [`Value`] and returns a
+//! human-readable error, never a panic, for malformed input. Like the
+//! output of [`string`], a string it accepts holds no raw control byte.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,8 +42,8 @@ pub fn number(x: f64) -> String {
     }
 }
 
-/// One parsed JSON value. Object keys are sorted, which is the order every
-/// document in this workspace is written in.
+/// One parsed JSON value. Objects keep their members in a `BTreeMap`, so
+/// iteration is in key order whatever order the document used.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `{ ... }`; a repeated key keeps its last value.
