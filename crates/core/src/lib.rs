@@ -36,7 +36,6 @@ pub mod cached_build;
 pub mod config;
 pub mod coprocess;
 pub mod gpu_resident;
-pub mod handoff;
 pub mod join;
 pub mod nonpart;
 pub mod outcome;
@@ -51,7 +50,6 @@ pub use cached_build::{CachedBuild, CachedBuildJoin};
 pub use config::{GpuJoinConfig, OutputMode, PassAssignment, ProbeKind};
 pub use coprocess::{CoProcessingConfig, CoProcessingJoin};
 pub use gpu_resident::GpuPartitionedJoin;
-pub use handoff::OpOutput;
 pub use nonpart::{NonPartitionedJoin, NonPartitionedKind};
 pub use outcome::{JoinOutcome, Phase, PhaseBreakdown};
 pub use streamprobe::{StreamedProbeConfig, StreamedProbeJoin};

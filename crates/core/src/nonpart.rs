@@ -88,11 +88,6 @@ impl NonPartitionedJoin {
         NonPartitionedJoin { kind, output, device: DeviceSpec::gtx1080() }
     }
 
-    pub fn on_device(mut self, device: DeviceSpec) -> Self {
-        self.device = device;
-        self
-    }
-
     /// Execute over GPU-resident relations.
     pub fn execute(&self, r: &Relation, s: &Relation) -> NonPartitionedOutcome {
         match self.kind {

@@ -7,7 +7,7 @@
 //! explicitly: the partitioning scatter and the probe's irregular reads
 //! are exactly the access patterns UVA and UM serve worst.
 
-use hcj_gpu::{KernelCost, UnifiedMemory, UvaAccessPattern};
+use hcj_gpu::{UnifiedMemory, UvaAccessPattern};
 use hcj_workload::oracle::JoinCheck;
 use hcj_workload::Relation;
 
@@ -194,16 +194,6 @@ pub fn run_out_of_gpu_mechanisms(
         tuples_in,
     };
     (um, uva)
-}
-
-/// Convenience: the extra kernel cost is exposed for tests that inspect
-/// which path dominates a variant.
-pub fn baseline_join_cost(config: &GpuJoinConfig, r: &Relation, s: &Relation) -> KernelCost {
-    let partitioner = GpuPartitioner::new(config);
-    let r_out = partitioner.partition(r);
-    let s_out = partitioner.partition_following(s, &r_out.refine_plan);
-    let mut sink = OutputSink::new(config.output, u64::from(config.join_block_threads));
-    join_all_copartitions(config, &r_out.partitioned, &s_out.partitioned, &mut sink)
 }
 
 #[cfg(test)]

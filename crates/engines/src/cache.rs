@@ -25,6 +25,14 @@
 //! cheap ones, and among equals, the least recently used goes first (ties
 //! break on a touch sequence number, then the id: fully deterministic).
 //!
+//! **Consultation.** Both the fleet's admission and the plan executor
+//! decide a join's [`CacheRole`] with [`BuildCache::consult`] (peek,
+//! invalidate a stale entry, install only at the resident rung, bypass a
+//! newer entry) and count it with [`BuildCache::record`], which also pins
+//! a hit's table. The fleet consults on every admission attempt but
+//! records only when the request admits, so backoff retries never
+//! inflate the hit/miss counts; a plan op does both when its wave runs.
+//!
 //! **Pinning.** Entries are handed out as `Arc<CachedTable>`: an eviction
 //! or invalidation removes the entry from the map immediately, but the
 //! device bytes stay reserved until the last in-flight request drops its
@@ -37,6 +45,8 @@ use std::sync::Arc;
 use hcj_core::CachedBuild;
 use hcj_gpu::{CacheCounters, DeviceMemory, Reservation};
 use hcj_workload::BuildRef;
+
+use crate::service::CacheRole;
 
 /// Sizing policy of the [`BuildCache`].
 #[derive(Clone, Copy, Debug)]
@@ -194,8 +204,8 @@ impl BuildCache {
         self.max_bytes
     }
 
-    /// Counters so far (hit/miss counts are recorded at admission by the
-    /// service, once per admitted request).
+    /// Counters so far (hits and misses are counted by
+    /// [`record`](Self::record)).
     pub fn counters(&self) -> CacheCounters {
         self.stats
     }
@@ -210,10 +220,7 @@ impl BuildCache {
         }
     }
 
-    /// Non-mutating consultation: what would serving `bref` find? The
-    /// admission wave peeks on every attempt but records the outcome
-    /// (via [`hit`](Self::hit)/[`miss`](Self::miss)) only when the
-    /// request actually admits, so backoff retries don't inflate counts.
+    /// Non-mutating consultation: what would serving `bref` find?
     pub fn peek(&self, bref: BuildRef) -> CachePeek {
         match self.entries.get(&bref.id) {
             None => CachePeek::Miss,
@@ -238,9 +245,55 @@ impl BuildCache {
         Some(Arc::clone(&e.table))
     }
 
-    /// Record a miss (no reusable entry; the request rebuilds).
-    pub fn miss(&mut self) {
-        self.stats.misses += 1;
+    /// Decide, without counting it, how a join whose build side is
+    /// `bref` uses the cache. An entry at `bref`'s version is a
+    /// [`CacheRole::Hit`] when `fits` accepts its table bytes. A stale
+    /// entry is invalidated on sight. A miss, or a hit that does not fit,
+    /// installs what it builds when the join runs at the `resident` rung
+    /// and bypasses the cache below it. A newer entry is bypassed
+    /// untouched.
+    pub fn consult(
+        &mut self,
+        bref: BuildRef,
+        resident: bool,
+        fits: impl FnOnce(u64) -> bool,
+    ) -> CacheRole {
+        let miss = if resident { CacheRole::Install } else { CacheRole::Bypass };
+        match self.peek(bref) {
+            CachePeek::Hit if fits(self.table_bytes(bref.id).unwrap_or(0)) => CacheRole::Hit,
+            CachePeek::Hit | CachePeek::Miss => miss,
+            CachePeek::Stale => {
+                self.invalidate(bref.id);
+                miss
+            }
+            CachePeek::Newer => CacheRole::Bypass,
+        }
+    }
+
+    /// Count a [`consult`](Self::consult)ed `role` as one hit or one miss
+    /// and pin a hit's table for the caller ([`hit`](Self::hit)). A hit
+    /// whose entry vanished since counts as a miss and comes back as
+    /// [`CacheRole::Bypass`] without a table; [`CacheRole::None`] counts
+    /// nothing.
+    pub fn record(
+        &mut self,
+        bref: BuildRef,
+        role: CacheRole,
+    ) -> (CacheRole, Option<Arc<CachedTable>>) {
+        match role {
+            CacheRole::None => (role, None),
+            CacheRole::Hit => match self.hit(bref.id) {
+                Some(table) => (role, Some(table)),
+                None => {
+                    self.stats.misses += 1;
+                    (CacheRole::Bypass, None)
+                }
+            },
+            CacheRole::Install | CacheRole::Bypass => {
+                self.stats.misses += 1;
+                (role, None)
+            }
+        }
     }
 
     /// Drop the entry for `id` because its content version bumped. The

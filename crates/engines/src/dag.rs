@@ -13,8 +13,10 @@
 //! * [`execute_plan`] — drains the scheduler wave by wave. Each wave's
 //!   join ops fan out onto the host worker pool (results merged in op-id
 //!   order, so worker count never shows); scans and the sink are folded
-//!   inline at zero simulated cost. Every join is verified against the
-//!   per-op CPU oracle ([`JoinCheck::compute`] on its actual inputs).
+//!   inline at zero simulated cost. Every join runs on the service's one
+//!   join executor and is verified against the per-op CPU oracle
+//!   ([`JoinCheck::compute`](hcj_workload::oracle::JoinCheck::compute) on
+//!   its actual inputs).
 //!
 //! **Intermediates: pin or spill.** A join output that feeds a later join
 //! is canonicalized ([`rows_to_relation`]) and then either *pinned* — a
@@ -26,25 +28,28 @@
 //! opportunistic: failing to pin degrades bandwidth, never correctness.
 //!
 //! **Cache interplay.** A join whose build side is a *named* dimension
-//! scan consults the [`BuildCache`] exactly like a single-join request:
-//! hits probe the resident table ([`CachedBuildJoin::execute_hot_from`]),
-//! misses at the GPU-resident tier build once and hand the table back for
-//! installation at completion ([`PlanRun::installs`]).
+//! scan consults the [`BuildCache`] through the same
+//! [`consult`](BuildCache::consult)/[`record`](BuildCache::record) pair
+//! as a single-join request: hits probe the resident table, misses at the
+//! GPU-resident tier build once and hand the table back for installation
+//! at completion ([`PlanRun::installs`]), and a failing hit or build
+//! falls back onto the ladder from the op's rung. A single join counts
+//! its hit or miss at admission; a plan op counts it when its wave runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use hcj_core::{CachedBuild, CachedBuildJoin, OutputMode};
+use hcj_core::{CachedBuild, OutputMode};
 use hcj_gpu::{CounterRollup, DeviceMemory, FaultSummary, Reservation};
 use hcj_host::pool::Pool;
 use hcj_sim::SimTime;
 use hcj_workload::catalog::BuildRef;
-use hcj_workload::oracle::{JoinCheck, JoinRow};
-use hcj_workload::plan::{build_is_left, rows_to_relation, PlanOp, PlanSpec};
-use hcj_workload::Relation;
+use hcj_workload::plan::{rows_to_relation, PlanOp, PlanSpec};
+use hcj_workload::{build_is_left, Relation};
 
-use crate::cache::{BuildCache, CachePeek, CachedTable};
+use crate::cache::{BuildCache, CachedTable};
+use crate::executor::{Executed, JoinJob};
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::service::CacheRole;
 
@@ -241,25 +246,11 @@ struct JoinPrep {
     build: usize,
     probe: usize,
     level: PlannedStrategy,
+    /// Catalog identity of a named build side.
+    bref: Option<BuildRef>,
     role: CacheRole,
     hit: Option<Arc<CachedTable>>,
-    install_as: Option<BuildRef>,
     feeds_join: bool,
-}
-
-/// What one join execution produced (mirrors the service's single-join
-/// `Executed`, plus the materialized rows downstream joins consume).
-struct JoinExec {
-    strategy: Option<PlannedStrategy>,
-    check: JoinCheck,
-    expected: JoinCheck,
-    duration: SimTime,
-    faults: FaultSummary,
-    counters: CounterRollup,
-    fault_marks: Vec<(SimTime, String)>,
-    error: Option<&'static str>,
-    install: Option<CachedBuild>,
-    rows: Option<Vec<JoinRow>>,
 }
 
 /// Execute `plan` wave by wave. `scans` holds the materialized base
@@ -342,47 +333,21 @@ pub fn execute_plan(
                 PlanOp::Scan { build, .. } => *build,
                 _ => None,
             };
-            let mut role = CacheRole::None;
-            let mut hit = None;
-            let mut install_as = None;
-            if let (Some(c), Some(bref)) = (cache.as_deref_mut(), bref) {
-                let mut miss_installing = |c: &mut BuildCache| {
-                    c.miss();
-                    if level == PlannedStrategy::GpuResident {
-                        install_as = Some(bref);
-                        CacheRole::Install
-                    } else {
-                        CacheRole::Bypass
-                    }
-                };
-                role = match c.peek(bref) {
-                    CachePeek::Hit => {
-                        hit = c.hit(bref.id);
-                        if hit.is_some() {
-                            CacheRole::Hit
-                        } else {
-                            CacheRole::Bypass
-                        }
-                    }
-                    CachePeek::Stale => {
-                        c.invalidate(bref.id);
-                        miss_installing(c)
-                    }
-                    CachePeek::Miss => miss_installing(c),
-                    CachePeek::Newer => {
-                        c.miss();
-                        CacheRole::Bypass
-                    }
-                };
-            }
+            let (role, hit) = match (cache.as_deref_mut(), bref) {
+                (Some(c), Some(bref)) => {
+                    let role = c.consult(bref, level == PlannedStrategy::GpuResident, |_| true);
+                    c.record(bref, role)
+                }
+                _ => (CacheRole::None, None),
+            };
             joins.push(JoinPrep {
                 op,
                 build: b,
                 probe: p,
                 level,
+                bref,
                 role,
                 hit,
-                install_as,
                 feeds_join: consumers[op]
                     .iter()
                     .any(|&c| matches!(plan.ops[c], PlanOp::Join { .. })),
@@ -393,10 +358,7 @@ pub fn execute_plan(
         // batch order, so the merge below is worker-count independent.
         let outputs_ref = &outputs;
         let resident_ref = &resident;
-        let results: Vec<JoinExec> = Pool::current().map(&joins, |_, prep| {
-            let build = outputs_ref[prep.build].as_ref().expect("deps done");
-            let probe = outputs_ref[prep.probe].as_ref().expect("deps done");
-            let (b_res, p_res) = (resident_ref[prep.build], resident_ref[prep.probe]);
+        let results: Vec<Executed> = Pool::current().map(&joins, |_, prep| {
             // Each op draws from its own fault stream (mixed with the op
             // id on top of the service's per-request reseed), and ops
             // that feed a later join must materialize rows regardless of
@@ -408,81 +370,22 @@ pub fn execute_plan(
             if prep.feeds_join {
                 engine.config = engine.config.with_output(OutputMode::Materialize);
             }
-            let expected = JoinCheck::compute(build, probe);
-            let mut install: Option<CachedBuild> = None;
-            // Cache-aware, residency-aware execution: hits probe the
-            // pinned table; GPU-resident ops take the staged path (which
-            // skips the H2D copy of any pinned-intermediate side);
-            // degraded ops run the regular ladder from their level. A
-            // failing cached/staged path falls back onto the ladder, so a
-            // plan op degrades exactly like a single-join request.
-            let attempt = if let (CacheRole::Hit, Some(table)) = (prep.role, prep.hit.as_ref()) {
-                CachedBuildJoin::new(engine.config.clone())
-                    .execute_hot_from(&table.build, probe, p_res)
-                    .map(|o| (PlannedStrategy::GpuResident, o))
-            } else if prep.level == PlannedStrategy::GpuResident {
-                CachedBuildJoin::new(engine.config.clone())
-                    .execute_staged(build, probe, b_res, p_res)
-                    .map(|(o, built)| {
-                        if prep.install_as.is_some() {
-                            install = Some(built);
-                        }
-                        (PlannedStrategy::GpuResident, o)
-                    })
-            } else {
-                engine.execute_from(prep.level, build, probe)
-            };
-            let attempt = match attempt {
-                Err(_)
-                    if prep.role == CacheRole::Hit
-                        || prep.level == PlannedStrategy::GpuResident =>
-                {
-                    install = None;
-                    engine.execute_from(prep.level, build, probe)
-                }
-                other => other,
-            };
-            match attempt {
-                Ok((strategy, outcome)) => {
-                    let rows_missing = prep.feeds_join && outcome.rows.is_none();
-                    JoinExec {
-                        strategy: Some(strategy),
-                        check: outcome.check,
-                        expected,
-                        duration: SimTime::from_nanos(
-                            outcome.schedule.makespan().as_nanos().max(1),
-                        ),
-                        faults: outcome.faults.summary(),
-                        counters: outcome.counters.rollup(),
-                        fault_marks: outcome
-                            .faults
-                            .events
-                            .iter()
-                            .map(|e| {
-                                (
-                                    e.at.unwrap_or(SimTime::ZERO),
-                                    format!("{} {} `{}`", e.kind, e.site, e.label),
-                                )
-                            })
-                            .collect(),
-                        error: rows_missing.then_some("internal"),
-                        install,
-                        rows: outcome.rows,
-                    }
-                }
-                Err(err) => JoinExec {
-                    strategy: None,
-                    check: expected,
-                    expected,
-                    duration: SimTime::from_nanos(1),
-                    faults: FaultSummary::default(),
-                    counters: CounterRollup::default(),
-                    fault_marks: Vec::new(),
-                    error: Some(err.tag()),
-                    install: None,
-                    rows: None,
-                },
+            // GPU-resident ops take the staged path, which skips the H2D
+            // copy of any pinned-intermediate side.
+            let mut exec = JoinJob {
+                r: outputs_ref[prep.build].as_ref().expect("deps done"),
+                s: outputs_ref[prep.probe].as_ref().expect("deps done"),
+                start: prep.level,
+                hit: prep.hit.as_deref().map(|table| &table.build),
+                stage: prep.level == PlannedStrategy::GpuResident,
+                keep_build: prep.role == CacheRole::Install,
+                resident: (resident_ref[prep.build], resident_ref[prep.probe]),
             }
+            .run(&engine);
+            if prep.feeds_join && exec.error.is_none() && exec.rows.is_none() {
+                exec.error = Some("internal");
+            }
+            exec
         });
 
         // Merge the wave in op-id order: scans and the sink inline at
@@ -549,9 +452,7 @@ pub fn execute_plan(
                     let end = start + exec.duration;
                     finish[op] = end;
                     matches_of[op] = exec.check.matches;
-                    let op_ok = exec.error.is_none()
-                        && exec.strategy.is_some()
-                        && exec.check == exec.expected;
+                    let op_ok = exec.check_ok();
                     if !op_ok {
                         run.check_ok = false;
                     }
@@ -561,7 +462,7 @@ pub fn execute_plan(
                     if Some(op) == root_join {
                         run.executed = exec.strategy;
                     }
-                    if let (Some(bref), Some(built)) = (prep.install_as, exec.install) {
+                    if let (Some(bref), Some(built)) = (prep.bref, exec.install) {
                         run.installs.push((bref, built));
                     }
                     // Hand the output downstream: canonicalized, then

@@ -122,9 +122,9 @@ pub fn assign_partitions(
     let partitions = staged.first().map_or(0, Vec::len);
     // One ring point per GB/s of device-memory bandwidth: a V100 (900
     // GB/s) owns ~2.8x the partitions of a GTX 1080 (320 GB/s).
-    let replicas: Vec<(usize, usize)> =
-        participants.iter().map(|p| (p.device, (p.spec.mem_bandwidth / 1e9) as usize)).collect();
-    let ring = Ring::weighted(&replicas);
+    let ring = Ring::weighted(
+        participants.iter().map(|p| (p.device, (p.spec.mem_bandwidth / 1e9) as usize)),
+    );
     let totals: Vec<u64> = (0..partitions).map(|p| staged.iter().map(|row| row[p]).sum()).collect();
     let mean = totals.iter().sum::<u64>() as f64 / partitions.max(1) as f64;
     let mut owners = Vec::with_capacity(partitions);

@@ -37,7 +37,7 @@ use hcj_cpu_join::ProJoin;
 use hcj_gpu::faults::{FaultEvent, FaultEventKind};
 use hcj_gpu::JoinError;
 use hcj_sim::{Op, Sim};
-use hcj_workload::Relation;
+use hcj_workload::{build_is_left, Relation};
 
 use crate::result::EngineResult;
 
@@ -264,7 +264,7 @@ impl HcjEngine {
         r: &Relation,
         s: &Relation,
     ) -> Result<(PlannedStrategy, JoinOutcome), JoinError> {
-        let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
+        let (build, probe) = if build_is_left(r, s) { (r, s) } else { (s, r) };
         self.execute_from(self.plan(build, probe), r, s)
     }
 
@@ -278,7 +278,7 @@ impl HcjEngine {
         r: &Relation,
         s: &Relation,
     ) -> Result<(PlannedStrategy, JoinOutcome), JoinError> {
-        let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
+        let (build, probe) = if build_is_left(r, s) { (r, s) } else { (s, r) };
         let mut strategy = start;
         // A sticky device-lost caught on the way down. The failed attempt's
         // fault log dies with the attempt, so the loss is re-surfaced as a

@@ -12,7 +12,8 @@
 //! consistent hashing over a replica ring keyed by client id — a tenant's
 //! requests land on the same device run after run, which is what gives
 //! the per-device build caches their affinity — with
-//! spill-to-least-loaded when the preferred queue is full.
+//! spill-to-least-loaded when the preferred queue is full. The ring holds
+//! [`RING_REPLICAS`] points per device.
 //!
 //! The robustness core is a per-device health state machine:
 //!
@@ -25,16 +26,18 @@
 //!
 //! * **Degraded** — transient faults observed inside the sliding
 //!   virtual-time breaker window, still below the trip threshold.
-//! * **Quarantined** — the circuit breaker tripped: queued requests are
-//!   re-routed to surviving devices and new traffic avoids the device
-//!   until a cooldown expires, after which a single half-open *probe*
-//!   request is admitted; a clean probe re-admits the device, a faulty
-//!   one re-arms the cooldown.
+//! * **Quarantined** — the circuit breaker tripped ([`BREAKER_THRESHOLD`]
+//!   transient faults inside the sliding [`BREAKER_WINDOW`]): queued
+//!   requests are re-routed to surviving devices and new traffic avoids
+//!   the device until [`QUARANTINE_COOLDOWN`] expires, after which a
+//!   single half-open *probe* request is admitted; a clean probe
+//!   re-admits the device, a faulty one re-arms the cooldown.
 //! * **Lost** — an execution surfaced the sticky device-lost fault. The
 //!   loss *drains* the device: every admitted-but-unfinished request
 //!   releases its [`Reservation`] and cache pins, the device's cache is
-//!   invalidated wholesale (its hottest builds are deterministically
-//!   re-warmed onto the adopting device first), and the drained queue is
+//!   invalidated wholesale (its [`REWARM_LIMIT`] hottest builds are
+//!   deterministically re-warmed onto the adopting device first), and
+//!   the drained queue is
 //!   re-routed to surviving devices — re-planned against the adopting
 //!   device's free capacity, or onto the host CPU when the fleet is
 //!   saturated. Lost is terminal.
@@ -48,7 +51,11 @@
 //! typed events (submit, backoff wake-up, completion, deadline) keyed by
 //! `(SimTime, sequence number)`. Only admitted-batch execution fans out
 //! onto the host pool, and results merge in batch order, so summaries
-//! are byte-identical across `--jobs` counts and runs. Health
+//! are byte-identical across `--jobs` counts and runs. Admitted single
+//! joins run on the same cache-aware join executor as plan operators
+//! ([`crate::dag`]): probe a pinned cached build, stage and build, or
+//! walk the ladder from the admitted rung; a failing hit or staged build
+//! falls back onto that ladder. Health
 //! observations ride on request completions: the loop learns what an
 //! execution injected when the execution reports back, which keeps every
 //! transition at a deterministic event time.
@@ -63,7 +70,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use hcj_core::{CachedBuild, CachedBuildJoin};
+use hcj_core::CachedBuild;
 use hcj_gpu::faults::{DeviceFault, FaultKind, FaultSite};
 use hcj_gpu::{CounterRollup, DeviceMemory, DeviceSpec, FaultSummary, JoinError, Reservation};
 use hcj_host::pool::Pool;
@@ -72,34 +79,44 @@ use hcj_sim::{CounterId, SimTime, Timeline, TrackId};
 use hcj_workload::catalog::BuildRef;
 use hcj_workload::oracle::JoinCheck;
 use hcj_workload::plan::{PlanOp, PlanSpec};
-use hcj_workload::Relation;
+use hcj_workload::rng::mix64;
+use hcj_workload::{build_is_left, Relation};
 
-use crate::cache::{BuildCache, CachePeek, CacheReport, CachedTable};
+use crate::cache::{BuildCache, CacheReport, CachedTable};
 use crate::dag::{execute_plan, plan_envelope, planned_root, OpReport, PlanRun};
 use crate::exchange::{execute_exchange, ExchangeConfig, ExchangeParticipant};
+use crate::executor::{Executed, JoinJob};
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::service::{
-    CacheRole, ClientSpec, QuerySpec, RequestMetrics, ServiceConfig, ServiceReport,
+    CacheRole, ClientSpec, QuerySpec, RequestMetrics, ServiceConfig, ServiceReport, BACKOFF_BASE,
+    BACKOFF_CAP, MAX_RETRIES, THINK_TIME,
 };
 
-/// Fleet topology and failover policy (the per-request admission policy
-/// rides in [`ServiceConfig`], applied per device).
+/// Transient faults inside the sliding window that trip a device's
+/// circuit breaker.
+pub const BREAKER_THRESHOLD: usize = 6;
+
+/// Width of the sliding virtual-time breaker window.
+pub const BREAKER_WINDOW: SimTime = SimTime::from_nanos(2_000_000);
+
+/// Quarantine cooldown before a half-open probe is admitted.
+pub const QUARANTINE_COOLDOWN: SimTime = SimTime::from_nanos(1_000_000);
+
+/// Virtual ring points per device (consistent-hash replica count).
+pub const RING_REPLICAS: usize = 16;
+
+/// Hottest cache entries re-warmed onto the adopting device when a device
+/// is lost.
+pub const REWARM_LIMIT: usize = 2;
+
+/// Fleet topology (the per-request admission policy rides in
+/// [`ServiceConfig`], applied per device; the failover policy is the
+/// constants above).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Number of simulated devices. Each gets the engine's full device
     /// capacity: an N-device fleet is N times the hardware.
     pub devices: usize,
-    /// Transient faults inside the sliding window that trip the breaker.
-    pub breaker_threshold: usize,
-    /// Width of the sliding virtual-time breaker window.
-    pub breaker_window: SimTime,
-    /// Quarantine cooldown before a half-open probe is admitted.
-    pub quarantine_cooldown: SimTime,
-    /// Virtual ring points per device (consistent-hash replica count).
-    pub ring_replicas: usize,
-    /// Hottest cache entries re-warmed onto the adopting device when a
-    /// device is lost.
-    pub rewarm_limit: usize,
     /// Admit joins too large for any single device as cross-device
     /// exchange joins ([`crate::exchange`]) instead of degrading them down
     /// the single-device ladder. Off by default: pre-exchange fleets keep
@@ -113,18 +130,9 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `devices` with the default failover policy.
+    /// A homogeneous fleet of `devices` without exchange joins.
     pub fn new(devices: usize) -> Self {
-        FleetConfig {
-            devices: devices.max(1),
-            breaker_threshold: 6,
-            breaker_window: SimTime::from_nanos(2_000_000), // 2 ms
-            quarantine_cooldown: SimTime::from_nanos(1_000_000), // 1 ms
-            ring_replicas: 16,
-            rewarm_limit: 2,
-            exchange: false,
-            device_specs: None,
-        }
+        FleetConfig { devices: devices.max(1), exchange: false, device_specs: None }
     }
 
     /// Enable cross-device exchange joins for oversized requests.
@@ -260,38 +268,27 @@ enum Route {
     Fail,
 }
 
-/// Consistent-hash ring: `ring_replicas` points per device, walk
-/// clockwise from the key's hash to the first eligible device.
+/// Consistent-hash ring: a number of points per device, walk clockwise
+/// from the key's hash to the first eligible device.
 pub(crate) struct Ring {
     /// `(point, device)`, sorted by point.
     points: Vec<(u64, usize)>,
 }
 
 impl Ring {
-    /// A ring with `replicas` points for each of a heterogeneous device
-    /// set: the cross-device exchange assigns partitions over this, with
-    /// per-device replica counts proportional to device throughput so
-    /// faster devices own proportionally more partitions.
-    pub(crate) fn weighted(replicas: &[(usize, usize)]) -> Self {
-        let mut points: Vec<(u64, usize)> = replicas
-            .iter()
-            .flat_map(|&(d, reps)| {
-                (0..reps.max(1)).map(move |r| (mix64((1 << 63) | ((d as u64) << 32) | r as u64), d))
-            })
-            .collect();
-        points.sort_unstable();
-        Ring { points }
-    }
-
-    fn new(devices: usize, replicas: usize) -> Self {
+    /// A ring with `(device, replicas)` points per device: the router
+    /// gives every device [`RING_REPLICAS`]; the cross-device exchange
+    /// assigns partitions over replica counts proportional to device
+    /// throughput, so faster devices own proportionally more partitions.
+    pub(crate) fn weighted(replicas: impl IntoIterator<Item = (usize, usize)>) -> Self {
         // The top bit domain-separates ring points from routing keys:
         // without it, device 0's points are `mix64(0..replicas)` — the
         // very values small client/build-id keys hash to — and every key
         // below `replicas` would land exactly on a device-0 point.
-        let mut points: Vec<(u64, usize)> = (0..devices)
-            .flat_map(|d| {
-                (0..replicas.max(1))
-                    .map(move |r| (mix64((1 << 63) | ((d as u64) << 32) | r as u64), d))
+        let mut points: Vec<(u64, usize)> = replicas
+            .into_iter()
+            .flat_map(|(d, reps)| {
+                (0..reps.max(1)).map(move |r| (mix64((1 << 63) | ((d as u64) << 32) | r as u64), d))
             })
             .collect();
         points.sort_unstable();
@@ -307,15 +304,6 @@ impl Ring {
             .map(|i| self.points[(start + i) % self.points.len()].1)
             .find(|&d| eligible(d))
     }
-}
-
-/// The splitmix64 finalizer: the ring's point/key hash. Deterministic and
-/// seed-free — the ring layout is a pure function of the fleet size.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Live state of one fleet device.
@@ -438,7 +426,8 @@ struct FleetRequest {
     eligible_at: SimTime,
     /// Held from admission to completion.
     reservation: Option<Reservation>,
-    /// Catalog identity of the build side, copied from the spec.
+    /// Catalog identity of the build side: the spec's, when its `r`
+    /// really is the build side; `None` otherwise (never cached).
     build: Option<BuildRef>,
     /// On a cache hit: the pinned resident table, held from admission to
     /// completion so eviction cannot free it mid-flight.
@@ -498,13 +487,19 @@ impl FleetRequest {
         self.metrics.device = Some(device);
     }
 
+    /// A single join's `(build, probe)` inputs; `None` for plans.
+    fn sides(&self) -> Option<(&Relation, &Relation)> {
+        let (r, s) = self.inputs.as_ref()?;
+        Some(if build_is_left(r, s) { (r, s) } else { (s, r) })
+    }
+
     /// Admission rejected: count the retry, step one rung down the ladder
-    /// after `max_retries` rejections at the current rung (a plan steps
-    /// every join down), and back off.
-    fn reject(&mut self, config: &ServiceConfig, now: SimTime) {
+    /// after [`MAX_RETRIES`] rejections at the current rung (a plan steps
+    /// every join down), and back off exponentially.
+    fn reject(&mut self, now: SimTime) {
         self.metrics.retries += 1;
         self.attempts += 1;
-        if self.attempts > config.max_retries {
+        if self.attempts > MAX_RETRIES {
             let stepped = match (self.plan.as_mut(), self.level.degraded()) {
                 (Some(pw), _) if pw.degrade < PlannedStrategy::LADDER.len() - 1 => {
                     pw.degrade += 1;
@@ -520,7 +515,7 @@ impl FleetRequest {
                 self.attempts = 0;
             }
         }
-        self.eligible_at = now + config.backoff(self.attempts.max(1));
+        self.eligible_at = now + BACKOFF_BASE.backoff(self.attempts.max(1), BACKOFF_CAP);
     }
 }
 
@@ -556,120 +551,14 @@ fn generate_scans(spec: &PlanSpec) -> Vec<Option<Relation>> {
         .collect()
 }
 
-/// What one pooled single-join execution returned.
-struct Executed {
-    strategy: Option<PlannedStrategy>,
-    check: JoinCheck,
-    expected: JoinCheck,
-    duration: SimTime,
-    faults: FaultSummary,
-    counters: CounterRollup,
-    /// `(offset into the execution, label)` per fault event.
-    fault_marks: Vec<(SimTime, String)>,
-    error: Option<&'static str>,
-    /// The build a cache-miss execution produced, for installation at
-    /// completion.
-    install: Option<CachedBuild>,
-    /// A broken invariant observed inside the (possibly parallel)
-    /// execution closure, reported typed.
-    invariant: Option<String>,
-}
-
-/// Execute one admitted single join, purely over shared state (it runs
-/// on the host pool). A cache hit probes the pinned resident table. A
-/// named build side running GPU-resident takes the staged cold path
-/// (its inputs arrive from the host per request, so h2d traffic is
-/// modeled whether or not the cache is on), and only an `Install` keeps
-/// the table it built. Everything else walks the ladder from its rung,
-/// and a failing cached or staged path falls back onto that ladder too.
-/// Each (device, request) pair draws its own fault stream; the CPU lane
-/// never consults the fault plan, so it keeps the plain engine.
-fn execute_join(engine: &HcjEngine, st: &FleetRequest, id: usize) -> Executed {
-    let reseeded = st.metrics.device.and_then(|device| {
-        engine.config.faults.as_ref().map(|f| {
-            let mut e = engine.clone();
-            e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
-            e
-        })
-    });
-    let engine = reseeded.as_ref().unwrap_or(engine);
-    let Some((r, s)) = st.inputs.as_ref() else {
-        // "Cannot happen": admission just verified the inputs.
-        let none = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };
-        return Executed {
-            strategy: None,
-            check: none,
-            expected: none,
-            duration: SimTime::from_nanos(1),
-            faults: FaultSummary::default(),
-            counters: CounterRollup::default(),
-            fault_marks: Vec::new(),
-            error: Some(JoinError::Internal { detail: String::new() }.tag()),
-            install: None,
-            invariant: Some(format!("admitted request {id} has no inputs")),
-        };
-    };
-    let expected = JoinCheck::compute(r, s);
-    let start = if st.cpu { PlannedStrategy::CpuFallback } else { st.level };
-    let role = st.metrics.cache_role;
-    // Admission guaranteed `r` is the build side whenever a role is set.
-    let named_build = st.build.is_some() && r.len() <= s.len();
-    let staged = !st.cpu && named_build && st.level == PlannedStrategy::GpuResident;
-    let mut install: Option<CachedBuild> = None;
-    let attempt = if let (CacheRole::Hit, Some(table)) = (role, st.hit.as_ref()) {
-        CachedBuildJoin::new(engine.config.clone())
-            .execute_hot(&table.build, s)
-            .map(|o| (PlannedStrategy::GpuResident, o))
-    } else if staged {
-        CachedBuildJoin::new(engine.config.clone()).execute_cold(r, s).map(|(o, built)| {
-            if role == CacheRole::Install {
-                install = Some(built);
-            }
-            (PlannedStrategy::GpuResident, o)
-        })
-    } else {
-        engine.execute_from(start, r, s)
-    };
-    let attempt = match attempt {
-        Err(_) if role == CacheRole::Hit || staged => {
-            install = None;
-            engine.execute_from(start, r, s)
-        }
-        other => other,
-    };
-    match attempt {
-        Ok((strategy, outcome)) => Executed {
-            strategy: Some(strategy),
-            check: outcome.check,
-            expected,
-            duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
-            faults: outcome.faults.summary(),
-            counters: outcome.counters.rollup(),
-            fault_marks: outcome
-                .faults
-                .events
-                .iter()
-                .map(|e| {
-                    (e.at.unwrap_or(SimTime::ZERO), format!("{} {} `{}`", e.kind, e.site, e.label))
-                })
-                .collect(),
-            error: None,
-            install,
-            invariant: None,
-        },
-        Err(err) => Executed {
-            strategy: None,
-            check: expected,
-            expected,
-            duration: SimTime::from_nanos(1),
-            faults: FaultSummary::default(),
-            counters: CounterRollup::default(),
-            fault_marks: Vec::new(),
-            error: Some(err.tag()),
-            install: None,
-            invariant: None,
-        },
-    }
+/// `engine` on the fault stream of request `id` on `device`; `None`
+/// without a fault plan.
+fn reseeded(engine: &HcjEngine, device: usize, id: usize) -> Option<HcjEngine> {
+    engine.config.faults.as_ref().map(|f| {
+        let mut e = engine.clone();
+        e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
+        e
+    })
 }
 
 /// The multi-device join fleet; see the module docs.
@@ -770,7 +659,7 @@ impl<'a> FleetRun<'a> {
             config,
             fleet,
             workload,
-            ring: Ring::new(fleet.devices, fleet.ring_replicas),
+            ring: Ring::weighted((0..fleet.devices).map(|d| (d, RING_REPLICAS))),
             devices,
             requests: Vec::new(),
             parked: VecDeque::new(),
@@ -963,9 +852,7 @@ impl<'a> FleetRun<'a> {
                 .unwrap_or(floor);
             return;
         }
-        let Some((r, s)) = st.inputs.as_ref() else { return };
-        let (b, p) =
-            if r.len() <= s.len() { (r.bytes(), s.bytes()) } else { (s.bytes(), r.bytes()) };
+        let Some((b, p)) = st.sides().map(|(b, p)| (b.bytes(), p.bytes())) else { return };
         let mut level = self.plan_join(b, p);
         if matches!(level, PlannedStrategy::CrossDevice(_)) {
             // Still worth an exchange over the surviving devices; the
@@ -985,7 +872,7 @@ impl<'a> FleetRun<'a> {
     /// Schedule the client's next closed-loop submission, if any.
     fn next_submit(&mut self, client: usize, index: usize, now: SimTime) {
         if index + 1 < self.workload[client].requests.len() {
-            self.schedule(now + self.config.think_time, Event::Submit { client, index: index + 1 });
+            self.schedule(now + THINK_TIME, Event::Submit { client, index: index + 1 });
         }
     }
 
@@ -995,7 +882,7 @@ impl<'a> FleetRun<'a> {
         let d = &mut self.devices[device];
         d.trips += 1;
         d.transition(DeviceHealth::Quarantined, now, &mut self.timeline);
-        d.half_open_at = now + self.fleet.quarantine_cooldown;
+        d.half_open_at = now + QUARANTINE_COOLDOWN;
         d.probe = None;
         let displaced: Vec<usize> = d.queue.drain(..).collect();
         for req in displaced {
@@ -1066,7 +953,7 @@ impl<'a> FleetRun<'a> {
         // rest. Re-warmed builds are cloned — the survivor reserves its
         // own bytes; nothing keeps pointing at the dead device.
         if let Some(mut cache) = self.devices[device].cache.take() {
-            let hot = cache.hottest(self.fleet.rewarm_limit);
+            let hot = cache.hottest(REWARM_LIMIT);
             self.cache_invalidated += cache.invalidate_all() as u64;
             self.devices[device].cache = Some(cache);
             for (bref, build) in hot {
@@ -1142,7 +1029,7 @@ impl<'a> FleetRun<'a> {
         }
         match d.health {
             DeviceHealth::Healthy | DeviceHealth::Degraded => {
-                if d.window.len() >= self.fleet.breaker_threshold {
+                if d.window.len() >= BREAKER_THRESHOLD {
                     self.trip(device, now);
                 } else if transient > 0 && d.health == DeviceHealth::Healthy {
                     d.transition(DeviceHealth::Degraded, now, &mut self.timeline);
@@ -1156,7 +1043,7 @@ impl<'a> FleetRun<'a> {
                     d.transition(DeviceHealth::Healthy, now, &mut self.timeline);
                 } else {
                     // Faulty probe: re-arm the cooldown.
-                    d.half_open_at = now + self.fleet.quarantine_cooldown;
+                    d.half_open_at = now + QUARANTINE_COOLDOWN;
                 }
             }
             _ => {}
@@ -1166,9 +1053,8 @@ impl<'a> FleetRun<'a> {
     /// Slide breaker windows forward and let drained-out Degraded devices
     /// recover to Healthy.
     fn health_maintenance(&mut self, now: SimTime) {
-        let window = self.fleet.breaker_window;
         for d in self.devices.iter_mut() {
-            while d.window.front().is_some_and(|&t| t + window <= now) {
+            while d.window.front().is_some_and(|&t| t + BREAKER_WINDOW <= now) {
                 d.window.pop_front();
             }
             if d.health == DeviceHealth::Degraded && d.window.is_empty() {
@@ -1303,9 +1189,10 @@ impl<'a> FleetRun<'a> {
         let (inputs, build, plan, planned) = match &self.workload[client].requests[index] {
             QuerySpec::Join(spec) => {
                 let (r, s) = (spec.r.generate(), spec.s.generate());
-                let (b, p) = if r.len() <= s.len() { (&r, &s) } else { (&s, &r) };
+                let r_builds = build_is_left(&r, &s);
+                let (b, p) = if r_builds { (&r, &s) } else { (&s, &r) };
                 let planned = self.plan_join(b.bytes(), p.bytes());
-                (Some((r, s)), spec.build, None, planned)
+                (Some((r, s)), spec.build.filter(|_| r_builds), None, planned)
             }
             QuerySpec::Plan(plan) => {
                 let work = PlanWork {
@@ -1531,19 +1418,15 @@ impl<'a> FleetRun<'a> {
         };
         let participants: Vec<usize> =
             (0..serving.len()).map(|k| serving[(pos + k) % serving.len()]).take(n).collect();
-        let share = {
-            let Some((r, s)) = self.requests[id].inputs.as_ref() else { return false };
-            let (b, p) =
-                if r.len() <= s.len() { (r.bytes(), s.bytes()) } else { (s.bytes(), r.bytes()) };
-            self.engine.cross_device_share(b, p, n)
-        };
+        let Some((b, p)) = self.requests[id].sides() else { return false };
+        let share = self.engine.cross_device_share(b.bytes(), p.bytes(), n);
         let mut holds: Vec<Reservation> = Vec::with_capacity(n);
         for &d in &participants {
             match self.devices[d].reserve(share, None) {
                 Some(res) => holds.push(res),
                 None => {
                     drop(holds); // release every partial hold
-                    self.requests[id].reject(self.config, now);
+                    self.requests[id].reject(now);
                     return false;
                 }
             }
@@ -1578,7 +1461,7 @@ impl<'a> FleetRun<'a> {
             }
             queue = rest;
         }
-        let (engine, config) = (self.engine, self.config);
+        let engine = self.engine;
         let d = &mut self.devices[device];
         let requests = &mut self.requests;
         let invariants = &mut self.invariants;
@@ -1593,9 +1476,9 @@ impl<'a> FleetRun<'a> {
                 // against this same accountant, and pins reserve
                 // separately.
                 d.reserve(plan_envelope(engine, &pw.spec, pw.degrade), None)
-                    .map(|res| (res, CacheRole::None, None))
+                    .map(|res| (res, CacheRole::None))
             } else {
-                let Some((r, s)) = st.inputs.as_ref() else {
+                let Some((build, probe)) = st.sides() else {
                     // "Cannot happen": only undone requests sit in a
                     // queue, and undone requests keep their inputs.
                     // Record it, fail the request typed, and drop it.
@@ -1605,37 +1488,18 @@ impl<'a> FleetRun<'a> {
                     st.done = true;
                     return false;
                 };
-                let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
-                // Only a request that names its build relation, and whose
-                // named side (`spec.r`) really is the build side, consults
-                // the cache; a stale entry is invalidated on sight.
-                let bref = if r.len() <= s.len() { st.build } else { None };
-                let role = match (d.cache.as_mut(), bref) {
+                // Only a request whose named side really builds consults
+                // the cache. A hit reserves its probe beside its own
+                // table, which no reclaim may evict. When the two exceed
+                // the device the hit can never admit (degrading its rung
+                // does not shrink a hit's estimate), so it runs as a miss
+                // at its rung instead.
+                let role = match (d.cache.as_mut(), st.build) {
                     (Some(c), Some(b)) => {
-                        let on_miss = if st.level == PlannedStrategy::GpuResident {
-                            CacheRole::Install
-                        } else {
-                            CacheRole::Bypass
-                        };
-                        // A hit reserves its probe beside its own table,
-                        // which no reclaim may evict. When the two exceed
-                        // the device the hit can never admit (degrading
-                        // its rung does not shrink a hit's estimate), so
-                        // it runs as a miss at its rung instead.
-                        let hit_fits = || {
-                            let table = c.table_bytes(b.id).unwrap_or(0);
-                            engine.cached_probe_estimate(probe) + table <= d.memory.capacity()
-                        };
-                        match c.peek(b) {
-                            CachePeek::Hit if hit_fits() => CacheRole::Hit,
-                            CachePeek::Hit => on_miss,
-                            CachePeek::Stale => {
-                                c.invalidate(b.id);
-                                on_miss
-                            }
-                            CachePeek::Miss => on_miss,
-                            CachePeek::Newer => CacheRole::Bypass,
-                        }
+                        let probe_bytes = engine.cached_probe_estimate(probe);
+                        let capacity = d.memory.capacity();
+                        let resident = st.level == PlannedStrategy::GpuResident;
+                        c.consult(b, resident, |table| probe_bytes + table <= capacity)
                     }
                     _ => CacheRole::None,
                 };
@@ -1643,35 +1507,29 @@ impl<'a> FleetRun<'a> {
                 // is already reserved by the cache entry), and the reclaim
                 // making room for it must spare that entry.
                 let (estimate, protect) = match role {
-                    CacheRole::Hit => (engine.cached_probe_estimate(probe), bref.map(|b| b.id)),
+                    CacheRole::Hit => (engine.cached_probe_estimate(probe), st.build.map(|b| b.id)),
                     _ => (engine.footprint_estimate(st.level, build, probe), None),
                 };
-                d.reserve(estimate, protect).map(|res| (res, role, bref))
+                d.reserve(estimate, protect).map(|res| (res, role))
             };
-            let Some((res, mut role, bref)) = admitted else {
-                st.reject(config, now);
+            let Some((res, mut role)) = admitted else {
+                st.reject(now);
                 return true;
             };
             st.admit(res, device, d.memory.used(), now);
             // Record the cache outcome once, at successful admission, so
             // backoff retries don't inflate the hit/miss counts.
-            if let Some(c) = d.cache.as_mut() {
-                match role {
-                    CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
-                        Some(table) => st.hit = Some(table),
-                        None => {
-                            // "Cannot happen": the entry was peeked in
-                            // this same wave. Degrade to a bypass.
-                            invariants.push(format!(
-                                "cache hit for request {id} vanished before pinning at {now}"
-                            ));
-                            role = CacheRole::Bypass;
-                            c.miss();
-                        }
-                    },
-                    CacheRole::Install | CacheRole::Bypass => c.miss(),
-                    CacheRole::None => {}
+            if let (Some(c), Some(b)) = (d.cache.as_mut(), st.build) {
+                let (recorded, table) = c.record(b, role);
+                if recorded != role {
+                    // "Cannot happen": the entry was consulted in this
+                    // same wave. `record` degraded it to a bypass.
+                    invariants.push(format!(
+                        "cache hit for request {id} vanished before pinning at {now}"
+                    ));
                 }
+                role = recorded;
+                st.hit = table;
             }
             st.metrics.cache_role = role;
             d.admitted += 1;
@@ -1692,14 +1550,42 @@ impl<'a> FleetRun<'a> {
         let (cross, singles): (Vec<usize>, Vec<usize>) =
             rest.into_iter().partition(|&id| !self.requests[id].participants.is_empty());
 
+        // Single joins, purely over shared state on the host pool. A named
+        // build side running GPU-resident stages and builds (its inputs
+        // arrive from the host per request, so h2d traffic is modeled
+        // whether or not the cache is on), and only an `Install` keeps
+        // the table it built.
         let (engine, requests) = (self.engine, &self.requests);
-        let results: Vec<Executed> =
-            Pool::current().map(&singles, |_, &id| execute_join(engine, &requests[id], id));
+        let results: Vec<Option<Executed>> = Pool::current().map(&singles, |_, &id| {
+            let st = &requests[id];
+            let (r, s) = st.inputs.as_ref()?;
+            let job = JoinJob {
+                r,
+                s,
+                start: if st.cpu { PlannedStrategy::CpuFallback } else { st.level },
+                hit: st.hit.as_deref().map(|table| &table.build),
+                stage: !st.cpu && st.build.is_some() && st.level == PlannedStrategy::GpuResident,
+                keep_build: st.metrics.cache_role == CacheRole::Install,
+                resident: (false, false),
+            };
+            // The CPU lane never consults the fault plan, so it keeps the
+            // plain engine.
+            let reseeded = st.metrics.device.and_then(|device| reseeded(engine, device, id));
+            Some(job.run(reseeded.as_ref().unwrap_or(engine)))
+        });
         for (&id, exec) in singles.iter().zip(results) {
+            let exec = exec.unwrap_or_else(|| {
+                // "Cannot happen": admission just verified the inputs.
+                self.invariants.push(format!("admitted request {id} has no inputs"));
+                Executed::failed(
+                    JoinCheck::ZERO,
+                    JoinError::Internal { detail: String::new() }.tag(),
+                )
+            });
             let tracks = self.tracks_of(id);
             let st = &mut self.requests[id];
             st.metrics.executed = exec.strategy;
-            st.metrics.check_ok = exec.strategy.is_some() && exec.check == exec.expected;
+            st.metrics.check_ok = exec.check_ok();
             st.metrics.matches = exec.check.matches;
             st.metrics.faults = exec.faults;
             st.metrics.counters = exec.counters;
@@ -1712,9 +1598,6 @@ impl<'a> FleetRun<'a> {
                 CacheRole::Hit => st.metrics.counters.cache.hits = 1,
                 CacheRole::Install | CacheRole::Bypass => st.metrics.counters.cache.misses = 1,
                 CacheRole::None => {}
-            }
-            if let Some(v) = exec.invariant {
-                self.invariants.push(v);
             }
             if st.cpu {
                 st.running = true;
@@ -1821,11 +1704,7 @@ impl<'a> FleetRun<'a> {
                 self.schedule(now + SimTime::from_nanos(1), Event::Complete { req: id, epoch });
                 continue;
             };
-            let reseeded = self.engine.config.faults.as_ref().map(|f| {
-                let mut e = self.engine.clone();
-                e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
-                e
-            });
+            let reseeded = reseeded(self.engine, device, id);
             let engine = reseeded.as_ref().unwrap_or(self.engine);
             let d = &mut self.devices[device];
             let run = execute_plan(engine, &spec, scans, degrade, &d.memory, d.cache.as_mut());
@@ -1947,7 +1826,7 @@ mod tests {
         // points were `mix64(0..replicas)` — exactly where small client
         // ids hash — and every tenant below `replicas` routed to device
         // 0. The top-bit tag makes small keys spread.
-        let ring = Ring::new(3, 16);
+        let ring = Ring::weighted((0..3).map(|d| (d, RING_REPLICAS)));
         let mut seen = [0usize; 3];
         for key in 0..16u64 {
             seen[ring.route(key, |_| true).expect("all eligible")] += 1;
@@ -1957,7 +1836,7 @@ mod tests {
 
     #[test]
     fn ring_route_skips_ineligible_devices_and_is_stable() {
-        let ring = Ring::new(4, 16);
+        let ring = Ring::weighted((0..4).map(|d| (d, RING_REPLICAS)));
         for key in 0..64u64 {
             let primary = ring.route(key, |_| true).unwrap();
             // Knocking out the primary moves the key elsewhere...

@@ -28,6 +28,7 @@ pub mod cogadb;
 pub mod dag;
 pub mod dbmsx;
 pub mod exchange;
+mod executor;
 pub mod facade;
 pub mod fleet;
 pub mod result;

@@ -24,12 +24,12 @@
 //!   beyond it park in a FIFO of blocked clients and enter the queue as
 //!   slots free (closed-loop clients stall, they are not dropped).
 //! * **Backoff + degradation.** A rejected reservation retries with capped
-//!   exponential backoff ([`ServiceConfig::backoff`]); after `max_retries`
-//!   failures at one rung the request degrades down the strategy ladder
-//!   (resident → streamed → co-processing) and starts over. Co-processing
-//!   is the floor and its estimate never exceeds device capacity, so
-//!   every request eventually admits once running work drains — nothing
-//!   panics, nothing starves forever.
+//!   exponential backoff ([`BACKOFF_BASE`] doubling up to [`BACKOFF_CAP`]);
+//!   after [`MAX_RETRIES`] failures at one rung the request degrades down
+//!   the strategy ladder (resident → streamed → co-processing) and starts
+//!   over. Co-processing is the floor and its estimate never exceeds
+//!   device capacity, so every request eventually admits once running
+//!   work drains — nothing panics, nothing starves forever.
 //! * **Determinism.** The loop is single-threaded and runs in virtual
 //!   time (a [`SimTime`]-keyed calendar with a tie-breaking sequence
 //!   number). Only the *execution* of an admitted batch fans out, via
@@ -67,19 +67,25 @@ use crate::dag::OpReport;
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::fleet::{serve, FleetConfig, FleetRollup};
 
-/// Tuning of the service layer (the engine config rides in [`HcjEngine`]).
+/// Failed admissions tolerated per ladder rung before degrading.
+pub const MAX_RETRIES: u32 = 3;
+
+/// First admission-retry delay; doubles per failed attempt at the same
+/// rung.
+pub const BACKOFF_BASE: SimTime = SimTime::from_nanos(50_000);
+
+/// Upper bound on any admission-retry delay.
+pub const BACKOFF_CAP: SimTime = SimTime::from_nanos(5_000_000);
+
+/// Closed-loop client think time between completion and next submit.
+pub const THINK_TIME: SimTime = SimTime::from_nanos(10_000);
+
+/// Tuning of the service layer (the engine config rides in [`HcjEngine`];
+/// the retry policy and think time are the constants above).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Dispatch-queue depth; submissions beyond it block their client.
     pub queue_depth: usize,
-    /// Failed admissions tolerated per ladder rung before degrading.
-    pub max_retries: u32,
-    /// First retry delay; doubles per failed attempt at the same rung.
-    pub backoff_base: SimTime,
-    /// Upper bound on any retry delay.
-    pub backoff_cap: SimTime,
-    /// Closed-loop client think time between completion and next submit.
-    pub think_time: SimTime,
     /// Per-request virtual-time budget from submission; `None` = no
     /// deadline. Expired requests cancel cleanly (reservation released,
     /// `deadline-exceeded` reported) wherever they are in the pipeline.
@@ -91,15 +97,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            queue_depth: 8,
-            max_retries: 3,
-            backoff_base: SimTime::from_nanos(50_000), // 50 us
-            backoff_cap: SimTime::from_nanos(5_000_000), // 5 ms
-            think_time: SimTime::from_nanos(10_000),   // 10 us
-            deadline: None,
-            cache: None,
-        }
+        ServiceConfig { queue_depth: 8, deadline: None, cache: None }
     }
 }
 
@@ -114,14 +112,6 @@ impl ServiceConfig {
     pub fn with_cache(mut self, cache: Option<BuildCacheConfig>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// Retry delay after `attempts` consecutive rejections at one rung:
-    /// `backoff_base * 2^(attempts-1)`, capped at `backoff_cap`.
-    pub fn backoff(&self, attempts: u32) -> SimTime {
-        let base = self.backoff_base.as_nanos().max(1);
-        let delay = base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20));
-        SimTime::from_nanos(delay.min(self.backoff_cap.as_nanos()))
     }
 }
 
@@ -904,11 +894,10 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let config = ServiceConfig::default();
-        let base = config.backoff_base;
-        assert_eq!(config.backoff(1), base);
-        assert_eq!(config.backoff(2).as_nanos(), base.as_nanos() * 2);
-        assert_eq!(config.backoff(3).as_nanos(), base.as_nanos() * 4);
-        assert_eq!(config.backoff(63), config.backoff_cap);
+        let backoff = |attempts| BACKOFF_BASE.backoff(attempts, BACKOFF_CAP);
+        assert_eq!(backoff(1), BACKOFF_BASE);
+        assert_eq!(backoff(2).as_nanos(), BACKOFF_BASE.as_nanos() * 2);
+        assert_eq!(backoff(3).as_nanos(), BACKOFF_BASE.as_nanos() * 4);
+        assert_eq!(backoff(63), BACKOFF_CAP);
     }
 }

@@ -100,11 +100,6 @@ impl HostSpec {
         f64::from(threads) * self.per_thread_partition_bw
     }
 
-    /// Maximum per-pass radix fanout on the CPU (TLB-bound).
-    pub fn max_cpu_fanout(&self) -> u32 {
-        self.tlb_entries
-    }
-
     /// The paper's thread-selection rule (§IV-B): the maximum number of
     /// partitioning threads that still leaves the near socket enough DRAM
     /// bandwidth for PCIe transfers to run at full rate. Threads alternate

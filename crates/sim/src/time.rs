@@ -50,6 +50,14 @@ impl SimTime {
     pub fn checked_sub(self, earlier: SimTime) -> Option<SimTime> {
         self.0.checked_sub(earlier.0).map(SimTime)
     }
+
+    /// Capped exponential backoff before retry number `attempt`
+    /// (1-based): `self · 2^(attempt-1)`, doubling at most 20 times and
+    /// never above `cap`.
+    pub fn backoff(self, attempt: u32, cap: SimTime) -> SimTime {
+        let shift = attempt.saturating_sub(1).min(20);
+        SimTime(self.0.saturating_mul(1 << shift).min(cap.0))
+    }
 }
 
 impl Add for SimTime {

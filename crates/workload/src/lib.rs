@@ -32,6 +32,6 @@ pub use oracle::{
     composed_join_check, exchange_partition, partition_by_key, reference_join, JoinCheck,
 };
 pub use plan::{chain_plan, plan_oracle, star_plan, PlanOp, PlanOracle, PlanSpec};
-pub use relation::{Relation, Tuple};
+pub use relation::{build_is_left, Relation, Tuple};
 pub use rng::{Rng, SmallRng};
 pub use zipf::ZipfSampler;

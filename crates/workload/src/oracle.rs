@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use crate::relation::Relation;
+use crate::rng::mix64;
 
 /// One materialized join result row: `(key, r_payload, s_payload)`.
 pub type JoinRow = (u32, u32, u32);
@@ -93,11 +94,7 @@ impl JoinCheck {
 /// membership by construction, and a change here changes both together.
 pub fn exchange_partition(key: u32, partitions: usize) -> usize {
     assert!(partitions > 0, "at least one partition");
-    let mut z = u64::from(key).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z = z ^ (z >> 31);
-    (z % partitions as u64) as usize
+    (mix64(u64::from(key)) % partitions as u64) as usize
 }
 
 /// Split `rel` into `partitions` relations by [`exchange_partition`] of

@@ -26,7 +26,7 @@
 use crate::catalog::{BuildCatalog, BuildRef};
 use crate::generate::RelationSpec;
 use crate::oracle::{reference_join, JoinCheck, JoinRow};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{build_is_left, Relation, Tuple};
 
 /// One operator of a query plan. Input indices always reference earlier
 /// ops (`input < own id`), so any `Vec<PlanOp>` with valid indices is a
@@ -170,12 +170,6 @@ impl PlanSpec {
         }
         rows
     }
-}
-
-/// The build-side orientation rule, shared by the executor and the plan
-/// oracle: the smaller input (by staged bytes) builds, ties go left.
-pub fn build_is_left(left: &Relation, right: &Relation) -> bool {
-    left.bytes() <= right.bytes()
 }
 
 /// Combine the two payloads of a join row into the payload of the

@@ -97,6 +97,12 @@ impl FromIterator<Tuple> for Relation {
     }
 }
 
+/// The build-side rule every join shares: the smaller input (by staged
+/// bytes) builds, ties go left.
+pub fn build_is_left(left: &Relation, right: &Relation) -> bool {
+    left.bytes() <= right.bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

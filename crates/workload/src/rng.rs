@@ -52,16 +52,22 @@ impl SmallRng {
     /// Seed the full 256-bit state from one `u64` (splitmix64 expansion,
     /// the initialization xoshiro's authors recommend).
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        SmallRng { s: [next(), next(), next(), next()] }
+        SmallRng { s: [0u64, 1, 2, 3].map(|k| mix64(seed.wrapping_add(k.wrapping_mul(GAMMA)))) }
     }
+}
+
+/// The splitmix64 increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One splitmix64 step: add the golden-ratio increment, then finalize. A
+/// seed-free bijective 64-bit hash: it seeds [`SmallRng`], assigns
+/// exchange partitions ([`crate::oracle::exchange_partition`]) and places
+/// the fleet's ring points.
+pub fn mix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Rng for SmallRng {

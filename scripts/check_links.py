@@ -36,6 +36,8 @@ def repo_root() -> Path:
 
 
 def tracked_markdown(root: Path) -> list[Path]:
+    """Tracked *.md files still on disk: a deletion not yet staged is
+    skipped here, and links that point at it still report as broken."""
     out = subprocess.run(
         ["git", "ls-files", "*.md", "**/*.md"],
         check=True,
@@ -43,7 +45,8 @@ def tracked_markdown(root: Path) -> list[Path]:
         text=True,
         cwd=root,
     )
-    return [root / line for line in out.stdout.splitlines() if line]
+    paths = (root / line for line in out.stdout.splitlines() if line)
+    return [path for path in paths if path.exists()]
 
 
 def strip_fences(text: str) -> str:
