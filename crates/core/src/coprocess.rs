@@ -3,7 +3,7 @@
 //!
 //! Neither relation fits in device memory, so a host-side radix
 //! partitioning level is added: both relations are co-partitioned on the
-//! CPU (16-way by default, paper §V-C) into pinned memory; working sets of
+//! CPU (16-way, paper §V-C) into pinned memory; working sets of
 //! R partitions that fit the device budget are chosen (knapsack first,
 //! greedy rest — §IV-D), and for each working set the matching S
 //! partitions stream through the GPU where the in-GPU partitioned join of
@@ -35,6 +35,16 @@ use crate::output::{late_materialization_cost, ROW_BYTES};
 use crate::packing::{naive_working_sets, pack_working_sets, PartitionSize};
 use crate::partition::GpuPartitioner;
 
+/// CPU-level radix bits (paper: 4 → 16-way).
+const CPU_RADIX_BITS: u32 = 4;
+
+/// Fraction of device memory granted to the R working set.
+pub const GPU_BUDGET_FRACTION: f64 = 0.5;
+
+/// Device bytes a partition needs per input byte while being joined
+/// (data + sub-partition pools + padding, §IV-D).
+const PADDING_FACTOR: f64 = 3.0;
+
 /// Configuration of the co-processing strategy.
 #[derive(Clone, Debug)]
 pub struct CoProcessingConfig {
@@ -44,18 +54,11 @@ pub struct CoProcessingConfig {
     pub host: HostSpec,
     /// CPU partitioning threads (paper default: 16; Fig. 13 sweeps this).
     pub cpu_threads: u32,
-    /// CPU-level radix bits (paper: 4 → 16-way).
-    pub cpu_radix_bits: u32,
     /// Probe-relation chunk size in tuples; `None` = device memory / 16.
     pub s_chunk_tuples: Option<usize>,
     /// Stage far-socket data into near-socket pinned memory before DMA
     /// (paper's choice). `false` = the Fig. 16 "direct copy" ablation.
     pub numa_staging: bool,
-    /// Fraction of device memory granted to the R working set.
-    pub gpu_budget_fraction: f64,
-    /// Device bytes a partition needs per input byte while being joined
-    /// (data + sub-partition pools + padding, §IV-D).
-    pub padding_factor: f64,
     /// Use non-temporal stores in CPU partitioning (paper's choice).
     pub non_temporal: bool,
     /// Working-set packing policy (paper §IV-D); `Naive` is the ablation.
@@ -79,11 +82,8 @@ impl CoProcessingConfig {
             join,
             host: HostSpec::dual_xeon_e5_2650l_v3(),
             cpu_threads: 16,
-            cpu_radix_bits: 4,
             s_chunk_tuples: None,
             numa_staging: true,
-            gpu_budget_fraction: 0.5,
-            padding_factor: 3.0,
             non_temporal: true,
             packing: PackingPolicy::Knapsack,
         }
@@ -129,13 +129,10 @@ impl CoProcessingJoin {
     pub fn new(config: CoProcessingConfig) -> Self {
         config.join.validate().expect("join configuration exceeds the device's shared memory");
         assert!(
-            config.cpu_radix_bits < config.join.radix_bits,
+            CPU_RADIX_BITS < config.join.radix_bits,
             "the CPU level must leave bits for GPU sub-partitioning"
         );
         assert!(config.cpu_threads >= 1);
-        assert!(
-            (0.0..1.0).contains(&config.gpu_budget_fraction) && config.gpu_budget_fraction > 0.0
-        );
         CoProcessingJoin { config }
     }
 
@@ -150,13 +147,13 @@ impl CoProcessingJoin {
         // device budget (paper §IV-B: oversized co-partitions "are further
         // partitioned"). Mono-key partitions cannot shrink; their padded
         // size is clamped and the GPU side degrades gracefully.
-        let budget = (device.device_mem_bytes as f64 * cfg.gpu_budget_fraction) as u64;
-        let mut cpu_bits = cfg.cpu_radix_bits;
-        let max_cpu_bits = (jcfg.radix_bits - 1).min(cfg.cpu_radix_bits + 8);
+        let budget = (device.device_mem_bytes as f64 * GPU_BUDGET_FRACTION) as u64;
+        let mut cpu_bits = CPU_RADIX_BITS;
+        let max_cpu_bits = (jcfg.radix_bits - 1).min(CPU_RADIX_BITS + 8);
         let r_parts = loop {
             let parts = cpu_radix_partition(r, cpu_bits);
             let oversized =
-                parts.iter().any(|p| (p.bytes() as f64 * cfg.padding_factor) as u64 > budget);
+                parts.iter().any(|p| (p.bytes() as f64 * PADDING_FACTOR) as u64 > budget);
             if !oversized || cpu_bits >= max_cpu_bits {
                 break parts;
             }
@@ -174,7 +171,7 @@ impl CoProcessingJoin {
             .map(|(id, part)| PartitionSize {
                 id,
                 tuples: part.len() as u64,
-                padded_bytes: ((part.bytes() as f64 * cfg.padding_factor) as u64).min(budget),
+                padded_bytes: ((part.bytes() as f64 * PADDING_FACTOR) as u64).min(budget),
             })
             .collect();
         let working_sets = match cfg.packing {
@@ -640,9 +637,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "CPU level must leave bits")]
     fn cpu_bits_must_leave_room() {
-        let join = GpuJoinConfig::paper_default(small_device()).with_radix_bits(4);
-        let mut c = CoProcessingConfig::paper_default(join);
-        c.cpu_radix_bits = 4;
-        let _ = CoProcessingJoin::new(c);
+        let join = GpuJoinConfig::paper_default(small_device()).with_radix_bits(CPU_RADIX_BITS);
+        let _ = CoProcessingJoin::new(CoProcessingConfig::paper_default(join));
     }
 }

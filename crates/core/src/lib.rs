@@ -48,7 +48,7 @@ pub mod uva_exec;
 
 pub use cached_build::{CachedBuild, CachedBuildJoin};
 pub use config::{GpuJoinConfig, OutputMode, PassAssignment, ProbeKind};
-pub use coprocess::{CoProcessingConfig, CoProcessingJoin};
+pub use coprocess::{CoProcessingConfig, CoProcessingJoin, GPU_BUDGET_FRACTION};
 pub use gpu_resident::GpuPartitionedJoin;
 pub use nonpart::{NonPartitionedJoin, NonPartitionedKind};
 pub use outcome::{JoinOutcome, Phase, PhaseBreakdown};

@@ -31,6 +31,10 @@ use crate::outcome::JoinOutcome;
 use crate::output::{late_materialization_cost, ROW_BYTES};
 use crate::partition::GpuPartitioner;
 
+/// Host memory the probe relation is homed on (it is staged/pinned there
+/// before transfer).
+const PROBE_SOCKET: Socket = Socket::Near;
+
 /// Configuration of the streamed-probe strategy.
 #[derive(Clone, Debug)]
 pub struct StreamedProbeConfig {
@@ -39,9 +43,6 @@ pub struct StreamedProbeConfig {
     /// Probe chunk size in tuples. The paper uses half the build relation
     /// size; `None` selects that rule.
     pub chunk_tuples: Option<usize>,
-    /// Host memory the probe relation is homed on (it is staged/pinned
-    /// there before transfer).
-    pub probe_socket: Socket,
     /// Pinned (paper's choice) or pageable host buffers — the transfer
     /// ablation.
     pub transfer: TransferKind,
@@ -56,7 +57,6 @@ impl StreamedProbeConfig {
             join,
             host: HostSpec::dual_xeon_e5_2650l_v3(),
             chunk_tuples: None,
-            probe_socket: Socket::Near,
             transfer: TransferKind::Pinned,
             buffers: 2,
         }
@@ -126,7 +126,7 @@ impl StreamedProbeJoin {
             &mut sim,
             &host,
             r.bytes(),
-            self.config.probe_socket,
+            PROBE_SOCKET,
             cfg.device.pcie_bandwidth,
             &[],
         );
@@ -161,7 +161,7 @@ impl StreamedProbeJoin {
                 &mut sim,
                 &host,
                 bytes,
-                self.config.probe_socket,
+                PROBE_SOCKET,
                 cfg.device.pcie_bandwidth,
                 &shadow_deps,
             );

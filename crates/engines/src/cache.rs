@@ -49,51 +49,18 @@ use hcj_workload::BuildRef;
 use crate::service::CacheRole;
 
 /// Sizing policy of the [`BuildCache`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BuildCacheConfig {
-    /// Budget as a fraction of device capacity (policy evictions keep
-    /// resident entries at or below it). Ignored when `max_bytes` is set.
-    pub max_fraction: f64,
-    /// Absolute byte budget, overriding `max_fraction` (handy for tests
-    /// that hand-compute eviction traces).
+    /// Absolute byte budget (handy for tests that hand-compute eviction
+    /// traces); `None` gives the cache half the device's capacity. Policy
+    /// evictions keep resident entries at or below the budget.
     pub max_bytes: Option<u64>,
 }
 
-impl Default for BuildCacheConfig {
-    fn default() -> Self {
-        BuildCacheConfig { max_fraction: 0.5, max_bytes: None }
-    }
-}
-
 impl BuildCacheConfig {
-    /// Set the fractional budget, validating it up front: the fraction
-    /// must be finite (a NaN budget is a programming error worth a loud
-    /// panic at construction, not a silent 0-byte cache at runtime).
-    /// Values outside `[0, 1]` are accepted here but clamp at resolution
-    /// — the budget can never exceed device capacity.
-    pub fn with_max_fraction(mut self, fraction: f64) -> Self {
-        assert!(fraction.is_finite(), "cache fraction must be finite, got {fraction}");
-        self.max_fraction = fraction;
-        self
-    }
-
     /// The byte budget against a device of `capacity` bytes.
-    ///
-    /// The fraction is sanitized before use, so a config built around the
-    /// [`BuildCacheConfig::with_max_fraction`] validation (a struct
-    /// literal) still upholds the two claims the service relies on:
-    /// a non-finite fraction falls back to the default instead of
-    /// silently zeroing the budget, and the result is clamped to
-    /// `[0, capacity]` so "cache budget ≤ capacity" holds by construction.
     pub fn resolved_max_bytes(&self, capacity: u64) -> u64 {
-        self.max_bytes.unwrap_or_else(|| {
-            let fraction = if self.max_fraction.is_finite() {
-                self.max_fraction.clamp(0.0, 1.0)
-            } else {
-                BuildCacheConfig::default().max_fraction
-            };
-            (capacity as f64 * fraction) as u64
-        })
+        self.max_bytes.unwrap_or(capacity / 2)
     }
 }
 
@@ -568,54 +535,7 @@ mod tests {
     fn config_resolves_budget() {
         let cfg = BuildCacheConfig::default();
         assert_eq!(cfg.resolved_max_bytes(1_000), 500);
-        let fixed = BuildCacheConfig { max_bytes: Some(123), ..BuildCacheConfig::default() };
+        let fixed = BuildCacheConfig { max_bytes: Some(123) };
         assert_eq!(fixed.resolved_max_bytes(1_000), 123);
-    }
-
-    fn fraction_config(f: f64) -> BuildCacheConfig {
-        BuildCacheConfig { max_fraction: f, max_bytes: None }
-    }
-
-    #[test]
-    fn nan_fraction_falls_back_to_the_default_budget() {
-        // A struct-literal NaN must not silently zero the budget.
-        assert_eq!(fraction_config(f64::NAN).resolved_max_bytes(1_000), 500);
-        assert_eq!(fraction_config(f64::INFINITY).resolved_max_bytes(1_000), 500);
-        assert_eq!(fraction_config(f64::NEG_INFINITY).resolved_max_bytes(1_000), 500);
-    }
-
-    #[test]
-    fn negative_fraction_clamps_to_an_empty_budget() {
-        assert_eq!(fraction_config(-0.25).resolved_max_bytes(1_000), 0);
-        assert_eq!(fraction_config(-1e300).resolved_max_bytes(1_000), 0);
-    }
-
-    #[test]
-    fn zero_fraction_is_an_empty_budget() {
-        assert_eq!(fraction_config(0.0).resolved_max_bytes(1_000), 0);
-    }
-
-    #[test]
-    fn full_fraction_is_exactly_capacity() {
-        assert_eq!(fraction_config(1.0).resolved_max_bytes(1_000), 1_000);
-    }
-
-    #[test]
-    fn oversized_fraction_clamps_to_capacity() {
-        // Budget ≤ capacity must hold even for a fraction > 1.
-        assert_eq!(fraction_config(1.5).resolved_max_bytes(1_000), 1_000);
-        assert_eq!(fraction_config(64.0).resolved_max_bytes(1_000), 1_000);
-    }
-
-    #[test]
-    fn with_max_fraction_accepts_finite_values() {
-        let cfg = BuildCacheConfig::default().with_max_fraction(0.25);
-        assert_eq!(cfg.resolved_max_bytes(1_000), 250);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite")]
-    fn with_max_fraction_rejects_nan_at_construction() {
-        let _ = BuildCacheConfig::default().with_max_fraction(f64::NAN);
     }
 }

@@ -1,22 +1,21 @@
 //! Query-DAG execution: run a multi-join [`PlanSpec`] on the engine.
 //!
 //! The service's unit of work grows from one join to an operator DAG
-//! (scan → join → join → materialize). This module owns the two pieces
-//! that make that deterministic and hardware-conscious:
+//! (scan → join → join → materialize). [`execute_plan`] runs one
+//! deterministically and hardware-consciously:
 //!
-//! * [`DagScheduler`] — a dependency-count scheduler. Every op keeps an
-//!   indegree; ops whose inputs are all done enter a ready set drained in
-//!   **smallest-op-id order**. Because a [`PlanSpec`] is topologically
-//!   numbered, this canonical tie-break makes the wave decomposition — and
-//!   therefore every downstream artifact (summaries, timelines, counters)
-//!   — byte-identical at any `--jobs` and across runs at the same seed.
-//! * [`execute_plan`] — drains the scheduler wave by wave. Each wave's
-//!   join ops fan out onto the host worker pool (results merged in op-id
-//!   order, so worker count never shows); scans and the sink are folded
-//!   inline at zero simulated cost. Every join runs on the service's one
-//!   join executor and is verified against the per-op CPU oracle
-//!   ([`JoinCheck::compute`](hcj_workload::oracle::JoinCheck::compute) on
-//!   its actual inputs).
+//! * **Level waves.** An op's level is the length of its longest input
+//!   chain (scans are level 0). The plan runs level by level, each level's
+//!   ops in **ascending op-id order**; because a [`PlanSpec`] is
+//!   topologically numbered, every downstream artifact (summaries,
+//!   timelines, counters) is byte-identical at any `--jobs` and across
+//!   runs at the same seed. A level's join ops fan out onto the host
+//!   worker pool (results merged in op-id order, so worker count never
+//!   shows); scans and the sink are folded inline at zero simulated cost.
+//!   Every join runs on the service's one join executor and is verified
+//!   against the per-op CPU oracle on its actual inputs.
+//! * **Validation first.** A plan that fails [`PlanSpec::validate`] fails
+//!   with the `internal` tag before any op runs.
 //!
 //! **Intermediates: pin or spill.** A join output that feeds a later join
 //! is canonicalized ([`rows_to_relation`]) and then either *pinned* — a
@@ -34,10 +33,8 @@
 //! GPU-resident tier build once and hand the table back for installation
 //! at completion ([`PlanRun::installs`]), and a failing hit or build
 //! falls back onto the ladder from the op's rung. A single join counts
-//! its hit or miss at admission; a plan op counts it when its wave runs.
+//! its hit or miss at admission; a plan op counts it when its level runs.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use hcj_core::{CachedBuild, OutputMode};
@@ -52,78 +49,6 @@ use crate::cache::{BuildCache, CachedTable};
 use crate::executor::{Executed, JoinJob};
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::service::CacheRole;
-
-/// Deterministic dependency-count scheduler over a topologically numbered
-/// op list. Ready ops (indegree zero, not yet issued) drain in ascending
-/// op-id order regardless of completion interleaving, which is what keeps
-/// plan execution independent of the worker count.
-#[derive(Debug)]
-pub struct DagScheduler {
-    /// Unfinished input count per op.
-    indeg: Vec<u32>,
-    /// Ops consuming each op's output (forward edges).
-    dependents: Vec<Vec<usize>>,
-    /// Min-heap of issued-ready op ids.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Ops not yet marked done.
-    remaining: usize,
-}
-
-impl DagScheduler {
-    /// Build the scheduler for a plan: indegrees from each op's inputs,
-    /// forward edges for completion propagation, sources start ready.
-    pub fn new(plan: &PlanSpec) -> Self {
-        let n = plan.ops.len();
-        let mut indeg = vec![0u32; n];
-        let mut dependents = vec![Vec::new(); n];
-        for (id, op) in plan.ops.iter().enumerate() {
-            let inputs = op.inputs();
-            indeg[id] = inputs.len() as u32;
-            for input in inputs {
-                dependents[input].push(id);
-            }
-        }
-        let mut ready = BinaryHeap::new();
-        for (id, &d) in indeg.iter().enumerate() {
-            if d == 0 {
-                ready.push(Reverse(id));
-            }
-        }
-        DagScheduler { indeg, dependents, ready, remaining: n }
-    }
-
-    /// Drain up to `max` ready ops, smallest op id first. An empty result
-    /// with [`Self::remaining`] nonzero means every unfinished op still
-    /// waits on an issued one.
-    pub fn pop_ready_batch(&mut self, max: usize) -> Vec<usize> {
-        let mut batch = Vec::new();
-        while batch.len() < max {
-            match self.ready.pop() {
-                Some(Reverse(id)) => batch.push(id),
-                None => break,
-            }
-        }
-        batch
-    }
-
-    /// Mark `op` complete: its dependents' indegrees drop, and any that
-    /// reach zero become ready.
-    pub fn mark_done(&mut self, op: usize) {
-        self.remaining -= 1;
-        for i in 0..self.dependents[op].len() {
-            let dep = self.dependents[op][i];
-            self.indeg[dep] -= 1;
-            if self.indeg[dep] == 0 {
-                self.ready.push(Reverse(dep));
-            }
-        }
-    }
-
-    /// Ops not yet marked done.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
 
 /// What one plan operator did: the per-op record the service lifts onto
 /// the timeline (spans at `admitted + start .. admitted + finish`) and
@@ -162,6 +87,30 @@ pub struct OpReport {
     pub fault_marks: Vec<(SimTime, String)>,
     /// Error tag when the op failed (aborts the rest of the plan).
     pub error: Option<&'static str>,
+}
+
+impl OpReport {
+    /// A scan or the sink: zero simulated time at `at`, no strategy, no
+    /// cache role, nothing pinned, `matches` folded (the sink) or 0.
+    fn inline(op: usize, kind: &'static str, at: SimTime, matches: u64) -> Self {
+        OpReport {
+            op,
+            kind,
+            label: format!("op{op} {kind}"),
+            start: at,
+            finish: at,
+            executed: None,
+            cache_role: CacheRole::None,
+            feeds_join: false,
+            pinned: false,
+            check_ok: true,
+            matches,
+            faults: FaultSummary::default(),
+            counters: CounterRollup::default(),
+            fault_marks: Vec::new(),
+            error: None,
+        }
+    }
 }
 
 /// The result of executing one plan: per-op reports plus the aggregates
@@ -239,7 +188,7 @@ pub fn planned_root(engine: &HcjEngine, plan: &PlanSpec) -> PlannedStrategy {
     planned
 }
 
-/// Per-join prep decided on the scheduler thread (cache consultation
+/// Per-join prep decided on the calling thread (cache consultation
 /// mutates the cache, so it cannot live in the worker closure).
 struct JoinPrep {
     op: usize,
@@ -253,16 +202,32 @@ struct JoinPrep {
     feeds_join: bool,
 }
 
-/// Execute `plan` wave by wave. `scans` holds the materialized base
+/// The plan's ops grouped by level, the length of an op's longest input
+/// chain (scans are level 0), each level in ascending op-id order.
+fn levels(plan: &PlanSpec) -> Vec<Vec<usize>> {
+    let mut level_of = vec![0usize; plan.ops.len()];
+    let mut levels: Vec<Vec<usize>> = Vec::new();
+    for (id, op) in plan.ops.iter().enumerate() {
+        let level = op.inputs().iter().map(|&i| level_of[i] + 1).max().unwrap_or(0);
+        level_of[id] = level;
+        if level == levels.len() {
+            levels.push(Vec::new());
+        }
+        levels[level].push(id);
+    }
+    levels
+}
+
+/// Execute `plan` level by level. `scans` holds the materialized base
 /// relations, indexed by op id (`None` at join/sink positions); `degrade`
 /// steps every join's planned strategy down the ladder (admission-retry
 /// escalation); `device` is the shared accountant intermediates pin
 /// against; `cache` is the service build cache, when enabled.
 ///
-/// Determinism: ready batches drain in op-id order, worker results merge
-/// in batch order, and every op draws from its own fault stream (the
-/// engine's stream reseeded by op id) — so the run is byte-identical at
-/// any worker count.
+/// Determinism: each level runs in op-id order, worker results merge in
+/// that order, and every op draws from its own fault stream (the engine's
+/// stream reseeded by op id) — so the run is byte-identical at any worker
+/// count.
 pub fn execute_plan(
     engine: &HcjEngine,
     plan: &PlanSpec,
@@ -272,12 +237,6 @@ pub fn execute_plan(
     mut cache: Option<&mut BuildCache>,
 ) -> PlanRun {
     let n = plan.ops.len();
-    let consumers = plan.consumers();
-    let mut sched = DagScheduler::new(plan);
-    let mut outputs: Vec<Option<Relation>> = (0..n).map(|_| None).collect();
-    let mut resident = vec![false; n];
-    let mut finish = vec![SimTime::ZERO; n];
-    let mut matches_of = vec![0u64; n];
     let mut run = PlanRun {
         ops: Vec::with_capacity(n),
         duration: SimTime::ZERO,
@@ -290,43 +249,34 @@ pub fn execute_plan(
         matches: 0,
         error: None,
     };
-    let root_join = plan
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| matches!(op, PlanOp::Join { .. }))
-        .map(|(id, _)| id)
-        .max();
+    if plan.validate().is_err() {
+        run.error = Some("internal");
+        run.check_ok = false;
+        return run;
+    }
+    let consumers = plan.consumers();
+    let mut outputs: Vec<Option<Relation>> = (0..n).map(|_| None).collect();
+    let mut resident = vec![false; n];
+    let mut finish = vec![SimTime::ZERO; n];
+    let mut matches_of = vec![0u64; n];
+    let root_join = (0..n).filter(|&id| matches!(plan.ops[id], PlanOp::Join { .. })).max();
 
-    'waves: while sched.remaining() > 0 {
-        let batch = sched.pop_ready_batch(usize::MAX);
-        if batch.is_empty() {
-            // "Cannot happen" on a validated plan: no ready op but work
-            // remains. Abort typed rather than spin.
-            run.error = Some("internal");
-            run.check_ok = false;
-            break;
-        }
-
+    'levels: for batch in levels(plan) {
         // Decide each join's strategy, residency and cache role on this
         // thread; the worker closure stays pure over shared state.
         let mut joins: Vec<JoinPrep> = Vec::new();
         for &op in &batch {
-            let PlanOp::Join { left, right } = &plan.ops[op] else { continue };
-            let (l, r) = (*left, *right);
-            let (lrel, rrel) = match (outputs[l].as_ref(), outputs[r].as_ref()) {
-                (Some(lrel), Some(rrel)) => (lrel, rrel),
-                _ => {
-                    run.error = Some("internal");
-                    run.check_ok = false;
-                    break 'waves;
-                }
+            let PlanOp::Join { left, right } = plan.ops[op] else { continue };
+            let (Some(lrel), Some(rrel)) = (&outputs[left], &outputs[right]) else {
+                run.error = Some("internal");
+                break 'levels;
             };
-            let (b, p) = if build_is_left(lrel, rrel) { (l, r) } else { (r, l) };
-            let level = degrade_n(
-                engine.plan(outputs[b].as_ref().unwrap(), outputs[p].as_ref().unwrap()),
-                degrade,
-            );
+            let (b, p, brel, prel) = if build_is_left(lrel, rrel) {
+                (left, right, lrel, rrel)
+            } else {
+                (right, left, rrel, lrel)
+            };
+            let level = degrade_n(engine.plan(brel, prel), degrade);
             // The cache only ever holds *named* builds: the build side
             // must be a dimension scan carrying its catalog identity.
             let bref = match &plan.ops[b] {
@@ -354,8 +304,8 @@ pub fn execute_plan(
             });
         }
 
-        // Fan the wave's joins onto the host pool; results come back in
-        // batch order, so the merge below is worker-count independent.
+        // Fan the level's joins onto the host pool; results come back in
+        // op-id order, so the merge below is worker-count independent.
         let outputs_ref = &outputs;
         let resident_ref = &resident;
         let results: Vec<Executed> = Pool::current().map(&joins, |_, prep| {
@@ -388,74 +338,35 @@ pub fn execute_plan(
             exec
         });
 
-        // Merge the wave in op-id order: scans and the sink inline at
+        // Merge the level in op-id order: scans and the sink inline at
         // zero cost, joins from the pool results.
-        let mut results = results.into_iter();
-        let mut preps = joins.iter();
+        let mut joined = joins.iter().zip(results);
         for &op in &batch {
             match &plan.ops[op] {
                 PlanOp::Scan { .. } => {
                     let Some(rel) = scans[op].take() else {
                         run.error = Some("internal");
-                        run.check_ok = false;
-                        break 'waves;
+                        break 'levels;
                     };
                     outputs[op] = Some(rel);
-                    run.ops.push(OpReport {
-                        op,
-                        kind: "scan",
-                        label: format!("op{op} scan"),
-                        start: SimTime::ZERO,
-                        finish: SimTime::ZERO,
-                        executed: None,
-                        cache_role: CacheRole::None,
-                        feeds_join: false,
-                        pinned: false,
-                        check_ok: true,
-                        matches: 0,
-                        faults: FaultSummary::default(),
-                        counters: CounterRollup::default(),
-                        fault_marks: Vec::new(),
-                        error: None,
-                    });
+                    run.ops.push(OpReport::inline(op, "scan", SimTime::ZERO, 0));
                 }
                 PlanOp::Materialize { inputs } => {
                     let start = inputs.iter().map(|&i| finish[i]).max().unwrap_or(SimTime::ZERO);
                     finish[op] = start;
-                    let folded: u64 = inputs.iter().map(|&i| matches_of[i]).sum();
-                    run.matches = folded;
-                    run.ops.push(OpReport {
-                        op,
-                        kind: "materialize",
-                        label: format!("op{op} materialize"),
-                        start,
-                        finish: start,
-                        executed: None,
-                        cache_role: CacheRole::None,
-                        feeds_join: false,
-                        pinned: false,
-                        check_ok: true,
-                        matches: folded,
-                        faults: FaultSummary::default(),
-                        counters: CounterRollup::default(),
-                        fault_marks: Vec::new(),
-                        error: None,
-                    });
+                    run.matches = inputs.iter().map(|&i| matches_of[i]).sum();
+                    run.ops.push(OpReport::inline(op, "materialize", start, run.matches));
                 }
                 PlanOp::Join { .. } => {
-                    let (Some(prep), Some(exec)) = (preps.next(), results.next()) else {
+                    let Some((prep, exec)) = joined.next() else {
                         run.error = Some("internal");
-                        run.check_ok = false;
-                        break 'waves;
+                        break 'levels;
                     };
                     let start = finish[prep.build].max(finish[prep.probe]);
                     let end = start + exec.duration;
                     finish[op] = end;
-                    matches_of[op] = exec.check.matches;
-                    let op_ok = exec.check_ok();
-                    if !op_ok {
-                        run.check_ok = false;
-                    }
+                    matches_of[op] = exec.matches;
+                    run.check_ok &= exec.check_ok;
                     if let Some(err) = exec.error {
                         run.error.get_or_insert(err);
                     }
@@ -494,8 +405,8 @@ pub fn execute_plan(
                         cache_role: prep.role,
                         feeds_join: prep.feeds_join,
                         pinned,
-                        check_ok: op_ok,
-                        matches: exec.check.matches,
+                        check_ok: exec.check_ok,
+                        matches: exec.matches,
                         faults: exec.faults,
                         counters: exec.counters,
                         fault_marks: exec.fault_marks,
@@ -504,9 +415,8 @@ pub fn execute_plan(
                 }
             }
             run.duration = run.duration.max(finish[op]);
-            sched.mark_done(op);
             if run.error.is_some() {
-                break 'waves;
+                break 'levels;
             }
         }
     }
@@ -547,25 +457,50 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_drains_in_op_id_order() {
+    fn plans_run_level_by_level_in_op_id_order() {
         let cat = BuildCatalog::dimension_tables(4, 500, 3);
+        let chain = chain_plan(&cat, &[0, 1, 2], 2_000, 1);
         let star = star_plan(&cat, &[0, 1, 2], 2_000, 1);
-        let mut s = DagScheduler::new(&star);
-        // Wave 1: all four scans, ascending.
-        assert_eq!(s.pop_ready_batch(usize::MAX), vec![0, 1, 2, 3]);
-        assert_eq!(s.pop_ready_batch(usize::MAX), Vec::<usize>::new());
-        for op in 0..4 {
-            s.mark_done(op);
+        // Chain: the four scans, then one join per level, then the sink.
+        assert_eq!(levels(&chain), vec![vec![0, 1, 2, 3], vec![4], vec![5], vec![6], vec![7]]);
+        // Star: the four scans, all three arms at once, then the sink.
+        assert_eq!(levels(&star), vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7]]);
+        // Op ids that interleave levels: the scan at op 3 runs before the
+        // join at op 2, and the arm at op 6 before the join at op 4.
+        let scan = |i: usize| chain.ops[i].clone();
+        let mixed = PlanSpec {
+            ops: vec![
+                scan(0),
+                scan(1),
+                PlanOp::Join { left: 1, right: 0 },
+                scan(2),
+                PlanOp::Join { left: 3, right: 2 },
+                scan(3),
+                PlanOp::Join { left: 5, right: 0 },
+                PlanOp::Materialize { inputs: vec![4, 6] },
+            ],
+        };
+        assert_eq!(levels(&mixed), vec![vec![0, 1, 3, 5], vec![2, 6], vec![4], vec![7]]);
+        for plan in [chain, star, mixed] {
+            let run = run_plan(&plan, 1);
+            assert!(run.check_ok, "error={:?}", run.error);
+            assert_eq!(run.matches, plan_oracle(&plan).final_matches);
+            let order: Vec<usize> = run.ops.iter().map(|r| r.op).collect();
+            assert_eq!(order, levels(&plan).concat(), "ops report in level order");
         }
-        // Wave 2: all three star arms, ascending, regardless of the order
-        // their inputs finished in.
-        assert_eq!(s.pop_ready_batch(usize::MAX), vec![4, 5, 6]);
-        for op in [6, 4, 5] {
-            s.mark_done(op);
-        }
-        assert_eq!(s.pop_ready_batch(usize::MAX), vec![7]);
-        s.mark_done(7);
-        assert_eq!(s.remaining(), 0);
+    }
+
+    #[test]
+    fn an_invalid_plan_fails_before_any_op_runs() {
+        let cat = BuildCatalog::dimension_tables(4, 500, 3);
+        let mut plan = chain_plan(&cat, &[0, 1], 2_000, 1);
+        plan.ops.pop(); // no sink
+        assert!(plan.validate().is_err());
+        let run = run_plan(&plan, 1);
+        assert_eq!(run.error, Some("internal"));
+        assert!(!run.check_ok);
+        assert!(run.ops.is_empty(), "no op reports: {:?}", run.ops);
+        assert_eq!((run.matches, run.duration), (0, SimTime::ZERO));
     }
 
     #[test]

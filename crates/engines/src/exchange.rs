@@ -1,5 +1,5 @@
 //! Cross-device partitioned joins: the exchange executor behind
-//! [`PlannedStrategy::CrossDevice`].
+//! [`PlannedStrategy::CrossDevice`](crate::facade::PlannedStrategy::CrossDevice).
 //!
 //! When a join overflows a single device, the fleet splits it across `n`
 //! participants:
@@ -44,7 +44,7 @@ use hcj_host::HostSpec;
 use hcj_workload::oracle::{exchange_partition, JoinCheck};
 use hcj_workload::Relation;
 
-use crate::facade::{HcjEngine, PlannedStrategy};
+use crate::facade::HcjEngine;
 use crate::fleet::Ring;
 
 /// One device taking part in a cross-device exchange join.
@@ -92,9 +92,6 @@ pub struct ExchangeOutcome {
     pub counters: CounterSet,
     /// Per-participant counter rollups, in participant order.
     pub per_device: Vec<(usize, CounterRollup)>,
-    /// The strategy each participant's partial join executed as, in the
-    /// deterministic order the partials were merged.
-    pub sub_strategies: Vec<(usize, PlannedStrategy)>,
     /// Merged fault summary across every attempt (lost participants'
     /// partial attempts included).
     pub faults: hcj_gpu::FaultSummary,
@@ -274,7 +271,6 @@ pub fn execute_exchange(
 
     let mut check = JoinCheck::ZERO;
     let mut faults = hcj_gpu::FaultSummary::default();
-    let mut sub_strategies: Vec<(usize, PlannedStrategy)> = Vec::new();
     let mut lost: Vec<usize> = Vec::new();
     let mut join_seconds = 0.0f64;
     // Work items: (participant index, partitions to join). Rounds continue
@@ -302,7 +298,7 @@ pub fn execute_exchange(
         let mut next: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut round_max = 0.0f64;
         for ((i, parts), result) in round.iter().zip(results) {
-            let Some((strategy, outcome)) = result? else { continue };
+            let Some((_, outcome)) = result? else { continue };
             let summary = outcome.faults.summary();
             counters[*i].absorb(&outcome.counters);
             faults.absorb(&summary);
@@ -323,7 +319,6 @@ pub fn execute_exchange(
                 }
             }
             check.absorb(&outcome.check);
-            sub_strategies.push((device_index[*i], strategy));
         }
         join_seconds += round_max;
         round = next;
@@ -344,7 +339,6 @@ pub fn execute_exchange(
         seconds: partition_seconds + stage_seconds + exchange_seconds + join_seconds,
         counters: merged,
         per_device,
-        sub_strategies,
         faults,
         lost,
         owners,
@@ -397,6 +391,25 @@ mod tests {
                 assert!(*owner < n, "owner {owner} is a participant");
             }
         }
+    }
+
+    #[test]
+    fn exchange_reports_in_the_callers_order_when_s_builds() {
+        // Every partition of the larger `r` outweighs its `s` partition,
+        // so each partial join builds on `s`; the merged check must still
+        // be `r ⨝ s`.
+        let (r, s) = crate::facade::tests::larger_r_with_free_payloads();
+        let out = execute_exchange(
+            &engine(1),
+            &fleet(3, 1),
+            &r,
+            &s,
+            &ExchangeConfig::default(),
+            &HostSpec::dual_xeon_e5_2650l_v3(),
+            5,
+        )
+        .unwrap();
+        assert_eq!(out.check, JoinCheck::compute(&r, &s));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The one cache-aware join executor behind single-join requests
-//! ([`crate::fleet`]) and plan operators ([`crate::dag`]).
+//! ([`crate::fleet`]) and plan operators ([`crate::dag`]), and the one
+//! execution record ([`Executed`]) the event loop settles onto a request,
+//! whatever ran: a single join, a cross-device exchange or a whole plan.
+//! Every kind's oracle comparison happens here.
 //!
 //! A [`JoinJob`] runs one admitted join on an engine its caller already
 //! reseeded: it probes a pinned cached build, or stages both sides and
@@ -11,11 +14,14 @@
 
 use hcj_core::{CachedBuild, CachedBuildJoin};
 use hcj_gpu::{CounterRollup, FaultSummary};
+use hcj_host::HostSpec;
 use hcj_sim::SimTime;
 use hcj_workload::oracle::{JoinCheck, JoinRow};
 use hcj_workload::{build_is_left, Relation};
 
-use crate::facade::{HcjEngine, PlannedStrategy};
+use crate::dag::PlanRun;
+use crate::exchange::{execute_exchange, ExchangeConfig, ExchangeParticipant};
+use crate::facade::{in_caller_order, HcjEngine, PlannedStrategy};
 
 /// One admitted join, described for [`JoinJob::run`].
 pub(crate) struct JoinJob<'a> {
@@ -38,58 +44,93 @@ pub(crate) struct JoinJob<'a> {
     pub resident: (bool, bool),
 }
 
-/// What one join execution produced.
+/// What one admitted execution produced.
+#[derive(Default)]
 pub(crate) struct Executed {
-    /// The strategy that finished the join; `None` when it failed.
+    /// The strategy that finished the work; `None` when it failed.
     pub strategy: Option<PlannedStrategy>,
-    /// The join's own check.
-    pub check: JoinCheck,
-    /// The oracle's check on the inputs.
-    pub expected: JoinCheck,
+    /// Result cardinality; 0 when the execution failed.
+    pub matches: u64,
+    /// Finished without error and matched the oracle.
+    pub check_ok: bool,
     /// Simulated execution time, at least 1 ns.
     pub duration: SimTime,
-    /// Device fault/retry counters of the finishing attempt.
+    /// Device fault/retry counters.
     pub faults: FaultSummary,
-    /// Hardware counters of the finishing attempt.
+    /// Hardware counters.
     pub counters: CounterRollup,
-    /// `(offset into the execution, label)` per fault event.
+    /// `(offset into the execution, label)` per fault event of a single
+    /// join (a plan draws its ops' marks itself).
     pub fault_marks: Vec<(SimTime, String)>,
-    /// Error tag when the join failed.
+    /// Error tag when the execution failed.
     pub error: Option<&'static str>,
     /// The build a staged run kept (`keep_build`), for the cache.
     pub install: Option<CachedBuild>,
-    /// Materialized result rows, when the output mode materializes.
+    /// Materialized result rows in `(r, s)` order, when the output mode
+    /// materializes.
     pub rows: Option<Vec<JoinRow>>,
+    /// Exchange participants observed device-lost, in device order.
+    pub lost: Vec<usize>,
 }
 
 impl Executed {
-    /// A join that failed with `error` before producing anything.
-    pub(crate) fn failed(expected: JoinCheck, error: &'static str) -> Self {
-        Executed {
-            strategy: None,
-            check: expected,
-            expected,
-            duration: SimTime::from_nanos(1),
-            faults: FaultSummary::default(),
-            counters: CounterRollup::default(),
-            fault_marks: Vec::new(),
-            error: Some(error),
-            install: None,
-            rows: None,
+    /// An execution that failed with `error` before producing anything.
+    pub(crate) fn failed(error: &'static str) -> Self {
+        Executed { duration: SimTime::from_nanos(1), error: Some(error), ..Executed::default() }
+    }
+
+    /// Run `r ⨝ s` as a cross-device exchange over `participants`; `salt`
+    /// (the request id) decorrelates the participants' fault streams.
+    pub(crate) fn exchange(
+        engine: &HcjEngine,
+        participants: &[ExchangeParticipant],
+        r: &Relation,
+        s: &Relation,
+        salt: u64,
+    ) -> Self {
+        let host = HostSpec::dual_xeon_e5_2650l_v3();
+        match execute_exchange(engine, participants, r, s, &ExchangeConfig::default(), &host, salt)
+        {
+            Ok(out) => Executed {
+                strategy: Some(PlannedStrategy::CrossDevice(participants.len())),
+                matches: out.check.matches,
+                check_ok: out.check == JoinCheck::compute(r, s),
+                duration: SimTime::from_nanos(((out.seconds * 1e9).round() as u64).max(1)),
+                faults: out.faults,
+                counters: out.counters.rollup(),
+                lost: out.lost,
+                ..Executed::default()
+            },
+            Err(err) => Executed::failed(err.tag()),
         }
     }
 
-    /// Finished without error and matched the oracle.
-    pub(crate) fn check_ok(&self) -> bool {
-        self.error.is_none() && self.strategy.is_some() && self.check == self.expected
+    /// A plan's run rolled up into one record: the root join's strategy,
+    /// the plan's verdict and folded matches, and every op's faults and
+    /// counters summed, each consulting op counting its cache hit or miss.
+    pub(crate) fn plan(run: &PlanRun) -> Self {
+        let mut rollup = Executed {
+            strategy: run.executed,
+            matches: run.matches,
+            check_ok: run.check_ok,
+            duration: SimTime::from_nanos(run.duration.as_nanos().max(1)),
+            error: run.error,
+            ..Executed::default()
+        };
+        for op in &run.ops {
+            rollup.faults.absorb(&op.faults);
+            rollup.counters.absorb(&op.counters);
+            op.cache_role.count(&mut rollup.counters.cache);
+        }
+        rollup
     }
 }
 
 impl JoinJob<'_> {
     /// Run the job on `engine`; see the module docs.
     pub(crate) fn run(&self, engine: &HcjEngine) -> Executed {
-        let expected = JoinCheck::compute(self.r, self.s);
-        let (build, probe, resident) = if build_is_left(self.r, self.s) {
+        let r_builds = build_is_left(self.r, self.s);
+        let (build, probe, resident) = if r_builds {
             (self.r, self.s, self.resident)
         } else {
             (self.s, self.r, (self.resident.1, self.resident.0))
@@ -107,36 +148,37 @@ impl JoinJob<'_> {
                     (PlannedStrategy::GpuResident, o)
                 })
         } else {
-            engine.execute_from(self.start, self.r, self.s)
+            engine.execute_built(self.start, build, probe)
         };
         let attempt = match attempt {
             Err(_) if self.hit.is_some() || self.stage => {
-                engine.execute_from(self.start, self.r, self.s)
+                engine.execute_built(self.start, build, probe)
             }
             other => other,
         };
-        match attempt {
-            Ok((strategy, outcome)) => Executed {
-                strategy: Some(strategy),
-                check: outcome.check,
-                expected,
-                duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
-                faults: outcome.faults.summary(),
-                counters: outcome.counters.rollup(),
-                fault_marks: outcome
-                    .faults
-                    .events
-                    .iter()
-                    .map(|e| {
-                        let label = format!("{} {} `{}`", e.kind, e.site, e.label);
-                        (e.at.unwrap_or(SimTime::ZERO), label)
-                    })
-                    .collect(),
-                error: None,
-                install,
-                rows: outcome.rows,
-            },
-            Err(err) => Executed::failed(expected, err.tag()),
+        let (strategy, outcome) = match attempt {
+            Ok((strategy, outcome)) => (strategy, in_caller_order(outcome, r_builds)),
+            Err(err) => return Executed::failed(err.tag()),
+        };
+        Executed {
+            strategy: Some(strategy),
+            matches: outcome.check.matches,
+            check_ok: outcome.check == JoinCheck::compute(self.r, self.s),
+            duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
+            faults: outcome.faults.summary(),
+            counters: outcome.counters.rollup(),
+            fault_marks: outcome
+                .faults
+                .events
+                .iter()
+                .map(|e| {
+                    let label = format!("{} {} `{}`", e.kind, e.site, e.label);
+                    (e.at.unwrap_or(SimTime::ZERO), label)
+                })
+                .collect(),
+            install,
+            rows: outcome.rows,
+            ..Executed::default()
         }
     }
 }
@@ -144,10 +186,12 @@ impl JoinJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcj_core::GpuJoinConfig;
+    use crate::facade::tests::larger_r_with_free_payloads;
+    use hcj_core::{GpuJoinConfig, OutputMode};
     use hcj_gpu::faults::FaultConfig;
     use hcj_gpu::{DeviceSpec, JoinError};
     use hcj_workload::generate::canonical_pair;
+    use hcj_workload::oracle::assert_join_matches;
 
     #[test]
     fn failed_staged_and_hit_attempts_fall_back_without_a_build() {
@@ -185,9 +229,38 @@ mod tests {
             let exec = job.run(&engine);
             assert_eq!(exec.strategy, Some(PlannedStrategy::CpuFallback), "{name}");
             assert_eq!(exec.error, None, "{name}");
-            assert_eq!(exec.check, JoinCheck::compute(&r, &s), "{name}");
-            assert!(exec.check_ok(), "{name}");
+            assert_eq!(exec.matches, JoinCheck::compute(&r, &s).matches, "{name}");
+            assert!(exec.check_ok, "{name}");
             assert!(exec.install.is_none(), "{name}: a fallback has no build to install");
+        }
+    }
+
+    #[test]
+    fn staged_and_hit_paths_report_in_the_callers_order_when_s_builds() {
+        // `s` is the smaller side, so it builds; the check and the
+        // materialized rows must still come back as `r ⨝ s`.
+        let (r, s) = larger_r_with_free_payloads();
+        let config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080())
+            .with_radix_bits(8)
+            .with_tuned_buckets(6_000)
+            .with_output(OutputMode::Materialize);
+        let engine = HcjEngine::new(config.clone());
+        let (_, table) = CachedBuildJoin::new(config).execute_cold(&s, &r).expect("clean build");
+        let staged = JoinJob {
+            r: &r,
+            s: &s,
+            start: PlannedStrategy::GpuResident,
+            hit: None,
+            stage: true,
+            keep_build: true,
+            resident: (false, false),
+        };
+        let hit = JoinJob { hit: Some(&table), keep_build: false, ..staged };
+        for (name, job) in [("staged", staged), ("hit", hit)] {
+            let exec = job.run(&engine);
+            assert_eq!(exec.strategy, Some(PlannedStrategy::GpuResident), "{name}");
+            assert!(exec.check_ok, "{name}: the check came back in build order");
+            assert_join_matches(&r, &s, exec.rows.as_deref().expect("materialized rows"));
         }
     }
 }

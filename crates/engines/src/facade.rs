@@ -28,10 +28,9 @@
 //! still return `Ok` with a correct join result — availability degrades
 //! to CPU speed, not to an error.
 
-use hcj_core::GpuPartitionedJoin;
 use hcj_core::{
-    CoProcessingConfig, CoProcessingJoin, GpuJoinConfig, JoinOutcome, OutputMode,
-    StreamedProbeConfig, StreamedProbeJoin,
+    CoProcessingConfig, CoProcessingJoin, GpuJoinConfig, GpuPartitionedJoin, JoinOutcome,
+    OutputMode, StreamedProbeConfig, StreamedProbeJoin, GPU_BUDGET_FRACTION,
 };
 use hcj_cpu_join::ProJoin;
 use hcj_gpu::faults::{FaultEvent, FaultEventKind};
@@ -168,13 +167,14 @@ impl HcjEngine {
             PlannedStrategy::StreamedProbe => {
                 (build_bytes as f64 * (1.0 + self.pool_factor)) as u64
             }
-            // Co-processing reserves the working-set budget (half the
-            // device by default) plus two streamed S chunk buffers of at
-            // most one sixth of the device each; the total never exceeds
-            // capacity, so an idle device can always admit it.
+            // Co-processing reserves the strategy's working-set budget
+            // plus two streamed S chunk buffers of at most one sixth of
+            // the device each; the total never exceeds capacity, so an
+            // idle device can always admit it.
             PlannedStrategy::CoProcessing => {
                 let chunk = (probe_bytes.max(8)).min(capacity / 6);
-                (capacity / 2 + 2 * chunk).min(capacity)
+                let budget = (capacity as f64 * GPU_BUDGET_FRACTION) as u64;
+                (budget + 2 * chunk).min(capacity)
             }
             // One participating device's share of a cross-device exchange
             // join: admission reserves this envelope on *each* of the `n`
@@ -271,14 +271,28 @@ impl HcjEngine {
     /// Execute starting at `start` on the ladder (skipping the planner) and
     /// degrading on runtime transient errors. The service layer dispatches
     /// here after admission control has already (possibly) degraded the
-    /// planned strategy under memory pressure.
+    /// planned strategy under memory pressure. The check and any rows come
+    /// back in `(r, s)` order, whichever side built.
     pub fn execute_from(
         &self,
         start: PlannedStrategy,
         r: &Relation,
         s: &Relation,
     ) -> Result<(PlannedStrategy, JoinOutcome), JoinError> {
-        let (build, probe) = if build_is_left(r, s) { (r, s) } else { (s, r) };
+        let r_builds = build_is_left(r, s);
+        let (build, probe) = if r_builds { (r, s) } else { (s, r) };
+        let (strategy, outcome) = self.execute_built(start, build, probe)?;
+        Ok((strategy, in_caller_order(outcome, r_builds)))
+    }
+
+    /// [`execute_from`](Self::execute_from) on sides already oriented as
+    /// `(build, probe)`; the outcome stays in that orientation.
+    pub(crate) fn execute_built(
+        &self,
+        start: PlannedStrategy,
+        build: &Relation,
+        probe: &Relation,
+    ) -> Result<(PlannedStrategy, JoinOutcome), JoinError> {
         let mut strategy = start;
         // A sticky device-lost caught on the way down. The failed attempt's
         // fault log dies with the attempt, so the loss is re-surfaced as a
@@ -374,8 +388,22 @@ impl HcjEngine {
     }
 }
 
+/// An `outcome` of a join run as `(build, probe)`, in the caller's
+/// `(r, s)` order: when `s` built, the payload sums and every row's payload
+/// columns swap back.
+pub(crate) fn in_caller_order(mut outcome: JoinOutcome, r_builds: bool) -> JoinOutcome {
+    if !r_builds {
+        let check = &mut outcome.check;
+        std::mem::swap(&mut check.sum_r_payload, &mut check.sum_s_payload);
+        for row in outcome.rows.iter_mut().flatten() {
+            std::mem::swap(&mut row.1, &mut row.2);
+        }
+    }
+    outcome
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hcj_gpu::DeviceSpec;
     use hcj_workload::generate::canonical_pair;
@@ -423,10 +451,47 @@ mod tests {
     #[test]
     fn build_side_is_the_smaller_relation() {
         let (r, s) = canonical_pair(50_000, 5_000, 104);
-        // r is larger here: the engine must swap.
+        // r is larger here: the engine builds on s, and still reports the
+        // check in the caller's (r, s) order.
         let e = engine(1, 5_000, 8);
         let (_, out) = e.execute(&r, &s).unwrap();
-        assert_eq!(out.check, JoinCheck::compute(&s, &r));
+        assert_eq!(out.check, JoinCheck::compute(&r, &s));
+    }
+
+    /// A 6,000-tuple `r` and a 2,000-tuple `s` whose payloads do not
+    /// follow their keys, so a check or row reported in build order
+    /// differs from one in `(r, s)` order.
+    pub(crate) fn larger_r_with_free_payloads() -> (Relation, Relation) {
+        let r =
+            Relation::from_columns((0..6_000).collect(), (0..6_000).map(|k| k * 3 + 1).collect());
+        let s_keys: Vec<u32> = (0..2_000).map(|i| (i * 7) % 6_000).collect();
+        let s_payloads = s_keys.iter().map(|k| k ^ 0x5A5A).collect();
+        (r, Relation::from_columns(s_keys, s_payloads))
+    }
+
+    #[test]
+    fn every_rung_reports_in_the_callers_order_when_s_builds() {
+        use hcj_workload::oracle::assert_join_matches;
+        let (r, s) = larger_r_with_free_payloads();
+        let expected = JoinCheck::compute(&r, &s);
+        assert_ne!(expected, JoinCheck::compute(&s, &r), "premise: the orders differ");
+        let e = engine(1, 6_000, 8);
+        for output in [OutputMode::Aggregate, OutputMode::Materialize] {
+            let e = HcjEngine::new(e.config.clone().with_output(output));
+            for rung in [
+                PlannedStrategy::GpuResident,
+                PlannedStrategy::StreamedProbe,
+                PlannedStrategy::CoProcessing,
+                PlannedStrategy::CpuFallback,
+            ] {
+                let (strategy, out) = e.execute_from(rung, &r, &s).unwrap();
+                assert_eq!(strategy, rung, "{output:?}");
+                assert_eq!(out.check, expected, "{rung} {output:?}");
+                if output == OutputMode::Materialize {
+                    assert_join_matches(&r, &s, out.rows.as_deref().expect("materialized rows"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,19 +72,17 @@ use std::sync::Arc;
 
 use hcj_core::CachedBuild;
 use hcj_gpu::faults::{DeviceFault, FaultKind, FaultSite};
-use hcj_gpu::{CounterRollup, DeviceMemory, DeviceSpec, FaultSummary, JoinError, Reservation};
+use hcj_gpu::{DeviceMemory, DeviceSpec, JoinError, Reservation};
 use hcj_host::pool::Pool;
-use hcj_host::HostSpec;
 use hcj_sim::{CounterId, SimTime, Timeline, TrackId};
 use hcj_workload::catalog::BuildRef;
-use hcj_workload::oracle::JoinCheck;
 use hcj_workload::plan::{PlanOp, PlanSpec};
 use hcj_workload::rng::mix64;
 use hcj_workload::{build_is_left, Relation};
 
 use crate::cache::{BuildCache, CacheReport, CachedTable};
 use crate::dag::{execute_plan, plan_envelope, planned_root, OpReport, PlanRun};
-use crate::exchange::{execute_exchange, ExchangeConfig, ExchangeParticipant};
+use crate::exchange::ExchangeParticipant;
 use crate::executor::{Executed, JoinJob};
 use crate::facade::{HcjEngine, PlannedStrategy};
 use crate::service::{
@@ -183,7 +181,7 @@ impl fmt::Display for DeviceHealth {
 }
 
 /// End-of-run aggregate for one fleet device.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DeviceRollup {
     /// Device id (position in the fleet).
     pub id: usize,
@@ -215,7 +213,7 @@ pub struct DeviceRollup {
 }
 
 /// Fleet-level rollup attached to [`ServiceReport::fleet`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FleetRollup {
     /// Per-device rollups, in device order.
     pub devices: Vec<DeviceRollup>,
@@ -253,6 +251,21 @@ enum Event {
     /// A request's per-request deadline expired. Stale once the request
     /// is done; otherwise cancels it wherever it is.
     Deadline { req: usize },
+}
+
+/// The one event calendar: typed events keyed by virtual time, ties
+/// broken by scheduling order.
+#[derive(Default)]
+struct Calendar {
+    events: BTreeMap<(SimTime, u64), Event>,
+    seq: u64,
+}
+
+impl Calendar {
+    fn schedule(&mut self, at: SimTime, e: Event) {
+        self.events.insert((at, self.seq), e);
+        self.seq += 1;
+    }
 }
 
 /// Where the router decided one request goes.
@@ -311,21 +324,16 @@ struct DeviceState {
     memory: DeviceMemory,
     cache: Option<BuildCache>,
     queue: VecDeque<usize>,
-    health: DeviceHealth,
     /// Virtual times of transient faults observed inside the breaker
     /// window (pruned as the window slides).
     window: VecDeque<SimTime>,
-    trips: u32,
     /// Earliest time a half-open probe may be admitted (Quarantined).
     half_open_at: SimTime,
     /// The in-flight half-open probe request, if any.
     probe: Option<usize>,
-    admitted: u64,
-    completed: u64,
-    drained: u64,
-    adopted: u64,
-    rewarmed: u64,
-    transitions: Vec<(SimTime, DeviceHealth)>,
+    /// Health, transitions and counters, counted in place; the memory and
+    /// cache figures are filled in when the run finishes.
+    rollup: DeviceRollup,
     /// Timeline track of the executions this device ran.
     exec: TrackId,
     /// Timeline track of this device's health transitions.
@@ -349,17 +357,10 @@ impl DeviceState {
             memory: DeviceMemory::new(capacity),
             cache: cache_budget.map(BuildCache::new),
             queue: VecDeque::new(),
-            health: DeviceHealth::Healthy,
             window: VecDeque::new(),
-            trips: 0,
             half_open_at: SimTime::ZERO,
             probe: None,
-            admitted: 0,
-            completed: 0,
-            drained: 0,
-            adopted: 0,
-            rewarmed: 0,
-            transitions: Vec::new(),
+            rollup: DeviceRollup { id, capacity, ..DeviceRollup::default() },
             exec,
             health_track,
             mem_counter,
@@ -368,13 +369,17 @@ impl DeviceState {
         }
     }
 
+    fn health(&self) -> DeviceHealth {
+        self.rollup.health
+    }
+
     /// Record a health transition at `at` (state change + instant mark).
     fn transition(&mut self, to: DeviceHealth, at: SimTime, timeline: &mut Timeline) {
-        if self.health == to {
+        if self.rollup.health == to {
             return;
         }
-        self.health = to;
-        self.transitions.push((at, to));
+        self.rollup.health = to;
+        self.rollup.transitions.push((at, to));
         timeline.instant(self.health_track, format!("{to}"), 11 + to as u32, at);
     }
 
@@ -495,8 +500,9 @@ impl FleetRequest {
 
     /// Admission rejected: count the retry, step one rung down the ladder
     /// after [`MAX_RETRIES`] rejections at the current rung (a plan steps
-    /// every join down), and back off exponentially.
-    fn reject(&mut self, now: SimTime) {
+    /// every join down), back off exponentially, and schedule the wake-up
+    /// at which the loop re-checks eligibility.
+    fn reject(&mut self, now: SimTime, calendar: &mut Calendar) {
         self.metrics.retries += 1;
         self.attempts += 1;
         if self.attempts > MAX_RETRIES {
@@ -516,6 +522,7 @@ impl FleetRequest {
             }
         }
         self.eligible_at = now + BACKOFF_BASE.backoff(self.attempts.max(1), BACKOFF_CAP);
+        calendar.schedule(self.eligible_at, Event::Retry);
     }
 }
 
@@ -607,10 +614,7 @@ struct FleetRun<'a> {
     parked: VecDeque<usize>,
     /// Requests routed to the host CPU lane, awaiting execution.
     cpu_queue: Vec<usize>,
-    /// The one event calendar: typed events keyed by virtual time, ties
-    /// broken by scheduling order.
-    calendar: BTreeMap<(SimTime, u64), Event>,
-    seq: u64,
+    calendar: Calendar,
     invariants: Vec<String>,
     timeline: Timeline,
     /// One track per client: queue waits, executions, cache-hit, fault
@@ -621,11 +625,9 @@ struct FleetRun<'a> {
     /// Host-lane execution spans.
     cpu_track: TrackId,
     makespan: SimTime,
-    drained: u64,
-    rerouted: u64,
-    cpu_spilled: u64,
-    rewarmed: u64,
-    cache_invalidated: u64,
+    /// Fleet counters, counted in place; the device rollups join them when
+    /// the run finishes.
+    rollup: FleetRollup,
 }
 
 impl<'a> FleetRun<'a> {
@@ -664,25 +666,15 @@ impl<'a> FleetRun<'a> {
             requests: Vec::new(),
             parked: VecDeque::new(),
             cpu_queue: Vec::new(),
-            calendar: BTreeMap::new(),
-            seq: 0,
+            calendar: Calendar::default(),
             invariants: Vec::new(),
             timeline,
             clients,
             router,
             cpu_track,
             makespan: SimTime::ZERO,
-            drained: 0,
-            rerouted: 0,
-            cpu_spilled: 0,
-            rewarmed: 0,
-            cache_invalidated: 0,
+            rollup: FleetRollup::default(),
         }
-    }
-
-    fn schedule(&mut self, at: SimTime, e: Event) {
-        self.calendar.insert((at, self.seq), e);
-        self.seq += 1;
     }
 
     /// The hardware spec of `device`: its own mix entry, or the engine's
@@ -697,7 +689,7 @@ impl<'a> FleetRun<'a> {
 
     /// Serving (Healthy/Degraded) devices, in id order.
     fn serving_devices(&self) -> Vec<usize> {
-        (0..self.devices.len()).filter(|&d| self.devices[d].health.serving()).collect()
+        (0..self.devices.len()).filter(|&d| self.devices[d].health().serving()).collect()
     }
 
     /// Plan one join for this fleet: the fleet-aware planner when exchange
@@ -728,11 +720,11 @@ impl<'a> FleetRun<'a> {
         let is_plan = self.requests[req].plan.is_some();
         let key = self.requests[req].metrics.client as u64;
         let depth = self.config.queue_depth;
-        let primary = self.ring.route(key, |d| self.devices[d].health != DeviceHealth::Lost);
+        let primary = self.ring.route(key, |d| self.devices[d].health() != DeviceHealth::Lost);
         let least_loaded = |devs: &[DeviceState], need_room: bool| -> Option<usize> {
             devs.iter()
                 .enumerate()
-                .filter(|(_, d)| d.health.serving())
+                .filter(|(_, d)| d.health().serving())
                 .filter(|(_, d)| !need_room || d.queue.len() < depth)
                 .min_by_key(|(i, d)| (d.queue.len(), *i))
                 .map(|(i, _)| i)
@@ -746,7 +738,9 @@ impl<'a> FleetRun<'a> {
                     Route::Cpu
                 }
             }
-            Some(p) if self.devices[p].health.serving() && self.devices[p].queue.len() < depth => {
+            Some(p)
+                if self.devices[p].health().serving() && self.devices[p].queue.len() < depth =>
+            {
                 Route::Device { device: p, probe: false }
             }
             Some(p) => {
@@ -754,7 +748,7 @@ impl<'a> FleetRun<'a> {
                     // Preferred device full or quarantined: spill to the
                     // least-loaded serving device with room.
                     Route::Device { device: spill, probe: false }
-                } else if self.devices[p].health == DeviceHealth::Quarantined
+                } else if self.devices[p].health() == DeviceHealth::Quarantined
                     && now >= self.devices[p].half_open_at
                     && self.devices[p].probe.is_none()
                 {
@@ -772,7 +766,7 @@ impl<'a> FleetRun<'a> {
                         .devices
                         .iter()
                         .enumerate()
-                        .filter(|(_, d)| d.health != DeviceHealth::Lost)
+                        .filter(|(_, d)| d.health() != DeviceHealth::Lost)
                         .min_by_key(|(i, d)| (d.queue.len(), *i))
                         .map(|(i, _)| i)
                     {
@@ -794,8 +788,8 @@ impl<'a> FleetRun<'a> {
                 st.eligible_at = now;
                 if adopting {
                     self.replan_for(req, device);
-                    self.devices[device].adopted += 1;
-                    self.rerouted += 1;
+                    self.devices[device].rollup.adopted += 1;
+                    self.rollup.rerouted += 1;
                 }
                 if probe {
                     self.devices[device].probe = Some(req);
@@ -807,7 +801,7 @@ impl<'a> FleetRun<'a> {
                 st.assigned = None;
                 st.cpu = true;
                 self.cpu_queue.push(req);
-                self.cpu_spilled += 1;
+                self.rollup.cpu_spilled += 1;
                 let (c, i) = (st.metrics.client, st.metrics.index);
                 self.timeline.instant(self.router, format!("cpu spill r{c}.{i}"), 12, now);
             }
@@ -872,7 +866,7 @@ impl<'a> FleetRun<'a> {
     /// Schedule the client's next closed-loop submission, if any.
     fn next_submit(&mut self, client: usize, index: usize, now: SimTime) {
         if index + 1 < self.workload[client].requests.len() {
-            self.schedule(now + THINK_TIME, Event::Submit { client, index: index + 1 });
+            self.calendar.schedule(now + THINK_TIME, Event::Submit { client, index: index + 1 });
         }
     }
 
@@ -880,7 +874,8 @@ impl<'a> FleetRun<'a> {
     /// cooldown and re-route its queued (not yet admitted) requests.
     fn trip(&mut self, device: usize, now: SimTime) {
         let d = &mut self.devices[device];
-        d.trips += 1;
+        d.rollup.breaker_trips += 1;
+        self.rollup.breaker_trips += 1;
         d.transition(DeviceHealth::Quarantined, now, &mut self.timeline);
         d.half_open_at = now + QUARANTINE_COOLDOWN;
         d.probe = None;
@@ -897,7 +892,7 @@ impl<'a> FleetRun<'a> {
     /// cache pins), re-warm the cache's hottest builds onto the adopting
     /// device, invalidate the rest, and re-route the drained queue.
     fn device_lost(&mut self, device: usize, now: SimTime) {
-        if self.devices[device].health == DeviceHealth::Lost {
+        if self.devices[device].health() == DeviceHealth::Lost {
             return;
         }
         self.devices[device].transition(DeviceHealth::Lost, now, &mut self.timeline);
@@ -924,19 +919,20 @@ impl<'a> FleetRun<'a> {
             if let Some(pw) = st.plan.as_mut() {
                 pw.scans = None; // regenerate from the spec at re-dispatch
             }
-            st.metrics.executed = None;
-            st.metrics.check_ok = false;
-            st.metrics.matches = 0;
-            st.metrics.faults = FaultSummary::default();
-            st.metrics.counters = CounterRollup::default();
-            st.metrics.error = None;
-            st.metrics.cache_role = CacheRole::None;
-            st.metrics.plan_ops = Vec::new();
-            st.metrics.rerouted += 1;
+            let m = &st.metrics;
+            st.metrics = RequestMetrics {
+                admitted_at: m.admitted_at,
+                retries: m.retries,
+                blocked: m.blocked,
+                device_used_at_admit: m.device_used_at_admit,
+                device: m.device,
+                rerouted: m.rerouted + 1,
+                ..RequestMetrics::submitted(m.client, m.index, m.submitted_at, m.planned)
+            };
             st.probe = false;
             st.assigned = None;
-            self.devices[device].drained += 1;
-            self.drained += 1;
+            self.devices[device].rollup.drained += 1;
+            self.rollup.drained += 1;
             let (c, i) = (st.metrics.client, st.metrics.index);
             self.timeline.instant(self.router, format!("drain r{c}.{i}"), 9, now);
             to_reroute.push(req);
@@ -954,16 +950,16 @@ impl<'a> FleetRun<'a> {
         // own bytes; nothing keeps pointing at the dead device.
         if let Some(mut cache) = self.devices[device].cache.take() {
             let hot = cache.hottest(REWARM_LIMIT);
-            self.cache_invalidated += cache.invalidate_all() as u64;
+            self.rollup.cache_invalidated += cache.invalidate_all() as u64;
             self.devices[device].cache = Some(cache);
             for (bref, build) in hot {
-                let adopt = self.ring.route(bref.id, |d| self.devices[d].health.serving());
+                let adopt = self.ring.route(bref.id, |d| self.devices[d].health().serving());
                 if let Some(a) = adopt {
                     let da = &mut self.devices[a];
                     if let Some(c) = da.cache.as_mut() {
                         if c.insert(bref, &da.memory, build) {
-                            da.rewarmed += 1;
-                            self.rewarmed += 1;
+                            da.rollup.rewarmed += 1;
+                            self.rollup.rewarmed += 1;
                         }
                     }
                 }
@@ -1027,11 +1023,11 @@ impl<'a> FleetRun<'a> {
         for _ in 0..transient {
             d.window.push_back(now);
         }
-        match d.health {
+        match d.health() {
             DeviceHealth::Healthy | DeviceHealth::Degraded => {
                 if d.window.len() >= BREAKER_THRESHOLD {
                     self.trip(device, now);
-                } else if transient > 0 && d.health == DeviceHealth::Healthy {
+                } else if transient > 0 && d.health() == DeviceHealth::Healthy {
                     d.transition(DeviceHealth::Degraded, now, &mut self.timeline);
                 }
             }
@@ -1057,7 +1053,7 @@ impl<'a> FleetRun<'a> {
             while d.window.front().is_some_and(|&t| t + BREAKER_WINDOW <= now) {
                 d.window.pop_front();
             }
-            if d.health == DeviceHealth::Degraded && d.window.is_empty() {
+            if d.health() == DeviceHealth::Degraded && d.window.is_empty() {
                 d.transition(DeviceHealth::Healthy, now, &mut self.timeline);
             }
         }
@@ -1079,7 +1075,7 @@ impl<'a> FleetRun<'a> {
                     d.memory.capacity()
                 ));
             }
-            if d.health == DeviceHealth::Lost && d.memory.used() != 0 {
+            if d.health() == DeviceHealth::Lost && d.memory.used() != 0 {
                 self.invariants
                     .push(format!("lost device {i} still accounts {} B at {now}", d.memory.used()));
             }
@@ -1094,28 +1090,21 @@ impl<'a> FleetRun<'a> {
     fn run(mut self) -> ServiceReport {
         for (c, client) in self.workload.iter().enumerate() {
             if !client.requests.is_empty() {
-                self.schedule(SimTime::ZERO, Event::Submit { client: c, index: 0 });
+                self.calendar.schedule(SimTime::ZERO, Event::Submit { client: c, index: 0 });
             }
         }
 
-        while let Some((&(now, _), _)) = self.calendar.iter().next() {
-            // Drain every event at `now` in sequence order, then run one
+        while let Some(((now, _), event)) = self.calendar.events.pop_first() {
+            match event {
+                Event::Submit { client, index } => self.on_submit(client, index, now),
+                Event::Retry => {}
+                Event::Complete { req, epoch } => self.on_complete(req, epoch, now),
+                Event::Deadline { req } => self.on_deadline(req, now),
+            }
+            // Handle every event at `now` in sequence order, then run one
             // admission wave over the resulting queue state.
-            while let Some((&key, _)) = self.calendar.iter().next() {
-                if key.0 != now {
-                    break;
-                }
-                let Some(event) = self.calendar.remove(&key) else {
-                    self.invariants
-                        .push(format!("calendar key vanished between peek and remove at {now}"));
-                    continue;
-                };
-                match event {
-                    Event::Submit { client, index } => self.on_submit(client, index, now),
-                    Event::Retry => {}
-                    Event::Complete { req, epoch } => self.on_complete(req, epoch, now),
-                    Event::Deadline { req } => self.on_deadline(req, now),
-                }
+            if self.calendar.events.first_key_value().is_some_and(|(&(at, _), _)| at == now) {
+                continue;
             }
 
             self.health_maintenance(now);
@@ -1130,8 +1119,8 @@ impl<'a> FleetRun<'a> {
                 let open_queue = self
                     .devices
                     .iter()
-                    .any(|d| d.health.serving() && d.queue.len() < self.config.queue_depth);
-                if open_queue || !self.devices.iter().any(|d| d.health.serving()) {
+                    .any(|d| d.health().serving() && d.queue.len() < self.config.queue_depth);
+                if open_queue || !self.devices.iter().any(|d| d.health().serving()) {
                     self.route(req, now, false);
                 } else {
                     self.parked.push_back(req);
@@ -1141,23 +1130,10 @@ impl<'a> FleetRun<'a> {
             // Admission wave, device by device in id order.
             let mut batch: Vec<usize> = Vec::new();
             for device in 0..self.devices.len() {
-                if self.devices[device].health == DeviceHealth::Lost {
+                if self.devices[device].health() == DeviceHealth::Lost {
                     continue;
                 }
                 self.admission_wave(device, now, &mut batch);
-            }
-
-            // Wake the loop when each rejected request's backoff expires
-            // (Retry is a pure wake-up; eligibility is re-checked then).
-            let wakeups: Vec<SimTime> = self
-                .devices
-                .iter()
-                .flat_map(|d| d.queue.iter())
-                .filter(|&&id| self.requests[id].eligible_at > now)
-                .map(|&id| self.requests[id].eligible_at)
-                .collect();
-            for at in wakeups {
-                self.schedule(at, Event::Retry);
             }
 
             // The CPU lane joins the execution batch unconditionally.
@@ -1207,27 +1183,7 @@ impl<'a> FleetRun<'a> {
         };
         let id = self.requests.len();
         self.requests.push(FleetRequest {
-            metrics: RequestMetrics {
-                client,
-                index,
-                submitted_at: now,
-                admitted_at: now,
-                completed_at: now,
-                retries: 0,
-                blocked: false,
-                planned,
-                executed: None,
-                device_used_at_admit: 0,
-                check_ok: false,
-                matches: 0,
-                faults: FaultSummary::default(),
-                counters: CounterRollup::default(),
-                error: None,
-                cache_role: CacheRole::None,
-                plan_ops: Vec::new(),
-                device: None,
-                rerouted: 0,
-            },
+            metrics: RequestMetrics::submitted(client, index, now, planned),
             inputs,
             level: planned,
             attempts: 0,
@@ -1248,7 +1204,7 @@ impl<'a> FleetRun<'a> {
             lost_participants: Vec::new(),
         });
         if let Some(budget) = self.config.deadline {
-            self.schedule(now + budget, Event::Deadline { req: id });
+            self.calendar.schedule(now + budget, Event::Deadline { req: id });
         }
         self.route(id, now, false);
     }
@@ -1287,14 +1243,14 @@ impl<'a> FleetRun<'a> {
             // request's own reservation is released — unless the device
             // died while it ran (nothing to install into).
             let da = &mut self.devices[d];
-            if da.health != DeviceHealth::Lost {
+            if da.health() != DeviceHealth::Lost {
                 if let Some(c) = da.cache.as_mut() {
                     for (b, built) in installs {
                         c.insert(b, &da.memory, built);
                     }
                 }
             }
-            da.completed += 1;
+            da.rollup.completed += 1;
         }
         self.observe_completion(req, now);
         self.next_submit(client, index, now);
@@ -1426,7 +1382,7 @@ impl<'a> FleetRun<'a> {
                 Some(res) => holds.push(res),
                 None => {
                     drop(holds); // release every partial hold
-                    self.requests[id].reject(now);
+                    self.requests[id].reject(now, &mut self.calendar);
                     return false;
                 }
             }
@@ -1436,7 +1392,7 @@ impl<'a> FleetRun<'a> {
         st.admit(holds.remove(0), device, used, now);
         st.extra_reservations = holds;
         st.participants = participants;
-        self.devices[device].admitted += 1;
+        self.devices[device].rollup.admitted += 1;
         batch.push(id);
         true
     }
@@ -1465,6 +1421,7 @@ impl<'a> FleetRun<'a> {
         let d = &mut self.devices[device];
         let requests = &mut self.requests;
         let invariants = &mut self.invariants;
+        let calendar = &mut self.calendar;
         queue.retain(|&id| {
             let st = &mut requests[id];
             if st.eligible_at > now {
@@ -1513,7 +1470,7 @@ impl<'a> FleetRun<'a> {
                 d.reserve(estimate, protect).map(|res| (res, role))
             };
             let Some((res, mut role)) = admitted else {
-                st.reject(now);
+                st.reject(now, calendar);
                 return true;
             };
             st.admit(res, device, d.memory.used(), now);
@@ -1532,7 +1489,7 @@ impl<'a> FleetRun<'a> {
                 st.hit = table;
             }
             st.metrics.cache_role = role;
-            d.admitted += 1;
+            d.rollup.admitted += 1;
             batch.push(id);
             false
         });
@@ -1541,9 +1498,10 @@ impl<'a> FleetRun<'a> {
 
     /// Execute the admitted batch: single joins (device lanes and the CPU
     /// lane) fan out onto the host pool in batch order; cross-device
-    /// requests and plans run one at a time from this thread. Results
-    /// merge in batch order, so the outcome is independent of the worker
-    /// count.
+    /// requests and plans run one at a time from this thread. Every
+    /// execution then settles onto its request, single joins first, then
+    /// cross-device joins, then plans, so the outcome is independent of
+    /// the worker count.
     fn execute_batch(&mut self, batch: &[usize], now: SimTime) {
         let (plans, rest): (Vec<usize>, Vec<usize>) =
             batch.iter().partition(|&&id| self.requests[id].plan.is_some());
@@ -1574,162 +1532,97 @@ impl<'a> FleetRun<'a> {
             Some(job.run(reseeded.as_ref().unwrap_or(engine)))
         });
         for (&id, exec) in singles.iter().zip(results) {
-            let exec = exec.unwrap_or_else(|| {
-                // "Cannot happen": admission just verified the inputs.
-                self.invariants.push(format!("admitted request {id} has no inputs"));
-                Executed::failed(
-                    JoinCheck::ZERO,
-                    JoinError::Internal { detail: String::new() }.tag(),
-                )
-            });
-            let tracks = self.tracks_of(id);
-            let st = &mut self.requests[id];
-            st.metrics.executed = exec.strategy;
-            st.metrics.check_ok = exec.check_ok();
-            st.metrics.matches = exec.check.matches;
-            st.metrics.faults = exec.faults;
-            st.metrics.counters = exec.counters;
-            st.metrics.error = exec.error;
-            st.install = exec.install;
-            // Per-request cache rollup: a hit is one hit, either kind of
-            // miss is one miss (the cache's own counters aggregate the
-            // same events).
-            match st.metrics.cache_role {
-                CacheRole::Hit => st.metrics.counters.cache.hits = 1,
-                CacheRole::Install | CacheRole::Bypass => st.metrics.counters.cache.misses = 1,
-                CacheRole::None => {}
-            }
-            if st.cpu {
-                st.running = true;
-            }
-            let (client, index, admitted) =
-                (st.metrics.client, st.metrics.index, st.metrics.admitted_at);
-            let hit = st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none();
-            let epoch = st.epoch;
-            for track in tracks {
-                if hit {
-                    self.timeline.instant(
-                        track,
-                        format!("cache hit r{client}.{index}"),
-                        10,
-                        admitted,
-                    );
-                }
-                for (offset, label) in &exec.fault_marks {
-                    self.timeline.instant(track, label.clone(), 8, admitted + *offset);
-                }
-            }
-            // Inputs stay held until the Complete finalizes: a device
-            // loss mid-flight drains this request, and the re-dispatch on
-            // the adopting device needs them (and `replan_for` sizes the
-            // degraded strategy from them).
-            self.schedule(now + exec.duration, Event::Complete { req: id, epoch });
+            // Admission just verified the inputs.
+            let exec = exec
+                .unwrap_or_else(|| self.internal(format!("admitted request {id} has no inputs")));
+            self.settle(id, exec, now);
         }
 
         // Cross-device requests: executed serially from the loop thread —
         // the exchange fans its partial joins onto the host pool
-        // internally — and merged in batch order. The request id salts the
-        // per-participant fault streams, decorrelating requests.
+        // internally. The request id salts the per-participant fault
+        // streams, decorrelating requests.
         for &id in &cross {
-            let exec = {
-                let st = &self.requests[id];
-                match st.inputs.as_ref() {
-                    Some((r, s)) => {
-                        let expected = JoinCheck::compute(r, s);
-                        let participants: Vec<ExchangeParticipant> = st
-                            .participants
-                            .iter()
-                            .map(|&d| ExchangeParticipant {
-                                device: d,
-                                spec: self.spec_of(d).clone(),
-                            })
-                            .collect();
-                        let host = HostSpec::dual_xeon_e5_2650l_v3();
-                        let result = execute_exchange(
-                            self.engine,
-                            &participants,
-                            r,
-                            s,
-                            &ExchangeConfig::default(),
-                            &host,
-                            id as u64,
-                        );
-                        Some((expected, result))
-                    }
-                    None => None,
+            let st = &self.requests[id];
+            let exec = match st.inputs.as_ref() {
+                Some((r, s)) => {
+                    let participants: Vec<ExchangeParticipant> = st
+                        .participants
+                        .iter()
+                        .map(|&d| ExchangeParticipant { device: d, spec: self.spec_of(d).clone() })
+                        .collect();
+                    Executed::exchange(self.engine, &participants, r, s, id as u64)
                 }
+                None => self.internal(format!("admitted cross request {id} has no inputs")),
             };
-            let level = self.requests[id].level;
-            let st = &mut self.requests[id];
-            let duration = match exec {
-                Some((expected, Ok(out))) => {
-                    st.metrics.executed = Some(level);
-                    st.metrics.check_ok = out.check == expected;
-                    st.metrics.matches = out.check.matches;
-                    st.metrics.faults = out.faults;
-                    st.metrics.counters = out.counters.rollup();
-                    st.lost_participants = out.lost;
-                    SimTime::from_nanos(((out.seconds * 1e9).round() as u64).max(1))
-                }
-                Some((_, Err(err))) => {
-                    st.metrics.error = Some(err.tag());
-                    st.metrics.check_ok = false;
-                    SimTime::from_nanos(1)
-                }
-                None => {
-                    st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
-                    self.invariants.push(format!("admitted cross request {id} has no inputs"));
-                    SimTime::from_nanos(1)
-                }
-            };
-            let epoch = self.requests[id].epoch;
-            self.schedule(now + duration, Event::Complete { req: id, epoch });
+            self.settle(id, exec, now);
         }
 
         // Plans: one at a time, against their device's accountant and
         // cache, reseeded per (device, request); each plan fans its own
-        // ready waves onto the pool (and reseeds again per op).
+        // levels onto the pool (and reseeds again per op).
         for &id in &plans {
-            let (spec, scans, degrade, device) = {
-                let st = &mut self.requests[id];
-                let pw = st.plan.as_mut().expect("partitioned on plan.is_some()");
-                let scans = pw.take_scans();
-                (pw.spec.clone(), scans, pw.degrade, st.metrics.device)
-            };
-            let Some(device) = device else {
-                self.invariants.push(format!("admitted plan request {id} has no device at {now}"));
-                let st = &mut self.requests[id];
-                st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
-                let epoch = st.epoch;
-                self.schedule(now + SimTime::from_nanos(1), Event::Complete { req: id, epoch });
+            let st = &mut self.requests[id];
+            let (Some(pw), Some(device)) = (st.plan.as_mut(), st.metrics.device) else {
+                let exec =
+                    self.internal(format!("admitted plan request {id} has no device at {now}"));
+                self.settle(id, exec, now);
                 continue;
             };
+            let scans = pw.take_scans();
             let reseeded = reseeded(self.engine, device, id);
             let engine = reseeded.as_ref().unwrap_or(self.engine);
             let d = &mut self.devices[device];
-            let run = execute_plan(engine, &spec, scans, degrade, &d.memory, d.cache.as_mut());
-            let st = &mut self.requests[id];
-            st.metrics.executed = run.executed;
-            st.metrics.check_ok = run.check_ok;
-            st.metrics.matches = run.matches;
-            st.metrics.error = run.error;
-            // Fold per-op faults, counters and cache roles into the
-            // request rollup (one hit/miss per consulting op, matching the
-            // cache's own counters).
-            for op in &run.ops {
-                st.metrics.faults.absorb(&op.faults);
-                st.metrics.counters.absorb(&op.counters);
-                match op.cache_role {
-                    CacheRole::Hit => st.metrics.counters.cache.hits += 1,
-                    CacheRole::Install | CacheRole::Bypass => st.metrics.counters.cache.misses += 1,
-                    CacheRole::None => {}
-                }
-            }
-            let duration = SimTime::from_nanos(run.duration.as_nanos().max(1));
-            st.plan.as_mut().expect("still a plan").run = Some(run);
-            let epoch = st.epoch;
-            self.schedule(now + duration, Event::Complete { req: id, epoch });
+            let run =
+                execute_plan(engine, &pw.spec, scans, pw.degrade, &d.memory, d.cache.as_mut());
+            let exec = Executed::plan(&run);
+            // Held until completion: its pins keep intermediates reserved
+            // and its installs await the cache.
+            pw.run = Some(run);
+            self.settle(id, exec, now);
         }
+    }
+
+    /// Record a broken "cannot happen" invariant, and fail the execution
+    /// that hit it with the `internal` tag.
+    fn internal(&mut self, violation: String) -> Executed {
+        self.invariants.push(violation);
+        Executed::failed(JoinError::Internal { detail: String::new() }.tag())
+    }
+
+    /// The one place an execution lands on its request: its metrics (a
+    /// single join's cache role counted as one hit or miss), its cache-hit
+    /// and fault marks, and its completion `exec.duration` after `now`.
+    fn settle(&mut self, id: usize, exec: Executed, now: SimTime) {
+        let tracks = self.tracks_of(id);
+        let st = &mut self.requests[id];
+        let m = &mut st.metrics;
+        m.executed = exec.strategy;
+        m.check_ok = exec.check_ok;
+        m.matches = exec.matches;
+        m.faults = exec.faults;
+        m.counters = exec.counters;
+        m.error = exec.error;
+        m.cache_role.count(&mut m.counters.cache);
+        st.install = exec.install;
+        st.lost_participants = exec.lost;
+        st.running = true; // the CPU lane admits a request as it executes
+        let (client, index, admitted) = (m.client, m.index, m.admitted_at);
+        let hit = m.cache_role == CacheRole::Hit && m.error.is_none();
+        let epoch = st.epoch;
+        for track in tracks {
+            if hit {
+                self.timeline.instant(track, format!("cache hit r{client}.{index}"), 10, admitted);
+            }
+            for (offset, label) in &exec.fault_marks {
+                self.timeline.instant(track, label.clone(), 8, admitted + *offset);
+            }
+        }
+        // Inputs stay held until the Complete finalizes: a device loss
+        // mid-flight drains the request, and the re-dispatch on the
+        // adopting device needs them (and `replan_for` sizes the degraded
+        // strategy from them).
+        self.calendar.schedule(now + exec.duration, Event::Complete { req: id, epoch });
     }
 
     /// Drain bookkeeping into the final [`ServiceReport`].
@@ -1740,14 +1633,10 @@ impl<'a> FleetRun<'a> {
             st.release();
         }
         let mut fleet_cache: Option<CacheReport> = None;
-        let mut device_rollups: Vec<DeviceRollup> = Vec::new();
-        let mut peak = 0u64;
-        let mut capacity = 0u64;
-        let mut used_at_end = 0u64;
-        let mut trips = 0u32;
-        for (i, d) in self.devices.into_iter().enumerate() {
-            let report = d.cache.as_ref().map(|c| c.report());
-            if let Some(r) = report {
+        for d in self.devices {
+            let mut rollup = d.rollup;
+            rollup.cache = d.cache.as_ref().map(|c| c.report());
+            if let Some(r) = rollup.cache {
                 let agg = fleet_cache.get_or_insert(CacheReport {
                     counters: Default::default(),
                     peak_bytes: 0,
@@ -1760,42 +1649,19 @@ impl<'a> FleetRun<'a> {
                 agg.entries_at_end += r.entries_at_end;
             }
             drop(d.cache); // release cached reservations before the audit
-            peak += d.memory.peak();
-            capacity += d.memory.capacity();
-            used_at_end += d.memory.used();
-            trips += d.trips;
-            device_rollups.push(DeviceRollup {
-                id: i,
-                health: d.health,
-                admitted: d.admitted,
-                completed: d.completed,
-                drained: d.drained,
-                adopted: d.adopted,
-                rewarmed: d.rewarmed,
-                breaker_trips: d.trips,
-                transitions: d.transitions,
-                peak_bytes: d.memory.peak(),
-                capacity: d.memory.capacity(),
-                used_at_end: d.memory.used(),
-                cache: report,
-            });
+            rollup.peak_bytes = d.memory.peak();
+            rollup.used_at_end = d.memory.used();
+            self.rollup.devices.push(rollup);
         }
+        let sum = |field: fn(&DeviceRollup) -> u64| self.rollup.devices.iter().map(field).sum();
         ServiceReport {
             makespan: self.makespan,
-            device_peak: peak,
-            device_capacity: capacity,
-            device_used_at_end: used_at_end,
+            device_peak: sum(|d| d.peak_bytes),
+            device_capacity: sum(|d| d.capacity),
+            device_used_at_end: sum(|d| d.used_at_end),
             invariant_violations: self.invariants,
             cache: fleet_cache,
-            fleet: Some(FleetRollup {
-                devices: device_rollups,
-                drained: self.drained,
-                rerouted: self.rerouted,
-                cpu_spilled: self.cpu_spilled,
-                rewarmed: self.rewarmed,
-                breaker_trips: trips,
-                cache_invalidated: self.cache_invalidated,
-            }),
+            fleet: Some(self.rollup),
             timeline: self.timeline,
             requests: self.requests.into_iter().map(|st| st.metrics).collect(),
         }
@@ -1993,6 +1859,34 @@ mod tests {
         assert_eq!(report.completed(), 60, "{}", report.summary());
         assert_eq!(report.checks_passed(), 60, "{}", report.summary());
         assert!(report.invariant_violations.is_empty(), "{:?}", report.invariant_violations);
+    }
+
+    #[test]
+    fn a_failed_single_join_reports_no_matches() {
+        // A 16-byte device admits the co-processing floor's estimate but
+        // cannot hold its working set and two one-tuple chunk buffers, so
+        // the join fails at run time: it reports its error and 0 matches,
+        // not the oracle's count.
+        use crate::service::RequestSpec;
+        use hcj_workload::RelationSpec;
+        let device = DeviceSpec::gtx1080().scaled_capacity(1 << 29);
+        assert_eq!(device.device_mem_bytes, 16);
+        let engine = HcjEngine::new(
+            GpuJoinConfig::paper_default(device).with_radix_bits(8).with_tuned_buckets(2_000),
+        );
+        let workload = vec![ClientSpec {
+            requests: vec![QuerySpec::Join(RequestSpec {
+                r: RelationSpec::unique(2_000, 1),
+                s: RelationSpec::unique(4_000, 2),
+                build: None,
+            })],
+        }];
+        let report =
+            FleetService::new(engine, ServiceConfig::default(), FleetConfig::new(1)).run(&workload);
+        let m = &report.requests[0];
+        assert_eq!(m.error, Some("out-of-device-memory"), "{}", report.summary());
+        assert_eq!((m.executed, m.check_ok, m.matches), (None, false, 0));
+        assert_eq!(report.errored(), 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod service;
 
 pub use cache::{BuildCache, BuildCacheConfig, CachePeek, CacheReport, CachedTable};
 pub use cogadb::CoGaDbLike;
-pub use dag::{execute_plan, plan_envelope, DagScheduler, OpReport, PlanRun};
+pub use dag::{execute_plan, plan_envelope, OpReport, PlanRun};
 pub use dbmsx::DbmsXLike;
 pub use exchange::{execute_exchange, ExchangeConfig, ExchangeOutcome, ExchangeParticipant};
 pub use facade::{HcjEngine, PlannedStrategy};

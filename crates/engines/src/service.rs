@@ -55,7 +55,7 @@
 //!   counters, and instant markers for cache hits, injected faults and
 //!   deadline cancellations.
 
-use hcj_gpu::{CounterRollup, FaultSummary};
+use hcj_gpu::{CacheCounters, CounterRollup, FaultSummary};
 use hcj_sim::{SimTime, Timeline};
 use hcj_workload::catalog::{BuildCatalog, BuildRef, PopularityStream};
 use hcj_workload::generate::{KeyDistribution, RelationSpec};
@@ -352,6 +352,18 @@ pub enum CacheRole {
     Bypass,
 }
 
+impl CacheRole {
+    /// Count this role on `counters`: a hit is one hit, either kind of
+    /// miss is one miss, the same events the cache's own counters count.
+    pub(crate) fn count(self, counters: &mut CacheCounters) {
+        match self {
+            CacheRole::Hit => counters.hits += 1,
+            CacheRole::Install | CacheRole::Bypass => counters.misses += 1,
+            CacheRole::None => {}
+        }
+    }
+}
+
 /// Everything the service observed about one request.
 #[derive(Clone, Debug)]
 pub struct RequestMetrics {
@@ -378,7 +390,7 @@ pub struct RequestMetrics {
     pub device_used_at_admit: u64,
     /// Did the outcome match `JoinCheck::compute` on the inputs?
     pub check_ok: bool,
-    /// Join result cardinality.
+    /// Join result cardinality; 0 when the execution failed.
     pub matches: u64,
     /// Device fault/retry counters from the execution (empty when the
     /// fault layer is disabled or the request never ran).
@@ -408,6 +420,37 @@ pub struct RequestMetrics {
 }
 
 impl RequestMetrics {
+    /// A request `client` submitted at `at` as its `index`-th, planned as
+    /// `planned`, before anything happened to it.
+    pub(crate) fn submitted(
+        client: usize,
+        index: usize,
+        at: SimTime,
+        planned: PlannedStrategy,
+    ) -> Self {
+        RequestMetrics {
+            client,
+            index,
+            submitted_at: at,
+            admitted_at: at,
+            completed_at: at,
+            retries: 0,
+            blocked: false,
+            planned,
+            executed: None,
+            device_used_at_admit: 0,
+            check_ok: false,
+            matches: 0,
+            faults: FaultSummary::default(),
+            counters: CounterRollup::default(),
+            error: None,
+            cache_role: CacheRole::None,
+            plan_ops: Vec::new(),
+            device: None,
+            rerouted: 0,
+        }
+    }
+
     /// Time spent between submission and admission (blocked + queued +
     /// backing off).
     pub fn queue_wait(&self) -> SimTime {

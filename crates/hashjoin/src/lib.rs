@@ -63,10 +63,10 @@ pub mod prelude {
     pub use hcj_engines::{
         execute_exchange, execute_plan, mixed_workload, plan_envelope, plan_workload,
         skewed_workload, BuildCache, BuildCacheConfig, CachePeek, CacheReport, CacheRole,
-        ClientSpec, CoGaDbLike, DagScheduler, DbmsXLike, DeviceHealth, DeviceRollup,
-        ExchangeConfig, ExchangeOutcome, ExchangeParticipant, FleetConfig, FleetRollup,
-        FleetService, HcjEngine, JoinService, OpReport, PlanRun, PlanShape, PlannedStrategy,
-        QuerySpec, RequestSpec, ServiceConfig, ServiceReport,
+        ClientSpec, CoGaDbLike, DbmsXLike, DeviceHealth, DeviceRollup, ExchangeConfig,
+        ExchangeOutcome, ExchangeParticipant, FleetConfig, FleetRollup, FleetService, HcjEngine,
+        JoinService, OpReport, PlanRun, PlanShape, PlannedStrategy, QuerySpec, RequestSpec,
+        ServiceConfig, ServiceReport,
     };
     pub use hcj_gpu::{DeviceSpec, ErrorClass, FaultConfig, FaultSummary, JoinError};
     pub use hcj_host::HostSpec;

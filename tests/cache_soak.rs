@@ -119,8 +119,7 @@ fn eviction_sequence_matches_hand_computed_trace() {
     let table_bytes = measured.table_bytes;
     assert!(table_bytes > 0);
 
-    let cache_config =
-        BuildCacheConfig { max_bytes: Some(table_bytes * 5 / 2), ..BuildCacheConfig::default() };
+    let cache_config = BuildCacheConfig { max_bytes: Some(table_bytes * 5 / 2) };
     let service = JoinService::new(
         HcjEngine::new(config),
         ServiceConfig::default().with_cache(Some(cache_config)),

@@ -1,10 +1,13 @@
-//! Golden stdout of every distinct `serve` workload CI runs: the soak,
-//! the cached and plan smokes, the chaos seeds, the fleet and the
-//! exchange runs. Each case runs the real binary and must print its
-//! checked-in summary byte for byte. Summaries do not depend on
-//! `--jobs`, so each workload is pinned once. The Chrome timeline each
-//! run writes with `--trace` is gated too, by its FNV-64 digest in
-//! `timelines.txt`.
+//! Golden stdout of every distinct `serve` workload: the soak, the
+//! cached and plan runs, the chaos seeds, the fleet and the exchange runs.
+//! Each case runs the real binary and must print its checked-in summary
+//! byte for byte. Summaries do not depend on the worker count, so each
+//! workload is pinned once; CI runs this test at 1 and at 4 workers. The
+//! Chrome timeline each run writes with `--trace` is gated too, by its
+//! FNV-64 digest in `timelines.txt`. Beyond the bytes, [`content_problems`]
+//! checks what each workload exists to show (cache lines, plan lines, the
+//! device loss and its drain, conserved exchange bytes), both here and
+//! when the goldens are rewritten.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -17,7 +20,7 @@ use std::process::Command;
 
 use hcj_sim::baseline::fnv64_hex;
 
-/// `(golden file stem, serve arguments)`, one per distinct CI workload.
+/// `(golden file stem, serve arguments)`, one per distinct workload.
 const CASES: &[(&str, &str)] = &[
     ("soak", "--quick --seed 7"),
     ("cached", "--quick --seed 7 --cache --popularity-skew 1.0"),
@@ -72,6 +75,60 @@ fn timeline_digests() -> String {
         .unwrap_or_else(|e| panic!("missing timeline digests {}: {e}", path.display()))
 }
 
+/// What each workload's stdout must show beyond its bytes, one message
+/// per violation. `outputs` holds `(stem, stdout)` for every case.
+fn content_problems(outputs: &[(&str, String)]) -> Vec<String> {
+    let stdout = |stem: &str| -> &str {
+        outputs.iter().find(|(s, _)| *s == stem).map_or("", |(_, out)| out.as_str())
+    };
+    let mut problems = Vec::new();
+    let mut expect = |stem: &str, ok: bool, what: &str| {
+        if !ok {
+            problems.push(format!("{stem}: {what}"));
+        }
+    };
+    expect("cached", stdout("cached").contains("cache hits / misses"), "prints cache lines");
+    for stem in ["plan_chain", "plan_star"] {
+        for line in ["plan requests", "plan ops executed", "intermediates pinned"] {
+            expect(stem, stdout(stem).contains(line), &format!("prints `{line}`"));
+        }
+    }
+    let fleet = stdout("fleet_chaos_25");
+    expect(
+        "fleet_chaos_25",
+        fleet.contains("fleet devices             3 (1 lost)"),
+        "loses a device",
+    );
+    expect(
+        "fleet_chaos_25",
+        fleet.contains("fleet drained / rerouted  2 / 2"),
+        "drains 2 and reroutes 2",
+    );
+    for stem in ["exchange", "exchange_mix"] {
+        let out = stdout(stem);
+        expect(stem, out.contains("executed cross-device"), "runs cross-device joins");
+        let conserved = out
+            .lines()
+            .find_map(|l| l.strip_prefix("exchange out / in"))
+            .and_then(|bytes| bytes.split_once(" / "))
+            .is_some_and(|(sent, received)| sent.trim() == received.trim());
+        expect(stem, conserved, "shuffles as many exchange bytes out as in");
+    }
+    let off = stdout("exchange_off");
+    expect(
+        "exchange_off",
+        !off.contains("cross-device") && !off.contains("exchange"),
+        "prints no exchange line",
+    );
+    let below_header = |stem: &str| stdout(stem).lines().skip(1).collect::<Vec<_>>();
+    expect(
+        "fleet_chaos_0",
+        below_header("fleet_chaos_0") == below_header("fleet_plain"),
+        "matches fleet_plain below the header line",
+    );
+    problems
+}
+
 /// The first line where `got` and `want` differ, for the failure message.
 fn first_difference(got: &str, want: &str) -> String {
     match got.lines().zip(want.lines()).position(|(a, b)| a != b) {
@@ -89,6 +146,7 @@ fn first_difference(got: &str, want: &str) -> String {
 fn serve_stdout_and_timelines_match_the_goldens() {
     let digests = timeline_digests();
     let mut drifted: Vec<String> = Vec::new();
+    let mut outputs = Vec::new();
     for (stem, args) in CASES {
         let path = golden_path(&format!("{stem}.txt"));
         let want = std::fs::read_to_string(&path)
@@ -101,7 +159,10 @@ fn serve_stdout_and_timelines_match_the_goldens() {
         if pinned != Some(digest.as_str()) {
             drifted.push(format!("serve {args}: timeline digest {digest}, pinned {pinned:?}"));
         }
+        outputs.push((*stem, got));
     }
+    let problems = content_problems(&outputs);
+    assert!(problems.is_empty(), "serve output lost content:\n  {}", problems.join("\n  "));
     assert!(
         drifted.is_empty(),
         "serve output drifted from tests/golden/serve/:\n  {}\nif intentional, regenerate \
@@ -115,10 +176,20 @@ fn serve_stdout_and_timelines_match_the_goldens() {
 #[ignore = "golden rewriter, run explicitly"]
 fn rewrite() {
     let mut digests = String::new();
+    let mut outputs = Vec::new();
     for (stem, args) in CASES {
         let (stdout, digest) = serve(stem, args);
-        std::fs::write(golden_path(&format!("{stem}.txt")), stdout).unwrap();
         digests.push_str(&format!("{stem} {digest}\n"));
+        outputs.push((*stem, stdout));
+    }
+    let problems = content_problems(&outputs);
+    assert!(
+        problems.is_empty(),
+        "refusing to pin output that lost content:\n  {}",
+        problems.join("\n  ")
+    );
+    for (stem, stdout) in &outputs {
+        std::fs::write(golden_path(&format!("{stem}.txt")), stdout).unwrap();
     }
     std::fs::write(golden_path("timelines.txt"), digests).unwrap();
     eprintln!("rewrote {}", golden_path("").display());
