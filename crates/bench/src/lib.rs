@@ -24,7 +24,6 @@
 //! EXPERIMENTS.md.
 
 pub mod figures;
-pub mod microbench;
 pub mod perfgate;
 pub mod report;
 

@@ -217,6 +217,16 @@ impl CachedBuildJoin {
     }
 }
 
+/// Device bytes every partitioned GPU join (resident, staged, hot) holds
+/// at its peak: the partition pools it reserves — both sides', or on the
+/// hot path only the probe's, beside a cached table the cache entry
+/// reserves — plus the result buffer of `result_rows` materialized rows.
+/// A pool holds every tuple of its input in a bucket slot, so the input
+/// each pool replaces never outweighs it and never sets the peak.
+pub fn partitioned_footprint(config: &GpuJoinConfig, pool_bytes: u64, result_rows: u64) -> u64 {
+    pool_bytes + config.result_buffer_bytes(result_rows)
+}
+
 /// The tail every partitioned GPU join shares (resident, cold, hot):
 /// join two partitioned relations, charge the one co-partition join
 /// kernel, and package the outcome. Both sides were reordered by

@@ -4,6 +4,7 @@
 use hcj_gpu::{DeviceSpec, FaultConfig, Gpu, SharedMemLayout, SharedMemOverflow};
 use hcj_sim::Sim;
 
+use crate::output::ROW_BYTES;
 use crate::radix::PassPlan;
 
 /// Which per-co-partition probe kernel to run (paper §III-B/§III-C, Fig. 5
@@ -212,10 +213,22 @@ impl GpuJoinConfig {
     pub fn result_buffer_bytes(&self, matches: u64) -> u64 {
         match (self.output, self.row_cap) {
             (OutputMode::Aggregate, _) => 0,
-            (OutputMode::Materialize, Some(cap)) => {
-                matches.min(cap as u64) * crate::output::ROW_BYTES
+            (OutputMode::Materialize, Some(cap)) => matches.min(cap as u64) * ROW_BYTES,
+            (OutputMode::Materialize, None) => matches * ROW_BYTES,
+        }
+    }
+
+    /// Device bytes of the double output buffers the streaming strategies
+    /// (streamed probe, co-processing) drain materialized rows through:
+    /// two buffers of 64 rows per join-block thread, at most an eighth of
+    /// the device; none when aggregating.
+    pub fn output_buffer_bytes(&self) -> u64 {
+        match self.output {
+            OutputMode::Aggregate => 0,
+            OutputMode::Materialize => {
+                let want = 2 * u64::from(self.join_block_threads) * 64 * ROW_BYTES;
+                want.min(self.device.device_mem_bytes / 8)
             }
-            (OutputMode::Materialize, None) => matches * crate::output::ROW_BYTES,
         }
     }
 

@@ -39,7 +39,7 @@ use crate::partition::GpuPartitioner;
 const CPU_RADIX_BITS: u32 = 4;
 
 /// Fraction of device memory granted to the R working set.
-pub const GPU_BUDGET_FRACTION: f64 = 0.5;
+const GPU_BUDGET_FRACTION: f64 = 0.5;
 
 /// Device bytes a partition needs per input byte while being joined
 /// (data + sub-partition pools + padding, §IV-D).
@@ -54,7 +54,8 @@ pub struct CoProcessingConfig {
     pub host: HostSpec,
     /// CPU partitioning threads (paper default: 16; Fig. 13 sweeps this).
     pub cpu_threads: u32,
-    /// Probe-relation chunk size in tuples; `None` = device memory / 16.
+    /// Probe-relation chunk size in tuples; `None` = an eighth of the
+    /// probe side, between a sixteenth and a sixth of device memory.
     pub s_chunk_tuples: Option<usize>,
     /// Stage far-socket data into near-socket pinned memory before DMA
     /// (paper's choice). `false` = the Fig. 16 "direct copy" ablation.
@@ -118,6 +119,45 @@ impl CoProcessingConfig {
         self.cpu_threads = self.host.recommended_partition_threads(self.join.device.pcie_bandwidth);
         self
     }
+
+    /// Device bytes granted to the R working set.
+    fn working_set_budget(&self) -> u64 {
+        (self.join.device.device_mem_bytes as f64 * GPU_BUDGET_FRACTION) as u64
+    }
+
+    /// Probe chunk size in tuples for a probe side of `probe_tuples`:
+    /// chunks as large as the remaining device memory allows (paper:
+    /// "chunks that can be streamed through the remaining GPU memory"),
+    /// but with at least ~8 chunks so the pipeline has stages to overlap.
+    /// Too-small chunks re-stage the working set's R co-partitions from
+    /// device memory once per chunk and turn the pipeline GPU-bound;
+    /// too-few chunks leave nothing to pipeline.
+    fn chunk_tuples(&self, probe_tuples: usize) -> usize {
+        self.s_chunk_tuples.unwrap_or_else(|| {
+            // Budget arithmetic: working set 1/2 + two chunk buffers 2/6 +
+            // output buffers 1/8 < 1 device.
+            let capacity = self.join.device.device_mem_bytes;
+            let cap = (capacity / 6) / 8;
+            let floor = (capacity / 16) / 8;
+            ((probe_tuples as u64 / 8).clamp(floor.min(cap), cap) as usize).max(1)
+        })
+    }
+
+    /// Device bytes of the two probe chunk input buffers.
+    fn chunk_buffer_bytes(&self, probe_tuples: usize) -> u64 {
+        2 * self.chunk_tuples(probe_tuples) as u64 * 8
+    }
+
+    /// Device bytes co-processing holds at its peak for a probe side of
+    /// `probe_bytes`: the R working-set budget, the two probe chunk
+    /// buffers and, when materializing, the output buffers. The build
+    /// side is partitioned on the host, so nothing here depends on the
+    /// data.
+    pub fn footprint(&self, probe_bytes: u64) -> u64 {
+        self.working_set_budget()
+            + self.chunk_buffer_bytes((probe_bytes / 8) as usize)
+            + self.join.output_buffer_bytes()
+    }
 }
 
 /// The CPU–GPU co-processing join.
@@ -147,7 +187,7 @@ impl CoProcessingJoin {
         // device budget (paper §IV-B: oversized co-partitions "are further
         // partitioned"). Mono-key partitions cannot shrink; their padded
         // size is clamped and the GPU side degrades gracefully.
-        let budget = (device.device_mem_bytes as f64 * GPU_BUDGET_FRACTION) as u64;
+        let budget = cfg.working_set_budget();
         let mut cpu_bits = CPU_RADIX_BITS;
         let max_cpu_bits = (jcfg.radix_bits - 1).min(CPU_RADIX_BITS + 8);
         let r_parts = loop {
@@ -185,31 +225,14 @@ impl CoProcessingJoin {
         let host = HostMachine::new(&mut sim, cfg.host.clone());
         let pool = host.thread_pool(&mut sim, "partition-threads", cfg.cpu_threads);
 
-        // Chunks as large as the remaining device memory allows (paper:
-        // "chunks that can be streamed through the remaining GPU memory"),
-        // but with at least ~8 chunks so the pipeline has stages to
-        // overlap. Too-small chunks re-stage the working set's R
-        // co-partitions from device memory once per chunk and turn the
-        // pipeline GPU-bound; too-few chunks leave nothing to pipeline.
-        let chunk_tuples = cfg.s_chunk_tuples.unwrap_or_else(|| {
-            // Budget arithmetic: working set 1/2 + two chunk buffers 2/6 +
-            // output buffers 1/8 < 1 device.
-            let cap = (device.device_mem_bytes / 6) / 8;
-            let floor = (device.device_mem_bytes / 16) / 8;
-            ((s.len() as u64 / 8).clamp(floor.min(cap), cap) as usize).max(1)
-        });
-        let chunk_bytes = (chunk_tuples * 8) as u64;
-
-        // Device reservations: R working-set budget + double chunk input
-        // buffers (+ double output buffers when materializing).
+        // Device reservations (see `CoProcessingConfig::footprint`): R
+        // working-set budget + double chunk input buffers (+ double output
+        // buffers when materializing).
+        let chunk_tuples = cfg.chunk_tuples(s.len());
         let _ws_budget = gpu.mem.reserve(budget)?;
-        let _in_buffers = gpu.mem.reserve(2 * chunk_bytes)?;
+        let _in_buffers = gpu.mem.reserve(cfg.chunk_buffer_bytes(s.len()))?;
         let _out_buffers = match jcfg.output {
-            OutputMode::Materialize => {
-                // Double output buffers, bounded by a slice of the device.
-                let want = 2 * u64::from(jcfg.join_block_threads) * 64 * ROW_BYTES;
-                Some(gpu.mem.reserve(want.min(device.device_mem_bytes / 8))?)
-            }
+            OutputMode::Materialize => Some(gpu.mem.reserve(jcfg.output_buffer_bytes())?),
             OutputMode::Aggregate => None,
         };
 

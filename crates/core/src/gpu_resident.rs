@@ -7,11 +7,12 @@
 //! is inherently serial); the simulated timeline therefore reflects kernel
 //! durations plus launch overheads.
 //!
-//! Device-memory pressure is enforced: inputs, bucket pools (input and
-//! output pools of a pass coexist) and materialized results all reserve
-//! accounted capacity, and the strategy reports a typed
-//! [`JoinError::OutOfDeviceMemory`] when the working set cannot fit — the
-//! condition that sends callers to the out-of-GPU strategies of §IV.
+//! Device-memory pressure is enforced: inputs, bucket pools and
+//! materialized results all reserve accounted capacity (at the peak, both
+//! pools and the result: [`crate::partitioned_footprint`]), and the
+//! strategy reports a typed [`JoinError::OutOfDeviceMemory`] when the
+//! working set cannot fit — the condition that sends callers to the
+//! out-of-GPU strategies of §IV.
 //! With a fault plan armed ([`GpuJoinConfig::faults`]) transient kernel
 //! faults are retried with backoff; device-lost propagates for the engine
 //! facade to handle (CPU fallback).

@@ -46,9 +46,9 @@ pub mod radix;
 pub mod streamprobe;
 pub mod uva_exec;
 
-pub use cached_build::{CachedBuild, CachedBuildJoin};
+pub use cached_build::{partitioned_footprint, CachedBuild, CachedBuildJoin};
 pub use config::{GpuJoinConfig, OutputMode, PassAssignment, ProbeKind};
-pub use coprocess::{CoProcessingConfig, CoProcessingJoin, GPU_BUDGET_FRACTION};
+pub use coprocess::{CoProcessingConfig, CoProcessingJoin};
 pub use gpu_resident::GpuPartitionedJoin;
 pub use nonpart::{NonPartitionedJoin, NonPartitionedKind};
 pub use outcome::{JoinOutcome, Phase, PhaseBreakdown};

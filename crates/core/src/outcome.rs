@@ -91,6 +91,10 @@ pub struct JoinOutcome {
     /// (kernel launches, DMA copies); see [`hcj_gpu::counters`]. Empty for
     /// strategies that never touch a simulated device (CPU fallback).
     pub counters: CounterSet,
+    /// The execution's own high-water mark of reserved device bytes
+    /// (bytes a capacity-shrink fault steals count too); 0 for strategies
+    /// that never touch a simulated device (CPU fallback).
+    pub device_peak: u64,
 }
 
 impl JoinOutcome {
@@ -109,12 +113,14 @@ impl JoinOutcome {
             phases,
             faults: FaultLog::default(),
             counters: CounterSet::default(),
+            device_peak: 0,
         }
     }
 
     /// The shared end of every strategy that issues work on a `Gpu`:
-    /// solve `sim`, then package `gpu`'s fault log and counters with
-    /// `sink`'s check and, when it materializes, its rows.
+    /// solve `sim`, then package `gpu`'s fault log, counters and peak
+    /// device bytes with `sink`'s check and, when it materializes, its
+    /// rows.
     pub(crate) fn finish(sim: Sim, gpu: &Gpu, sink: OutputSink, tuples_in: u64) -> Self {
         let schedule = sim.run();
         let faults = gpu.fault_log(&schedule);
@@ -124,7 +130,12 @@ impl JoinOutcome {
             OutputMode::Materialize => Some(sink.into_rows()),
             OutputMode::Aggregate => None,
         };
-        JoinOutcome { faults, counters, ..JoinOutcome::new(check, rows, schedule, tuples_in) }
+        JoinOutcome {
+            faults,
+            counters,
+            device_peak: gpu.mem.peak(),
+            ..JoinOutcome::new(check, rows, schedule, tuples_in)
+        }
     }
 
     /// End-to-end simulated seconds.

@@ -80,14 +80,6 @@ impl PartitionOutcome {
         }
         Ok(())
     }
-
-    /// Peak device memory held by partition buffers during the passes:
-    /// input + output pools coexist within a pass.
-    pub fn peak_pool_bytes(&self) -> u64 {
-        // Both the final pool and (transiently) its predecessor of equal
-        // tuple count existed; a 2x bound is what the strategies reserve.
-        2 * self.partitioned.pool.device_bytes()
-    }
 }
 
 /// Multi-pass GPU radix partitioner for a fixed configuration.
@@ -491,7 +483,7 @@ mod tests {
             assert!(pass.imbalance >= 1.0);
         }
         assert!(out.total_seconds() > 0.0);
-        assert!(out.peak_pool_bytes() > 0);
+        assert!(out.partitioned.pool.device_bytes() > 0);
     }
 
     #[test]

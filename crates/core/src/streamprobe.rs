@@ -72,6 +72,26 @@ impl StreamedProbeConfig {
         self.buffers = buffers;
         self
     }
+
+    /// Probe chunk size in tuples against a build side of `build_tuples`.
+    fn chunk_tuples(&self, build_tuples: usize) -> usize {
+        self.chunk_tuples.unwrap_or((build_tuples / 2).max(1))
+    }
+
+    /// Device bytes of the probe chunk input buffers.
+    fn chunk_buffer_bytes(&self, build_tuples: usize) -> u64 {
+        self.buffers as u64 * self.chunk_tuples(build_tuples) as u64 * 8
+    }
+
+    /// Device bytes the streamed probe holds at its peak, for a build
+    /// side of `build_bytes` whose partition pool takes `pool_bytes`: the
+    /// pool, the probe chunk buffers and, when materializing, the output
+    /// buffers. A pool holds every build tuple in a bucket slot, so the
+    /// build input it replaces never outweighs it.
+    pub fn footprint(&self, build_bytes: u64, pool_bytes: u64) -> u64 {
+        let chunk_buffers = self.chunk_buffer_bytes((build_bytes / 8) as usize);
+        pool_bytes + chunk_buffers + self.join.output_buffer_bytes()
+    }
 }
 
 /// The streamed-probe join strategy.
@@ -92,26 +112,22 @@ impl StreamedProbeJoin {
         let gpu = cfg.build_gpu(&mut sim);
         let host = HostMachine::new(&mut sim, self.config.host.clone());
 
-        let chunk_tuples = self.config.chunk_tuples.unwrap_or_else(|| (r.len() / 2).max(1));
-        let chunk_bytes = (chunk_tuples * 8) as u64;
+        let chunk_tuples = self.config.chunk_tuples(r.len());
         let nbuf = self.config.buffers;
         let kind = self.config.transfer;
 
-        // Device residency: R (recycled into its bucket chains — input and
-        // partitioned form never coexist, as in the resident strategy) +
-        // two S chunk input buffers (+ output buffers when materializing).
+        // Device residency (see `StreamedProbeConfig::footprint`): R
+        // (recycled into its bucket chains — input and partitioned form
+        // never coexist, as in the resident strategy) + the S chunk input
+        // buffers (+ output buffers when materializing).
         let r_input = gpu.mem.reserve(r.bytes())?;
         let partitioner = GpuPartitioner::new(cfg);
         let r_out = partitioner.partition(r);
         drop(r_input);
         let _r_pool = gpu.mem.reserve(r_out.partitioned.pool.device_bytes())?;
-        let _in_buffers = gpu.mem.reserve(nbuf as u64 * chunk_bytes)?;
+        let _in_buffers = gpu.mem.reserve(self.config.chunk_buffer_bytes(r.len()))?;
         let _out_buffers = match cfg.output {
-            OutputMode::Materialize => {
-                // Double output buffers, bounded by a slice of the device.
-                let want = 2 * u64::from(cfg.join_block_threads) * 64 * ROW_BYTES;
-                Some(gpu.mem.reserve(want.min(cfg.device.device_mem_bytes / 8))?)
-            }
+            OutputMode::Materialize => Some(gpu.mem.reserve(cfg.output_buffer_bytes())?),
             OutputMode::Aggregate => None,
         };
 

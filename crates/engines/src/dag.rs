@@ -155,9 +155,11 @@ pub fn degrade_n(strategy: PlannedStrategy, n: usize) -> PlannedStrategy {
 /// Admission-control footprint envelope for a whole plan at a given
 /// degrade level: the worst per-join estimated footprint, each join
 /// sized from [`PlanSpec::estimated_rows`] (8 bytes per tuple, smaller
-/// estimated side builds). Joins run one wave at a time against the same
-/// accountant, so the peak concurrent demand is bounded by the worst
-/// single join plus the (separately reserved) pinned intermediates.
+/// estimated side builds) in the engine's output mode, even an op that
+/// materializes rows for a later join. Joins run one level at a time
+/// against the same accountant, so the peak concurrent demand is bounded
+/// by the worst single join plus the (separately reserved) pinned
+/// intermediates.
 pub fn plan_envelope(engine: &HcjEngine, plan: &PlanSpec, degrade: usize) -> u64 {
     let rows = plan.estimated_rows();
     let mut worst = 0u64;
@@ -607,9 +609,9 @@ mod tests {
         let run = execute_plan(&e, &plan, scans_for(&plan), 1, &device, None);
         assert!(run.check_ok, "error={:?}", run.error);
         assert_eq!(run.matches, plan_oracle(&plan).final_matches);
-        // The fully degraded envelope is always admissible on an idle
-        // device (the co-processing floor never exceeds capacity), so a
-        // plan that retries down the ladder always admits eventually.
+        // The fully degraded envelope is admissible on this idle device
+        // (the co-processing floor exceeds only devices under about 48 B),
+        // so a plan that retries down the ladder admits eventually.
         let cap = e.config.device.device_mem_bytes;
         assert!(plan_envelope(&e, &plan, 2) <= cap);
         // planned_root reports the root join's tier from estimates.

@@ -10,15 +10,21 @@
 //!    partitions and chunk buffers) fits;
 //! 3. CPU–GPU co-processing otherwise.
 //!
-//! The plan is an *estimate*; when the chosen strategy reports a
-//! transient error at run time (out-of-device-memory, or a device fault
-//! that survived bounded retry) the engine degrades down the same ladder,
-//! exactly as the paper's system "reverts into the streaming variant"
-//! when residency fails (§V-C). Co-processing is the floor for
-//! out-of-memory: if even its buffers cannot be reserved the error
-//! propagates to the caller (nothing panics), which is what the
-//! multi-tenant service layer in [`crate::service`] relies on for
-//! graceful degradation under contention.
+//! Each rung's estimate is its strategy's own footprint rule in `hcj-core`
+//! ([`partitioned_footprint`], [`StreamedProbeConfig::footprint`],
+//! [`CoProcessingConfig::footprint`]), the rule its `execute` reserves
+//! by. Only the partition pools are modeled, at 1.3x each input, because
+//! their real size depends on the keys. The plan is therefore an
+//! *estimate*; when the chosen strategy reports a transient error at run
+//! time (out-of-device-memory, or a device fault that survived bounded
+//! retry) the engine degrades down the same ladder, exactly as the
+//! paper's system "reverts into the streaming variant" when residency
+//! fails (§V-C). Co-processing is the floor for out-of-memory: it models
+//! nothing, and if even its buffers cannot be reserved the error
+//! propagates to the caller (nothing panics). The multi-tenant service
+//! layer in [`crate::service`] refuses at admission a request that no
+//! remaining rung's estimate fits on its device (below about 48 B even
+//! the floor does not), instead of backing it off forever.
 //!
 //! Two failures escape the ladder entirely and land on the CPU baseline
 //! ([`PlannedStrategy::CpuFallback`], the PRO radix join): a sticky
@@ -29,8 +35,8 @@
 //! to CPU speed, not to an error.
 
 use hcj_core::{
-    CoProcessingConfig, CoProcessingJoin, GpuJoinConfig, GpuPartitionedJoin, JoinOutcome,
-    OutputMode, StreamedProbeConfig, StreamedProbeJoin, GPU_BUDGET_FRACTION,
+    partitioned_footprint, CoProcessingConfig, CoProcessingJoin, GpuJoinConfig, GpuPartitionedJoin,
+    JoinOutcome, OutputMode, StreamedProbeConfig, StreamedProbeJoin,
 };
 use hcj_cpu_join::ProJoin;
 use hcj_gpu::faults::{FaultEvent, FaultEventKind};
@@ -39,6 +45,17 @@ use hcj_sim::{Op, Sim};
 use hcj_workload::{build_is_left, Relation};
 
 use crate::result::EngineResult;
+
+/// Modeled partition pool per input byte. A pool's real size depends on
+/// the keys (bucket slack, chain depth), which admission does not see, so
+/// every estimate models each relation's pool at 1.3x its input; the
+/// strategies' own footprint rules do the rest.
+const POOL_FACTOR: f64 = 1.3;
+
+/// The modeled partition pool of `bytes` of input.
+fn modeled_pool(bytes: u64) -> u64 {
+    (bytes as f64 * POOL_FACTOR) as u64
+}
 
 /// Headroom factor on a cross-device participant's estimated input share:
 /// key partitioning never splits exactly `1/n`, so admission reserves 1.5x
@@ -122,67 +139,51 @@ pub struct HcjEngine {
     /// Join configuration (device, radix bits, bucket tuning) every
     /// strategy shares.
     pub config: GpuJoinConfig,
-    /// Peak-footprint factor per partitioned relation: with bucket-pool
-    /// recycling a relation's input and partitioned form never coexist,
-    /// so the peak is ~1.3x the inputs (chain slack + transients), not 3x.
-    pub pool_factor: f64,
 }
 
 impl HcjEngine {
-    /// An engine with the default bucket-pool peak factor.
+    /// An engine running every strategy with `config`.
     pub fn new(config: GpuJoinConfig) -> Self {
-        HcjEngine { config, pool_factor: 1.3 }
+        HcjEngine { config }
     }
 
-    /// Estimated peak device-memory footprint of running `strategy` with
-    /// `build` as the build side. This is the quantity admission control
-    /// reserves before dispatch: [`plan`](Self::plan) is exactly "the
-    /// highest-ranked strategy whose estimate fits the device".
-    pub fn footprint_estimate(
-        &self,
-        strategy: PlannedStrategy,
-        build: &Relation,
-        probe: &Relation,
-    ) -> u64 {
-        self.footprint_estimate_sized(strategy, build.bytes(), probe.bytes())
+    fn streamed_config(&self) -> StreamedProbeConfig {
+        StreamedProbeConfig::paper_default(self.config.clone())
     }
 
-    /// [`footprint_estimate`](Self::footprint_estimate) from byte sizes
-    /// alone — what plan admission uses for ops whose inputs are not yet
-    /// materialized (a downstream join's intermediate is only an
-    /// estimated size at admission time).
+    fn coprocessing_config(&self) -> CoProcessingConfig {
+        CoProcessingConfig::paper_default(self.config.clone())
+    }
+
+    /// Estimated peak device-memory footprint of running `strategy` with a
+    /// build side of `build_bytes` against a probe side of `probe_bytes`:
+    /// the strategy's own footprint in `hcj-core`, with modeled partition
+    /// pools and no result rows (a join's result size is unknown until it
+    /// runs; aggregation keeps none on the device). This is the quantity
+    /// admission control reserves before dispatch, and
+    /// [`plan`](Self::plan) is exactly "the highest-ranked strategy whose
+    /// estimate fits the device".
     pub fn footprint_estimate_sized(
         &self,
         strategy: PlannedStrategy,
         build_bytes: u64,
         probe_bytes: u64,
     ) -> u64 {
-        let capacity = self.config.device.device_mem_bytes;
         match strategy {
             PlannedStrategy::GpuResident => {
-                ((build_bytes + probe_bytes) as f64 * self.pool_factor) as u64
+                partitioned_footprint(&self.config, modeled_pool(build_bytes + probe_bytes), 0)
             }
-            // Streamed probe: R (recycled into its partitions) + two chunk
-            // buffers (chunk = R/2, the paper's rule).
             PlannedStrategy::StreamedProbe => {
-                (build_bytes as f64 * (1.0 + self.pool_factor)) as u64
+                self.streamed_config().footprint(build_bytes, modeled_pool(build_bytes))
             }
-            // Co-processing reserves the strategy's working-set budget
-            // plus two streamed S chunk buffers of at most one sixth of
-            // the device each; the total never exceeds capacity, so an
-            // idle device can always admit it.
-            PlannedStrategy::CoProcessing => {
-                let chunk = (probe_bytes.max(8)).min(capacity / 6);
-                let budget = (capacity as f64 * GPU_BUDGET_FRACTION) as u64;
-                (budget + 2 * chunk).min(capacity)
-            }
+            PlannedStrategy::CoProcessing => self.coprocessing_config().footprint(probe_bytes),
             // One participating device's share of a cross-device exchange
             // join: admission reserves this envelope on *each* of the `n`
             // participants. The slack factor covers partition-assignment
             // imbalance (skewed keys never split perfectly `1/n`).
-            PlannedStrategy::CrossDevice(n) => {
-                self.cross_device_share(build_bytes, probe_bytes, n).min(capacity)
-            }
+            PlannedStrategy::CrossDevice(n) => self
+                .cross_device_share(build_bytes, probe_bytes, n)
+                .min(self.config.device.device_mem_bytes),
             // The CPU fallback touches no device memory at all.
             PlannedStrategy::CpuFallback => 0,
         }
@@ -190,11 +191,11 @@ impl HcjEngine {
 
     /// Estimated per-participant device footprint of a cross-device join
     /// split `n` ways (before the capacity clamp): each device holds its
-    /// `1/n` slice of both partitioned inputs plus the bucket-pool slack,
-    /// times [`CROSS_DEVICE_SLACK`] for assignment imbalance.
+    /// `1/n` slice of both inputs' modeled partition pools, times
+    /// [`CROSS_DEVICE_SLACK`] for assignment imbalance.
     pub fn cross_device_share(&self, build_bytes: u64, probe_bytes: u64, n: usize) -> u64 {
         let n = n.max(1) as f64;
-        ((build_bytes + probe_bytes) as f64 * self.pool_factor * CROSS_DEVICE_SLACK / n) as u64
+        ((build_bytes + probe_bytes) as f64 * POOL_FACTOR * CROSS_DEVICE_SLACK / n) as u64
     }
 
     /// Plan against a fleet of `devices` serving devices whose smallest
@@ -224,12 +225,12 @@ impl HcjEngine {
         single
     }
 
-    /// Estimated peak device footprint of executing against an already
-    /// resident cached build: only the staged probe side plus its
-    /// partitions — the cached table's own bytes are covered by the
-    /// reservation its cache entry holds.
+    /// Estimated peak device footprint of probing an already resident
+    /// cached build with `probe`: the hot path's footprint, the probe's
+    /// modeled pool and no result rows — the cached table's own bytes are
+    /// covered by the reservation its cache entry holds.
     pub fn cached_probe_estimate(&self, probe: &Relation) -> u64 {
-        (probe.bytes() as f64 * (1.0 + self.pool_factor)) as u64
+        partitioned_footprint(&self.config, modeled_pool(probe.bytes()), 0)
     }
 
     /// Decide the strategy for the given input sizes (`r` is the build
@@ -239,7 +240,8 @@ impl HcjEngine {
     }
 
     /// [`plan`](Self::plan) from byte sizes alone (see
-    /// [`footprint_estimate_sized`](Self::footprint_estimate_sized)).
+    /// [`footprint_estimate_sized`](Self::footprint_estimate_sized)); what
+    /// plan admission uses for ops whose inputs are not yet materialized.
     pub fn plan_sized(&self, build_bytes: u64, probe_bytes: u64) -> PlannedStrategy {
         let capacity = self.config.device.device_mem_bytes;
         for strategy in [PlannedStrategy::GpuResident, PlannedStrategy::StreamedProbe] {
@@ -313,12 +315,10 @@ impl HcjEngine {
                     GpuPartitionedJoin::new(self.config.clone()).execute(build, probe)
                 }
                 PlannedStrategy::StreamedProbe => {
-                    StreamedProbeJoin::new(StreamedProbeConfig::paper_default(self.config.clone()))
-                        .execute(build, probe)
+                    StreamedProbeJoin::new(self.streamed_config()).execute(build, probe)
                 }
                 PlannedStrategy::CoProcessing => {
-                    CoProcessingJoin::new(CoProcessingConfig::paper_default(self.config.clone()))
-                        .execute(build, probe)
+                    CoProcessingJoin::new(self.coprocessing_config()).execute(build, probe)
                 }
                 PlannedStrategy::CrossDevice(_) => unreachable!("rewritten to co-processing above"),
                 PlannedStrategy::CpuFallback => {
@@ -561,6 +561,7 @@ pub(crate) mod tests {
         assert_eq!(strategy, PlannedStrategy::CpuFallback);
         assert_eq!(out.check, JoinCheck::compute(&r, &s));
         assert!(out.total_seconds() > 0.0);
+        assert_eq!(out.device_peak, 0, "the CPU holds no device memory");
     }
 
     #[test]
@@ -619,20 +620,20 @@ pub(crate) mod tests {
     #[test]
     fn planned_estimate_fits_capacity_unless_coprocessing() {
         let (r, s) = canonical_pair(10_000, 40_000, 105);
+        let (b, p) = (r.bytes(), s.bytes());
         for scale_pow in 0..20u32 {
             let e = engine(1 << scale_pow, 10_000, 8);
+            let capacity = e.config.device.device_mem_bytes;
             let plan = e.plan(&r, &s);
             if plan != PlannedStrategy::CoProcessing {
                 assert!(
-                    e.footprint_estimate(plan, &r, &s) <= e.config.device.device_mem_bytes,
+                    e.footprint_estimate_sized(plan, b, p) <= capacity,
                     "scale 2^{scale_pow}: chosen {plan} must fit its estimate"
                 );
             }
-            // The co-processing floor is always admissible on an idle device.
-            assert!(
-                e.footprint_estimate(PlannedStrategy::CoProcessing, &r, &s)
-                    <= e.config.device.device_mem_bytes
-            );
+            // The co-processing floor is admissible on an idle device of
+            // these sizes (16 KB and up).
+            assert!(e.footprint_estimate_sized(PlannedStrategy::CoProcessing, b, p) <= capacity);
         }
     }
 }

@@ -72,7 +72,7 @@ use std::sync::Arc;
 
 use hcj_core::CachedBuild;
 use hcj_gpu::faults::{DeviceFault, FaultKind, FaultSite};
-use hcj_gpu::{DeviceMemory, DeviceSpec, JoinError, Reservation};
+use hcj_gpu::{DeviceMemory, DeviceSpec, JoinError, OutOfDeviceMemory, Reservation};
 use hcj_host::pool::Pool;
 use hcj_sim::{CounterId, SimTime, Timeline, TrackId};
 use hcj_workload::catalog::BuildRef;
@@ -498,6 +498,21 @@ impl FleetRequest {
         Some(if build_is_left(r, s) { (r, s) } else { (s, r) })
     }
 
+    /// The smallest estimate any rung from the current one down reserves:
+    /// on a device whose capacity is below it, the request can never
+    /// admit.
+    fn smallest_estimate(&self, engine: &HcjEngine) -> u64 {
+        if let Some(pw) = &self.plan {
+            let rungs = pw.degrade..PlannedStrategy::LADDER.len();
+            return rungs.map(|n| plan_envelope(engine, &pw.spec, n)).min().unwrap_or(0);
+        }
+        let Some((b, p)) = self.sides() else { return 0 };
+        std::iter::successors(Some(self.level), |level| level.degraded())
+            .map(|level| engine.footprint_estimate_sized(level, b.bytes(), p.bytes()))
+            .min()
+            .unwrap_or(0)
+    }
+
     /// Admission rejected: count the retry, step one rung down the ladder
     /// after [`MAX_RETRIES`] rejections at the current rung (a plan steps
     /// every join down), back off exponentially, and schedule the wake-up
@@ -811,24 +826,30 @@ impl<'a> FleetRun<'a> {
                 self.parked.push_back(req);
             }
             Route::Fail => {
-                let st = &mut self.requests[req];
-                st.done = true;
-                st.metrics.completed_at = now;
-                st.metrics.check_ok = false;
-                st.metrics.error = Some(
-                    JoinError::Device(DeviceFault {
-                        site: FaultSite::Kernel,
-                        kind: FaultKind::DeviceLost,
-                        label: "fleet exhausted".into(),
-                    })
-                    .tag(),
-                );
-                self.makespan = self.makespan.max(now);
-                let (c, i) = (st.metrics.client, st.metrics.index);
+                let m = &self.requests[req].metrics;
+                let (c, i) = (m.client, m.index);
                 self.timeline.instant(self.router, format!("fleet lost r{c}.{i}"), 9, now);
-                self.next_submit(c, i, now);
+                let lost = JoinError::Device(DeviceFault {
+                    site: FaultSite::Kernel,
+                    kind: FaultKind::DeviceLost,
+                    label: "fleet exhausted".into(),
+                });
+                self.fail(req, lost.tag(), now);
             }
         }
+    }
+
+    /// Finish `req` with `error` without running it, and move its client
+    /// on to its next request.
+    fn fail(&mut self, req: usize, error: &'static str, now: SimTime) {
+        let st = &mut self.requests[req];
+        st.done = true;
+        st.metrics.completed_at = now;
+        st.metrics.check_ok = false;
+        st.metrics.error = Some(error);
+        self.makespan = self.makespan.max(now);
+        let (c, i) = (st.metrics.client, st.metrics.index);
+        self.next_submit(c, i, now);
     }
 
     /// Re-plan a request against `device`'s *current free* bytes: the
@@ -1400,7 +1421,8 @@ impl<'a> FleetRun<'a> {
     /// One device's admission wave: scan its queue in order, reserve
     /// against its accountant (reclaiming its cache under pressure) and
     /// back off or degrade on rejection. Requests still backing off are
-    /// skipped.
+    /// skipped, and a request no remaining rung fits on this device even
+    /// when idle fails `out-of-device-memory` at once.
     fn admission_wave(&mut self, device: usize, now: SimTime, batch: &mut Vec<usize>) {
         let mut queue = std::mem::take(&mut self.devices[device].queue);
         // Cross-device pre-pass: exchange requests reserve one envelope on
@@ -1422,6 +1444,7 @@ impl<'a> FleetRun<'a> {
         let requests = &mut self.requests;
         let invariants = &mut self.invariants;
         let calendar = &mut self.calendar;
+        let mut refused: Vec<(usize, u64)> = Vec::new();
         queue.retain(|&id| {
             let st = &mut requests[id];
             if st.eligible_at > now {
@@ -1465,11 +1488,19 @@ impl<'a> FleetRun<'a> {
                 // making room for it must spare that entry.
                 let (estimate, protect) = match role {
                     CacheRole::Hit => (engine.cached_probe_estimate(probe), st.build.map(|b| b.id)),
-                    _ => (engine.footprint_estimate(st.level, build, probe), None),
+                    _ => (
+                        engine.footprint_estimate_sized(st.level, build.bytes(), probe.bytes()),
+                        None,
+                    ),
                 };
                 d.reserve(estimate, protect).map(|res| (res, role))
             };
             let Some((res, mut role)) = admitted else {
+                let smallest = st.smallest_estimate(engine);
+                if smallest > d.memory.capacity() {
+                    refused.push((id, smallest));
+                    return false;
+                }
                 st.reject(now, calendar);
                 return true;
             };
@@ -1494,6 +1525,18 @@ impl<'a> FleetRun<'a> {
             false
         });
         self.devices[device].queue = queue;
+        for (id, requested) in refused {
+            let memory = &self.devices[device].memory;
+            let oom = OutOfDeviceMemory {
+                requested,
+                available: memory.available(),
+                capacity: memory.capacity(),
+            };
+            let m = &self.requests[id].metrics;
+            let (c, i) = (m.client, m.index);
+            self.timeline.instant(self.clients[c], format!("refused r{c}.{i}"), 9, now);
+            self.fail(id, JoinError::OutOfDeviceMemory(oom).tag(), now);
+        }
     }
 
     /// Execute the admitted batch: single joins (device lanes and the CPU
@@ -1863,17 +1906,14 @@ mod tests {
 
     #[test]
     fn a_failed_single_join_reports_no_matches() {
-        // A 16-byte device admits the co-processing floor's estimate but
-        // cannot hold its working set and two one-tuple chunk buffers, so
-        // the join fails at run time: it reports its error and 0 matches,
-        // not the oracle's count.
+        // A co-tenant steals every free byte before each reservation the
+        // execution makes, so every rung fails out-of-device-memory at run
+        // time: the join reports its error and 0 matches, not the oracle's
+        // count.
         use crate::service::RequestSpec;
         use hcj_workload::RelationSpec;
-        let device = DeviceSpec::gtx1080().scaled_capacity(1 << 29);
-        assert_eq!(device.device_mem_bytes, 16);
-        let engine = HcjEngine::new(
-            GpuJoinConfig::paper_default(device).with_radix_bits(8).with_tuned_buckets(2_000),
-        );
+        let steal_all =
+            FaultConfig { shrink_p: 1.0, shrink_fraction: 1.0, ..FaultConfig::disabled(1) };
         let workload = vec![ClientSpec {
             requests: vec![QuerySpec::Join(RequestSpec {
                 r: RelationSpec::unique(2_000, 1),
@@ -1881,12 +1921,67 @@ mod tests {
                 build: None,
             })],
         }];
-        let report =
-            FleetService::new(engine, ServiceConfig::default(), FleetConfig::new(1)).run(&workload);
+        let svc = FleetService::new(
+            small_engine(Some(steal_all)),
+            ServiceConfig::default(),
+            FleetConfig::new(1),
+        );
+        let report = svc.run(&workload);
         let m = &report.requests[0];
         assert_eq!(m.error, Some("out-of-device-memory"), "{}", report.summary());
         assert_eq!((m.executed, m.check_ok, m.matches), (None, false, 0));
         assert_eq!(report.errored(), 1);
+    }
+
+    /// A workload of one client sending `query` to a lone 16-byte device:
+    /// too small for even the co-processing floor (an 8-byte working set
+    /// and two one-tuple chunk buffers). The deadline ends a request that
+    /// backs off instead.
+    fn on_a_16_byte_device(query: QuerySpec) -> ServiceReport {
+        let device = DeviceSpec::gtx1080().scaled_capacity(1 << 29);
+        assert_eq!(device.device_mem_bytes, 16);
+        let engine = HcjEngine::new(
+            GpuJoinConfig::paper_default(device).with_radix_bits(8).with_tuned_buckets(2_000),
+        );
+        let config = ServiceConfig::default().with_deadline(Some(SimTime::from_nanos(10_000_000)));
+        let workload = vec![ClientSpec { requests: vec![query] }];
+        FleetService::new(engine, config, FleetConfig::new(1)).run(&workload)
+    }
+
+    /// A request no rung fits fails at admission: typed, unretried and
+    /// never run.
+    fn assert_refused(report: &ServiceReport) {
+        let summary = report.summary();
+        let m = &report.requests[0];
+        assert_eq!(m.error, Some("out-of-device-memory"), "{summary}");
+        assert_eq!((m.retries, m.executed, m.check_ok, m.matches), (0, None, false, 0));
+        assert_eq!(report.errored(), 1, "{summary}");
+        assert_eq!(report.fleet.as_ref().map(|f| f.devices[0].admitted), Some(0));
+        assert!(report.invariant_violations.is_empty(), "{:?}", report.invariant_violations);
+    }
+
+    #[test]
+    fn a_join_no_rung_fits_fails_at_admission() {
+        use crate::service::RequestSpec;
+        use hcj_workload::RelationSpec;
+        assert_refused(&on_a_16_byte_device(QuerySpec::Join(RequestSpec {
+            r: RelationSpec::unique(2_000, 1),
+            s: RelationSpec::unique(4_000, 2),
+            build: None,
+        })));
+    }
+
+    #[test]
+    fn a_plan_no_rung_fits_fails_at_admission() {
+        use hcj_workload::catalog::BuildCatalog;
+        use hcj_workload::plan::chain_plan;
+        let catalog = BuildCatalog::dimension_tables(2, 1_000, 3);
+        assert_refused(&on_a_16_byte_device(QuerySpec::Plan(chain_plan(
+            &catalog,
+            &[0, 1],
+            4_000,
+            4,
+        ))));
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //! * **Admission control.** Before a request may dispatch, the service
 //!   takes a [`hcj_gpu::DeviceMemory`] reservation for the planner's
 //!   footprint estimate of the request's current strategy
-//!   ([`HcjEngine::footprint_estimate`]). The reservation is held for the
-//!   whole simulated execution and freed on completion, so concurrently
-//!   admitted requests can never oversubscribe the modeled 8 GB part.
+//!   ([`HcjEngine::footprint_estimate_sized`]): that strategy's own
+//!   footprint rule in `hcj-core`, with partition pools modeled at 1.3x
+//!   their inputs. The reservation is held for the whole simulated
+//!   execution and freed on completion, so concurrently admitted requests
+//!   can never oversubscribe the modeled 8 GB part. Executions are not
+//!   bounded by it: a real pool can outgrow its model, and the execution
+//!   then degrades at run time.
 //! * **Backpressure.** The dispatch queue has bounded depth; submissions
 //!   beyond it park in a FIFO of blocked clients and enter the queue as
 //!   slots free (closed-loop clients stall, they are not dropped).
@@ -27,9 +31,11 @@
 //!   exponential backoff ([`BACKOFF_BASE`] doubling up to [`BACKOFF_CAP`]);
 //!   after [`MAX_RETRIES`] failures at one rung the request degrades down
 //!   the strategy ladder (resident → streamed → co-processing) and starts
-//!   over. Co-processing is the floor and its estimate never exceeds
-//!   device capacity, so every request eventually admits once running
-//!   work drains — nothing panics, nothing starves forever.
+//!   over. Co-processing is the floor; it fits every idle device of about
+//!   48 B and up, so there every request eventually admits once running
+//!   work drains. A request that no remaining rung fits even on the idle
+//!   device fails `out-of-device-memory` at admission without a retry —
+//!   nothing panics, nothing starves forever.
 //! * **Determinism.** The loop is single-threaded and runs in virtual
 //!   time (a [`SimTime`]-keyed calendar with a tie-breaking sequence
 //!   number). Only the *execution* of an admitted batch fans out, via

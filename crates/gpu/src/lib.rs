@@ -7,7 +7,7 @@
 //!   (shared-memory size, device-memory capacity and bandwidth, PCIe
 //!   bandwidth, SM count, warp width, atomic throughput), with presets for
 //!   the paper's GTX 1080 and a V100;
-//! * [`DeviceMemory`] / [`DeviceBuffer`] — typed device allocations with
+//! * [`DeviceMemory`] / [`Reservation`] — device-memory reservations with
 //!   strict capacity accounting, so out-of-memory is a real, observable
 //!   condition that drives the out-of-GPU execution strategies;
 //! * [`SharedMemLayout`] — a per-thread-block shared-memory budget; kernel
@@ -54,7 +54,7 @@ pub use faults::{
     FaultSite, FaultSummary,
 };
 pub use interconnect::InterconnectLink;
-pub use memory::{DeviceBuffer, DeviceMemory, OutOfDeviceMemory, Reservation};
+pub use memory::{DeviceMemory, OutOfDeviceMemory, Reservation};
 pub use shared::{SharedMemLayout, SharedMemOverflow};
 pub use spec::DeviceSpec;
 pub use stream::{Gpu, Stream, TransferKind};

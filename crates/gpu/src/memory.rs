@@ -1,19 +1,17 @@
-//! Device-memory accounting: typed buffers with strict capacity limits.
+//! Device-memory accounting: reservations with strict capacity limits.
 //!
 //! Out-of-memory is a first-class, observable condition here: the paper's
 //! whole out-of-GPU section (§IV) exists because allocations fail on an
-//! 8 GB part. The algorithms in `hcj-core` ask [`DeviceMemory`] before
-//! choosing a strategy, and integration tests exercise the failure path.
+//! 8 GB part. The algorithms in `hcj-core` reserve every device buffer
+//! they hold through [`DeviceMemory::reserve`], and integration tests
+//! exercise the failure path.
 //!
-//! Buffers physically live in host RAM (this is a simulation), but are
-//! owned by the device-memory accountant: allocating consumes capacity,
+//! The data itself lives in host-side structures (this is a simulation);
+//! a [`Reservation`] only accounts its bytes: reserving consumes capacity,
 //! dropping returns it.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::faults::{FaultEventKind, FaultHandle, FaultSite};
 
@@ -139,31 +137,9 @@ impl DeviceMemory {
         self.available() >= bytes
     }
 
-    /// Allocate a zero-initialized typed buffer of `len` elements.
-    pub fn alloc_zeroed<T: Copy + Default>(
-        &self,
-        len: usize,
-    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        self.alloc_with(len, |n| vec![T::default(); n])
-    }
-
-    /// Allocate a buffer holding a copy of `src`.
-    ///
-    /// Note: this performs the *functional* copy only. The simulated cost
-    /// of moving the bytes over PCIe is charged separately by
-    /// [`crate::Gpu::copy_h2d`]; callers that model a transfer must issue
-    /// that op themselves (the strategies in `hcj-core` always do).
-    pub fn alloc_from_slice<T: Copy>(
-        &self,
-        src: &[T],
-    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        self.alloc_with(src.len(), |_| src.to_vec())
-    }
-
-    /// Reserve `bytes` of device memory without backing storage — used for
-    /// large working buffers whose contents the simulation keeps in other
-    /// host-side structures (e.g. partition bucket pools). The reservation
-    /// participates fully in capacity accounting and frees on drop.
+    /// Reserve `bytes` of device memory. The contents live in host-side
+    /// structures (e.g. partition bucket pools); the reservation takes
+    /// part fully in capacity accounting and frees on drop.
     pub fn reserve(&self, bytes: u64) -> Result<Reservation, OutOfDeviceMemory> {
         self.maybe_shrink(bytes);
         {
@@ -179,28 +155,6 @@ impl DeviceMemory {
             g.peak = g.peak.max(g.used);
         }
         Ok(Reservation { bytes, owner: Arc::clone(&self.inner) })
-    }
-
-    fn alloc_with<T>(
-        &self,
-        len: usize,
-        make: impl FnOnce(usize) -> Vec<T>,
-    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        self.maybe_shrink(bytes);
-        {
-            let mut g = self.inner.lock().expect("device-memory accountant poisoned");
-            if g.capacity - g.used < bytes {
-                return Err(OutOfDeviceMemory {
-                    requested: bytes,
-                    available: g.capacity - g.used,
-                    capacity: g.capacity,
-                });
-            }
-            g.used += bytes;
-            g.peak = g.peak.max(g.used);
-        }
-        Ok(DeviceBuffer { data: make(len), bytes, owner: Arc::clone(&self.inner) })
     }
 }
 
@@ -226,57 +180,6 @@ impl Drop for Reservation {
     }
 }
 
-/// A typed allocation in modeled device memory. Dereferences to a slice;
-/// frees its accounted bytes on drop.
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    bytes: u64,
-    owner: Arc<Mutex<Accountant>>,
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Accounted size in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<T> Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        let mut g = self.owner.lock().expect("device-memory accountant poisoned");
-        g.used -= self.bytes;
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for DeviceBuffer<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DeviceBuffer({} elems, {} B)", self.data.len(), self.bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,8 +188,7 @@ mod tests {
     fn alloc_and_free_round_trip() {
         let mem = DeviceMemory::new(1024);
         assert_eq!(mem.available(), 1024);
-        let buf = mem.alloc_zeroed::<u64>(64).unwrap();
-        assert_eq!(buf.len(), 64);
+        let buf = mem.reserve(512).unwrap();
         assert_eq!(mem.used(), 512);
         assert_eq!(mem.available(), 512);
         drop(buf);
@@ -297,8 +199,8 @@ mod tests {
     #[test]
     fn oom_reports_sizes() {
         let mem = DeviceMemory::new(100);
-        let _a = mem.alloc_zeroed::<u8>(60).unwrap();
-        let err = mem.alloc_zeroed::<u8>(50).unwrap_err();
+        let _a = mem.reserve(60).unwrap();
+        let err = mem.reserve(50).unwrap_err();
         assert_eq!(err.requested, 50);
         assert_eq!(err.available, 40);
         assert_eq!(err.capacity, 100);
@@ -308,34 +210,16 @@ mod tests {
     #[test]
     fn failed_alloc_does_not_leak_accounting() {
         let mem = DeviceMemory::new(100);
-        let _a = mem.alloc_zeroed::<u8>(90).unwrap();
-        assert!(mem.alloc_zeroed::<u8>(20).is_err());
+        let _a = mem.reserve(90).unwrap();
+        assert!(mem.reserve(20).is_err());
         assert_eq!(mem.used(), 90);
-    }
-
-    #[test]
-    fn from_slice_copies_contents() {
-        let mem = DeviceMemory::new(1 << 20);
-        let src = [1u32, 2, 3, 4];
-        let buf = mem.alloc_from_slice(&src).unwrap();
-        assert_eq!(&*buf, &src);
-        assert_eq!(buf.size_bytes(), 16);
-    }
-
-    #[test]
-    fn buffers_are_writable() {
-        let mem = DeviceMemory::new(1 << 10);
-        let mut buf = mem.alloc_zeroed::<u32>(8).unwrap();
-        buf[3] = 42;
-        assert_eq!(buf[3], 42);
-        assert_eq!(buf[0], 0);
     }
 
     #[test]
     fn clones_share_accounting() {
         let mem = DeviceMemory::new(1000);
         let view = mem.clone();
-        let _buf = mem.alloc_zeroed::<u8>(600).unwrap();
+        let _buf = mem.reserve(600).unwrap();
         assert_eq!(view.used(), 600);
         assert!(!view.fits(500));
         assert!(view.fits(400));
@@ -344,8 +228,8 @@ mod tests {
     #[test]
     fn zero_sized_alloc_ok() {
         let mem = DeviceMemory::new(0);
-        let buf = mem.alloc_zeroed::<u64>(0).unwrap();
-        assert!(buf.is_empty());
+        let buf = mem.reserve(0).unwrap();
+        assert_eq!(buf.size_bytes(), 0);
     }
 
     #[test]
@@ -366,7 +250,7 @@ mod tests {
         // allocation order; accounting must return every byte regardless.
         let mem = DeviceMemory::new(1000);
         let r = mem.reserve(500).unwrap();
-        let buf = mem.alloc_zeroed::<u8>(200).unwrap();
+        let buf = mem.reserve(200).unwrap();
         drop(r); // "mid-execution" release, before the buffer
         assert_eq!(mem.used(), 200);
         drop(buf);
@@ -433,10 +317,10 @@ mod tests {
     #[test]
     fn peak_tracks_high_water() {
         let mem = DeviceMemory::new(1000);
-        let a = mem.alloc_zeroed::<u8>(400).unwrap();
-        let b = mem.alloc_zeroed::<u8>(300).unwrap();
+        let a = mem.reserve(400).unwrap();
+        let b = mem.reserve(300).unwrap();
         drop(a);
-        let _c = mem.alloc_zeroed::<u8>(100).unwrap();
+        let _c = mem.reserve(100).unwrap();
         drop(b);
         assert_eq!(mem.peak(), 700);
     }

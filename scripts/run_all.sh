@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification sweep: build, test, examples, figures, benches.
+# Full verification sweep: build, test, examples, figures, benchmark.
 # Usage: scripts/run_all.sh [scale]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +21,10 @@ done
 echo "== figures (scale 1/$SCALE) =="
 cargo run --release -p hcj-bench --bin repro -- all --scale "$SCALE" --out results/
 
-echo "== benches =="
-cargo bench -p hcj-bench
+echo "== benchmark (perfbench) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+for w in paper-ladder serve-skew fleet-exchange; do
+    cargo run --release --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed 1 --seconds 5 --trace 0
+done
 
 echo "all green"

@@ -273,9 +273,10 @@ fn hit_too_big_to_admit_beside_its_table_runs_as_a_miss() {
         };
         RequestSpec { r: table.spec(), s, build: Some(table.build_ref()) }.into()
     };
-    // One client: the 1x probe installs the table, then the 3x probe
-    // finds it resident but cannot fit beside it.
-    let workload = vec![ClientSpec { requests: vec![request(1, 11), request(3, 12)] }];
+    // One client: the 1x probe installs the table, then the 5x probe
+    // finds it resident but cannot fit beside it (a hit reserves its
+    // probe's modeled pool, 1.3 x 320,000 B, beside the 133,120 B table).
+    let workload = vec![ClientSpec { requests: vec![request(1, 11), request(5, 12)] }];
     let report = JoinService::new(engine, config).run(&workload);
     let summary = report.summary();
     assert_eq!(report.completed(), 2, "both requests complete:\n{summary}");

@@ -139,8 +139,8 @@ fn property_escalation_terminates_from_any_start() {
 }
 
 /// Property: whatever the planner picks, the picked strategy's own
-/// footprint estimate fits device capacity (co-processing, the floor, is
-/// always admissible by construction).
+/// footprint estimate fits device capacity (co-processing, the floor,
+/// fits every device of 48 B and up, and these are 512 B and up).
 #[test]
 fn property_chosen_estimate_fits_capacity() {
     use hashjoin_gpu::workload::rng::{Rng, SmallRng};
@@ -155,7 +155,7 @@ fn property_chosen_estimate_fits_capacity() {
         let engine = HcjEngine::new(config_for(device, r_tuples));
         let plan = engine.plan(&r, &s);
         assert!(
-            engine.footprint_estimate(plan, &r, &s) <= capacity,
+            engine.footprint_estimate_sized(plan, r.bytes(), s.bytes()) <= capacity,
             "case {case}: {plan} estimated over capacity (2^{scale_pow})"
         );
     }

@@ -3,20 +3,19 @@
 //! out-of-device-memory *during* execution (paper §V-C: the system
 //! "reverts into the streaming variant" when residency fails).
 //!
-//! The planner's estimate is deliberately perturbable: `HcjEngine`
-//! exposes `pool_factor`, so a test can make `plan()` optimistic (choose
-//! GPU-resident) while the strategies' real reservations still fail,
-//! exercising every edge of the degradation ladder.
+//! Admission models partition pools, so its estimate can be optimistic.
+//! The tests start the ladder above what fits with `execute_from`, as
+//! admission does on an optimistic estimate, so the strategies' real
+//! reservations fail at run time, exercising every edge of the
+//! degradation ladder.
 
 use hashjoin_gpu::prelude::*;
 
-fn engine_with_pool_factor(scale: u64, tuples: usize, pool_factor: f64) -> HcjEngine {
+fn engine(scale: u64, tuples: usize) -> HcjEngine {
     let device = DeviceSpec::gtx1080().scaled_capacity(scale);
-    let mut engine = HcjEngine::new(
+    HcjEngine::new(
         GpuJoinConfig::paper_default(device).with_radix_bits(10).with_tuned_buckets(tuples / 8),
-    );
-    engine.pool_factor = pool_factor;
-    engine
+    )
 }
 
 /// Regression for the old `.expect()` panic in the co-processing arm: on
@@ -25,7 +24,7 @@ fn engine_with_pool_factor(scale: u64, tuples: usize, pool_factor: f64) -> HcjEn
 #[test]
 fn coprocessing_floor_oom_propagates_instead_of_panicking() {
     // 8 GB / 2^30 = 8 bytes of device memory: nothing can reserve.
-    let engine = engine_with_pool_factor(1 << 30, 4_000, 1.3);
+    let engine = engine(1 << 30, 4_000);
     let (r, s) = canonical_pair(4_000, 8_000, 3001);
     let err = engine.execute(&r, &s).unwrap_err();
     let JoinError::OutOfDeviceMemory(oom) = &err else {
@@ -39,51 +38,45 @@ fn coprocessing_floor_oom_propagates_instead_of_panicking() {
     assert!(err.to_string().contains("out of device memory"));
 }
 
-/// Edge 1 of the ladder: plan says GPU-resident, the resident join OOMs
-/// at run time, and the engine lands on the streamed probe with a correct
-/// result.
+/// Edge 1 of the ladder: the join starts GPU-resident, the resident join
+/// OOMs at run time, and the engine lands on the streamed probe with a
+/// correct result.
 #[test]
 fn optimistic_resident_plan_escalates_to_streamed() {
     // Device 2 MB. R 80 KB + S 3.2 MB: residency is impossible (inputs
-    // alone exceed capacity), but a pool_factor of 0.05 estimates the
-    // resident footprint at ~164 KB, so the planner picks GpuResident.
-    let engine = engine_with_pool_factor(1 << 12, 10_000, 0.05);
+    // alone exceed capacity), while R's partitions and chunk buffers fit.
+    let engine = engine(1 << 12, 10_000);
     let (r, s) = canonical_pair(10_000, 400_000, 3002);
-    assert_eq!(engine.plan(&r, &s), PlannedStrategy::GpuResident);
-    let (strategy, out) = engine.execute(&r, &s).unwrap();
+    let (strategy, out) = engine.execute_from(PlannedStrategy::GpuResident, &r, &s).unwrap();
     assert_eq!(strategy, PlannedStrategy::StreamedProbe, "must degrade exactly one rung");
     assert_eq!(out.check, JoinCheck::compute(&r, &s));
 }
 
-/// Edge 2: plan says GPU-resident, both the resident join *and* the
+/// Edge 2: the join starts GPU-resident, both the resident join *and* the
 /// streamed probe OOM at run time, and the engine walks the whole ladder
 /// down to co-processing — still correct.
 #[test]
 fn optimistic_resident_plan_escalates_to_coprocessing() {
     // Device 256 KB. Both sides 1.6 MB: the build side alone dwarfs the
     // device, so residency and streaming both fail; co-processing chunks
-    // through. pool_factor 0.01 keeps the plan optimistic (~32 KB).
-    let engine = engine_with_pool_factor(1 << 15, 200_000, 0.01);
+    // through.
+    let engine = engine(1 << 15, 200_000);
     let (r, s) = canonical_pair(200_000, 200_000, 3003);
-    assert_eq!(engine.plan(&r, &s), PlannedStrategy::GpuResident);
-    let (strategy, out) = engine.execute(&r, &s).unwrap();
+    let (strategy, out) = engine.execute_from(PlannedStrategy::GpuResident, &r, &s).unwrap();
     assert_eq!(strategy, PlannedStrategy::CoProcessing, "must walk both rungs");
     assert_eq!(out.check, JoinCheck::compute(&r, &s));
 }
 
-/// Edge 3: plan says streamed probe, the stream's build-side residency
-/// OOMs at run time, and the engine lands on co-processing.
+/// Edge 3: the join starts as a streamed probe, the stream's build-side
+/// residency OOMs at run time, and the engine lands on co-processing.
 #[test]
 fn streamed_plan_escalates_to_coprocessing() {
-    // Device 256 KB, build side 128 KB, probe side 3.2 MB. pool_factor
-    // 0.6 estimates the streamed footprint at ~205 KB (fits) and the
-    // resident footprint at ~2 MB (does not), so the plan starts at
-    // StreamedProbe — but the build's real partitions + chunk buffers
-    // need ~384 KB, the reservation fails, and co-processing takes over.
-    let engine = engine_with_pool_factor(1 << 15, 16_000, 0.6);
+    // Device 256 KB, build side 128 KB, probe side 3.2 MB: the build's
+    // real partitions + chunk buffers need ~384 KB, the reservation
+    // fails, and co-processing takes over.
+    let engine = engine(1 << 15, 16_000);
     let (r, s) = canonical_pair(16_000, 400_000, 3004);
-    assert_eq!(engine.plan(&r, &s), PlannedStrategy::StreamedProbe);
-    let (strategy, out) = engine.execute(&r, &s).unwrap();
+    let (strategy, out) = engine.execute_from(PlannedStrategy::StreamedProbe, &r, &s).unwrap();
     assert_eq!(strategy, PlannedStrategy::CoProcessing);
     assert_eq!(out.check, JoinCheck::compute(&r, &s));
 }
