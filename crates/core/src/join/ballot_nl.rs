@@ -12,7 +12,7 @@ use hcj_gpu::{KernelCost, WARP_SIZE};
 use hcj_host::Pool;
 
 use crate::config::GpuJoinConfig;
-use crate::join::PROBE_PAR_MIN;
+use crate::join::{probe_chunks, ProbeTally, PROBE_PAR_MIN};
 use crate::output::OutputSink;
 use crate::radix::differing_bits;
 
@@ -52,19 +52,13 @@ pub fn ballot_nl_join(
         // Probe scan (repeated per block).
         cost.add_coalesced(8 * s_keys.len() as u64);
 
-        // Probe warps are independent: chunk the warp groups across pool
-        // workers (chunk boundaries stay WARP_SIZE-aligned), emit into
-        // forked sinks, and merge counters and sinks in chunk order —
-        // bit-identical to the serial scan.
-        let pool = Pool::current();
+        // Probe warps are independent: pool workers may scan chunks of
+        // warps (WARP_SIZE-aligned) into forked sinks (see `probe_chunks`).
         let n_warps = s_keys.len().div_ceil(WARP_SIZE);
-        let warp_ranges = pool.chunks(n_warps, PROBE_PAR_MIN.div_ceil(WARP_SIZE));
-        let mut steps = 0u64;
-        let mut match_count = 0u64;
-        let per_chunk = pool.map(&warp_ranges, |_, wr| {
-            let mut local = sink.fork();
-            let (mut c_steps, mut c_matches) = (0u64, 0u64);
-            for w in wr.clone() {
+        let min_warps = PROBE_PAR_MIN.div_ceil(WARP_SIZE);
+        let tally = probe_chunks(Pool::current(), n_warps, min_warps, sink, |warps, out| {
+            let mut t = ProbeTally::default();
+            for w in warps {
                 let s0 = w * WARP_SIZE;
                 let s_valid = (s_keys.len() - s0).min(WARP_SIZE);
                 let mut s_lane: Lanes<u32> = [0; WARP_SIZE];
@@ -78,7 +72,7 @@ pub fn ballot_nl_join(
                         if r_valid == WARP_SIZE { u32::MAX } else { (1u32 << r_valid) - 1 };
                     // Lines 4–9 of Listing 1, executed for real.
                     let masks = ballot_match(&r_lane, &s_lane, &bits, valid_mask);
-                    c_steps += 1;
+                    t.steps += 1;
                     for (lane, &mask) in masks.iter().enumerate().take(s_valid) {
                         let mut m = mask;
                         while m != 0 {
@@ -86,26 +80,21 @@ pub fn ballot_nl_join(
                             m &= m - 1;
                             // Matched: fetch the build payload from shared
                             // memory and emit.
-                            c_matches += 1;
-                            local.emit(s_keys[s0 + lane], rp[r0 + j], s_pays[s0 + lane]);
+                            t.matches += 1;
+                            out.emit(s_keys[s0 + lane], rp[r0 + j], s_pays[s0 + lane]);
                         }
                     }
                 }
             }
-            (c_steps, c_matches, local)
+            t
         });
-        for (c_steps, c_matches, local) in per_chunk {
-            steps += c_steps;
-            match_count += c_matches;
-            sink.merge(local);
-        }
         // Matched payload reads.
-        cost.add_shared(4 * match_count);
+        cost.add_shared(4 * tally.matches);
         // Per step: each of 32 lanes reads one 4-byte value from shared
         // memory (line 4), then |bits| ballots with a couple of mask ops
         // each (lines 6–9).
-        cost.add_shared(steps * WARP_SIZE as u64 * 4);
-        cost.add_instructions(steps * (bits.len() as u64 * 3 + 2) * WARP_SIZE as u64);
+        cost.add_shared(tally.steps * WARP_SIZE as u64 * 4);
+        cost.add_instructions(tally.steps * (bits.len() as u64 * 3 + 2) * WARP_SIZE as u64);
     }
     cost
 }

@@ -7,8 +7,7 @@ use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
 use crate::config::GpuJoinConfig;
-use crate::join::bucket_hash;
-use crate::join::PROBE_PAR_MIN;
+use crate::join::{bucket_hash, probe_chunks, ProbeTally, PROBE_PAR_MIN};
 use crate::output::OutputSink;
 
 const NIL: u32 = u32::MAX;
@@ -56,42 +55,31 @@ pub fn device_hash_join(
 
     // ---- probe ----
     cost.add_coalesced(8 * s_keys.len() as u64);
-    // Independent probe tuples: chunked across pool workers with forked
-    // sinks merged in chunk order (bit-identical to the serial scan).
-    let pool = Pool::current();
-    let ranges = pool.chunks(s_keys.len(), PROBE_PAR_MIN);
-    let mut chain_steps = 0u64;
-    let mut match_count = 0u64;
-    let per_chunk = pool.map(&ranges, |_, range| {
-        let mut local = sink.fork();
-        let (mut steps, mut matches) = (0u64, 0u64);
-        for j in range.clone() {
+    // Independent probe tuples: pool workers may scan chunks of the probe
+    // side into forked sinks (see `probe_chunks`).
+    let tally = probe_chunks(Pool::current(), s_keys.len(), PROBE_PAR_MIN, sink, |range, out| {
+        let mut t = ProbeTally::default();
+        for j in range {
             let skey = s_keys[j];
-            let h = bucket_hash(skey, shift, buckets);
-            let mut idx = heads[h];
+            let mut idx = heads[bucket_hash(skey, shift, buckets)];
             while idx != NIL {
-                steps += 1;
+                t.steps += 1;
                 let i = idx as usize;
                 if r_keys[i] == skey {
-                    matches += 1;
-                    local.emit(skey, r_pays[i], s_pays[j]);
+                    t.matches += 1;
+                    out.emit(skey, r_pays[i], s_pays[j]);
                 }
                 idx = next[i];
             }
         }
-        (steps, matches, local)
+        t
     });
-    for (steps, matches, local) in per_chunk {
-        chain_steps += steps;
-        match_count += matches;
-        sink.merge(local);
-    }
     // One transaction per probe for the head slot; each chain step reads
     // the key and the next pointer: two transactions; each match adds a
     // payload read.
     charge(&mut cost, s_keys.len() as u64);
-    charge(&mut cost, 2 * chain_steps + match_count);
-    cost.add_instructions(4 * s_keys.len() as u64 + 3 * chain_steps);
+    charge(&mut cost, 2 * tally.steps + tally.matches);
+    cost.add_instructions(4 * s_keys.len() as u64 + 3 * tally.steps);
     cost
 }
 

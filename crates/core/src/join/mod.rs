@@ -19,6 +19,8 @@ pub mod ballot_nl;
 pub mod device_hash;
 pub mod sm_hash;
 
+use std::ops::{AddAssign, Range};
+
 use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
@@ -33,6 +35,61 @@ use crate::partition::PartitionedRelation;
 /// forking sinks and merging counters costs more than the loop, so the
 /// work stays inline.
 pub(crate) const PROBE_PAR_MIN: usize = 8192;
+
+/// What a probe loop counts besides its matches' output: chain steps
+/// walked (warp steps for the nested loop) and matches emitted.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ProbeTally {
+    pub steps: u64,
+    pub matches: u64,
+}
+
+impl AddAssign for ProbeTally {
+    fn add_assign(&mut self, other: ProbeTally) {
+        self.steps += other.steps;
+        self.matches += other.matches;
+    }
+}
+
+/// Run `probe` over the work units `0..len` of a probe side, emitting into
+/// `sink`, and return the summed tallies.
+///
+/// When `pool.chunks(len, min_chunk)` would return a single range (a
+/// serial pool, a caller inside a pool worker, or `len` at or below the
+/// chunk floor) the loop runs once on the caller's sink, with no chunk
+/// list, result vector or forked sink. Otherwise each chunk emits into a
+/// forked sink on a pool worker, and tallies and sinks fold back in chunk
+/// order. Either way the sink ends bit-identical to the serial loop's
+/// (see [`OutputSink::merge`]).
+pub(crate) fn probe_chunks<T>(
+    pool: Pool,
+    len: usize,
+    min_chunk: usize,
+    sink: &mut OutputSink,
+    probe: impl Fn(Range<usize>, &mut OutputSink) -> T + Sync,
+) -> T
+where
+    T: Default + AddAssign + Send,
+{
+    if one_chunk(pool, len, min_chunk) {
+        return probe(0..len, sink);
+    }
+    let per_chunk = pool.map(&pool.chunks(len, min_chunk), |_, range| {
+        let mut local = sink.fork();
+        (probe(range.clone(), &mut local), local)
+    });
+    let mut total = T::default();
+    for (tally, local) in per_chunk {
+        total += tally;
+        sink.merge(local);
+    }
+    total
+}
+
+/// Whether `pool.chunks(len, min_chunk)` returns at most one range.
+fn one_chunk(pool: Pool, len: usize, min_chunk: usize) -> bool {
+    !pool.is_parallel() || len <= min_chunk.max(1)
+}
 
 /// Join every co-partition pair of two identically-partitioned relations,
 /// writing matches to `sink`. Returns the aggregate kernel traffic
@@ -50,43 +107,35 @@ pub fn join_all_copartitions(
         "co-partition join requires identically partitioned inputs"
     );
     let shift = r.fixed_bits();
-    // Co-partition pairs are fully independent: each joins into a forked
-    // sink, and costs and sinks fold back in partition order, so the
-    // outcome is identical to the serial loop.
-    let live: Vec<usize> =
-        (0..r.fanout()).filter(|&p| !r.chains[p].is_empty() && !s.chains[p].is_empty()).collect();
-    let join = |p: usize, table: &mut BuildTable| {
-        let (r_keys, r_pays) = r.partition_columns(p);
-        let (s_keys, s_pays) = s.partition_columns(p);
-        let mut local = sink.fork();
-        let c = match config.probe {
-            ProbeKind::HashJoin => sm_hash::sm_hash_join(
-                config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local, table,
-            ),
-            ProbeKind::NestedLoop => ballot_nl::ballot_nl_join(
-                config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local,
-            ),
-            ProbeKind::DeviceHashJoin => device_hash::device_hash_join(
-                config, shift, &r_keys, &r_pays, &s_keys, &s_pays, &mut local,
-            ),
-        };
-        (c, local)
-    };
-    // Fan out over pool workers only when the live probe side pays for the
-    // hand-off; a serial pool runs one chunk of every co-partition. Each
-    // chunk reuses one build table.
+    let is_live = |&p: &usize| !r.chains[p].is_empty() && !s.chains[p].is_empty();
+    let mut live = Vec::with_capacity((0..r.fanout()).filter(is_live).count());
+    live.extend((0..r.fanout()).filter(is_live));
+    // Co-partition pairs are fully independent. Fan out over pool workers
+    // only when the live probe side pays for the hand-off; a worker joins
+    // a contiguous run of co-partitions into one forked sink on one reused
+    // build table, and runs fold back in partition order.
     let probe_tuples: u64 = live.iter().map(|&p| s.partition_len(p)).sum();
     let pool = if probe_tuples >= PROBE_PAR_MIN as u64 { Pool::current() } else { Pool::new(1) };
-    let per_chunk = pool.map(&pool.chunks(live.len(), 1), |_, range| {
+    probe_chunks(pool, live.len(), 1, sink, |range, sink| {
         let mut table = BuildTable::default();
-        live[range.clone()].iter().map(|&p| join(p, &mut table)).collect::<Vec<_>>()
-    });
-    let mut cost = KernelCost::ZERO;
-    for (c, local) in per_chunk.into_iter().flatten() {
-        cost += c;
-        sink.merge(local);
-    }
-    cost
+        let mut cost = KernelCost::ZERO;
+        for &p in &live[range] {
+            let (r_keys, r_pays) = r.partition_columns(p);
+            let (s_keys, s_pays) = s.partition_columns(p);
+            cost += match config.probe {
+                ProbeKind::HashJoin => sm_hash::sm_hash_join(
+                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink, &mut table,
+                ),
+                ProbeKind::NestedLoop => ballot_nl::ballot_nl_join(
+                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink,
+                ),
+                ProbeKind::DeviceHashJoin => device_hash::device_hash_join(
+                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink,
+                ),
+            };
+        }
+        cost
+    })
 }
 
 /// Number of co-partition pairs the join kernel actually launches blocks
@@ -166,6 +215,50 @@ mod tests {
     fn device_hash_matches_oracle() {
         let (got, want) = run(ProbeKind::DeviceHashJoin, 4096, 16384, 6);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn one_chunk_is_exactly_when_pool_chunks_returns_one_range() {
+        for jobs in [1, 2, 4] {
+            let pool = Pool::new(jobs);
+            for len in 0..200 {
+                for min_chunk in [0, 1, 7, 16, 64] {
+                    assert_eq!(
+                        one_chunk(pool, len, min_chunk),
+                        pool.chunks(len, min_chunk).len() <= 1,
+                        "{jobs} jobs, len {len}, floor {min_chunk}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_chunks_matches_the_inline_loop() {
+        // A row-capped sink that already holds rows: fanned-out chunks
+        // must keep the same prefix and sums as the one inline loop.
+        let run = |pool: Pool| {
+            let mut sink = OutputSink::new(OutputMode::Materialize, 64).with_row_cap(300);
+            for i in 0..50u32 {
+                sink.emit(i, i, i);
+            }
+            let tally = probe_chunks(pool, 1000, 16, &mut sink, |range, out| {
+                let mut t = ProbeTally::default();
+                for j in range {
+                    let j = j as u32;
+                    t.steps += u64::from(j % 3);
+                    if j % 2 == 0 {
+                        t.matches += 1;
+                        out.emit(j, j * 7, j * 11);
+                    }
+                }
+                t
+            });
+            (sink.check(), sink.into_rows(), tally.steps, tally.matches)
+        };
+        let inline = run(Pool::new(1));
+        assert_eq!((inline.1.len(), inline.0.matches), (300, 550));
+        assert_eq!(run(Pool::new(4)), inline);
     }
 
     #[test]

@@ -16,8 +16,7 @@ use hcj_gpu::KernelCost;
 use hcj_host::Pool;
 
 use crate::config::GpuJoinConfig;
-use crate::join::bucket_hash;
-use crate::join::PROBE_PAR_MIN;
+use crate::join::{bucket_hash, probe_chunks, ProbeTally, PROBE_PAR_MIN};
 use crate::output::OutputSink;
 
 const NIL: u16 = u16::MAX;
@@ -98,50 +97,35 @@ pub fn sm_hash_join(
         // Coalesced scan of the probe partition's bucket chain (re-read
         // once per build block — the nested-loop degradation).
         cost.add_coalesced(8 * s_keys.len() as u64);
-        // Probe tuples are independent: split the probe side into chunks
-        // executed on pool workers, each emitting into a forked sink, and
-        // merge counters and sinks back in chunk order — bit-identical to
-        // the serial scan for every worker count.
-        let pool = Pool::current();
-        let ranges = pool.chunks(s_keys.len(), PROBE_PAR_MIN);
-        let mut chain_steps = 0u64;
-        let mut head_reads = 0u64;
-        let mut match_count = 0u64;
-        let per_chunk = pool.map(&ranges, |_, range| {
-            let mut local = sink.fork();
-            let (mut heads_n, mut steps, mut matches) = (0u64, 0u64, 0u64);
-            for j in range.clone() {
-                let skey = s_keys[j];
-                let h = bucket_hash(skey, shift, buckets);
-                heads_n += 1;
-                let mut idx = heads[h];
-                while idx != NIL {
-                    steps += 1;
-                    let i = idx as usize;
-                    if rk[i] == skey {
-                        matches += 1;
-                        local.emit(skey, rp[i], s_pays[j]);
+        // Probe tuples are independent: pool workers may scan chunks of
+        // the probe side into forked sinks (see `probe_chunks`).
+        let tally =
+            probe_chunks(Pool::current(), s_keys.len(), PROBE_PAR_MIN, sink, |range, out| {
+                let mut t = ProbeTally::default();
+                for j in range {
+                    let skey = s_keys[j];
+                    let mut idx = heads[bucket_hash(skey, shift, buckets)];
+                    while idx != NIL {
+                        t.steps += 1;
+                        let i = idx as usize;
+                        if rk[i] == skey {
+                            t.matches += 1;
+                            out.emit(skey, rp[i], s_pays[j]);
+                        }
+                        idx = next[i];
                     }
-                    idx = next[i];
                 }
-            }
-            (heads_n, steps, matches, local)
-        });
-        for (heads_n, steps, matches, local) in per_chunk {
-            head_reads += heads_n;
-            chain_steps += steps;
-            match_count += matches;
-            sink.merge(local);
-        }
-        cost.add_shared(2 * head_reads); // 2 B head per probe
-                                         // Chain walks diverge within the warp: each dependent step wastes
-                                         // most of the warp's shared-memory bank transaction, so a step
-                                         // costs a warp-wide access, not 6 B. Long chains (elements >>
-                                         // buckets) are what bends hash-join throughput back down past the
-                                         // paper's 1024-element sweet spot (Fig. 5).
-        cost.add_shared(32 * chain_steps);
-        cost.add_shared(4 * match_count); // matched payload read
-        cost.add_instructions(4 * s_keys.len() as u64 + 3 * chain_steps);
+                t
+            });
+        cost.add_shared(2 * s_keys.len() as u64); // 2 B head per probe
+                                                  // Chain walks diverge within the warp: each dependent step wastes
+                                                  // most of the warp's shared-memory bank transaction, so a step
+                                                  // costs a warp-wide access, not 6 B. Long chains (elements >>
+                                                  // buckets) are what bends hash-join throughput back down past the
+                                                  // paper's 1024-element sweet spot (Fig. 5).
+        cost.add_shared(32 * tally.steps);
+        cost.add_shared(4 * tally.matches); // matched payload read
+        cost.add_instructions(4 * s_keys.len() as u64 + 3 * tally.steps);
         for &key in rk {
             heads[bucket_hash(key, shift, buckets)] = NIL;
         }

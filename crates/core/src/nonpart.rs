@@ -16,7 +16,7 @@ use hcj_workload::oracle::JoinCheck;
 use hcj_workload::Relation;
 
 use crate::config::OutputMode;
-use crate::join::PROBE_PAR_MIN;
+use crate::join::{probe_chunks, ProbeTally, PROBE_PAR_MIN};
 use crate::output::OutputSink;
 
 /// Which non-partitioned variant to run.
@@ -130,40 +130,31 @@ impl NonPartitionedJoin {
         let mut probe_cost = KernelCost::ZERO;
         probe_cost.add_coalesced(8 * s.len() as u64); // scan probe input
         let mut sink = OutputSink::new(self.output, 512);
-        // Independent probe tuples: chunked across pool workers, forked
-        // sinks merged in chunk order (identical to the serial scan).
-        let pool = Pool::current();
-        let ranges = pool.chunks(s.len(), PROBE_PAR_MIN);
-        let mut chain_steps = 0u64;
-        let mut matches = 0u64;
-        let per_chunk = pool.map(&ranges, |_, range| {
-            let mut local = sink.fork();
-            let (mut steps, mut m) = (0u64, 0u64);
-            for j in range.clone() {
-                let skey = s.keys[j];
-                let h = (skey as usize).wrapping_mul(0x9E37_79B1) >> 16 & mask;
-                let mut idx = heads[h];
-                while idx != NIL {
-                    steps += 1;
-                    let i = idx as usize;
-                    if r.keys[i] == skey {
-                        m += 1;
-                        local.emit(skey, r.payloads[i], s.payloads[j]);
+        // Independent probe tuples: pool workers may scan chunks of the
+        // probe side into forked sinks (see `probe_chunks`).
+        let tally =
+            probe_chunks(Pool::current(), s.len(), PROBE_PAR_MIN, &mut sink, |range, out| {
+                let mut t = ProbeTally::default();
+                for j in range {
+                    let skey = s.keys[j];
+                    let h = (skey as usize).wrapping_mul(0x9E37_79B1) >> 16 & mask;
+                    let mut idx = heads[h];
+                    while idx != NIL {
+                        t.steps += 1;
+                        let i = idx as usize;
+                        if r.keys[i] == skey {
+                            t.matches += 1;
+                            out.emit(skey, r.payloads[i], s.payloads[j]);
+                        }
+                        idx = next[i];
                     }
-                    idx = next[i];
                 }
-            }
-            (steps, m, local)
-        });
-        for (steps, m, local) in per_chunk {
-            chain_steps += steps;
-            matches += m;
-            sink.merge(local);
-        }
+                t
+            });
         charge(&mut probe_cost, s.len() as u64); // head slot per probe
                                                  // Key read + successor check per step; matched payload read.
-        charge(&mut probe_cost, 2 * chain_steps + matches);
-        probe_cost.add_instructions(4 * s.len() as u64 + 3 * chain_steps);
+        charge(&mut probe_cost, 2 * tally.steps + tally.matches);
+        probe_cost.add_instructions(4 * s.len() as u64 + 3 * tally.steps);
         probe_cost += sink.cost();
 
         NonPartitionedOutcome {
@@ -204,23 +195,18 @@ impl NonPartitionedJoin {
         let mut probe_cost = KernelCost::ZERO;
         probe_cost.add_coalesced(8 * s.len() as u64);
         let mut sink = OutputSink::new(self.output, 512);
-        let pool = Pool::current();
-        let ranges = pool.chunks(s.len(), PROBE_PAR_MIN);
-        let per_chunk = pool.map(&ranges, |_, range| {
-            let mut local = sink.fork();
-            for j in range.clone() {
+        // One dense-array load per probe: no chain steps to tally.
+        probe_chunks(Pool::current(), s.len(), PROBE_PAR_MIN, &mut sink, |range, out| {
+            for j in range {
                 let skey = s.keys[j];
                 if let Some(&pay) = table.get(skey as usize) {
                     if pay != EMPTY {
-                        local.emit(skey, pay, s.payloads[j]);
+                        out.emit(skey, pay, s.payloads[j]);
                     }
                 }
             }
-            local
+            ProbeTally::default()
         });
-        for local in per_chunk {
-            sink.merge(local);
-        }
         charge(&mut probe_cost, s.len() as u64); // the single dense-array load
         probe_cost.add_instructions(3 * s.len() as u64);
         probe_cost += sink.cost();

@@ -74,6 +74,17 @@ pub fn pack_working_sets(
     budget_bytes: u64,
     oversize_threshold_bytes: u64,
 ) -> WorkingSets {
+    pack_with(partitions, budget_bytes, oversize_threshold_bytes, knapsack_max_tuples)
+}
+
+/// [`pack_working_sets`] with the first working set chosen by `knapsack`
+/// (the tests swap in the reference DP).
+fn pack_with(
+    partitions: &[PartitionSize],
+    budget_bytes: u64,
+    oversize_threshold_bytes: u64,
+    knapsack: fn(&[PartitionSize], u64) -> Vec<usize>,
+) -> WorkingSets {
     assert!(budget_bytes > 0, "device budget must be positive");
     for p in partitions {
         assert!(
@@ -85,14 +96,14 @@ pub fn pack_working_sets(
         );
     }
     let mut sets = Vec::new();
-    let mut remaining: Vec<PartitionSize> =
-        partitions.iter().copied().filter(|p| p.tuples > 0).collect();
+    let mut remaining = Vec::with_capacity(partitions.len());
+    remaining.extend(partitions.iter().copied().filter(|p| p.tuples > 0));
     if remaining.is_empty() {
         return WorkingSets { sets };
     }
 
     // Step 1: knapsack the first working set, maximizing tuples.
-    let first = knapsack_max_tuples(&remaining, budget_bytes);
+    let first = knapsack(&remaining, budget_bytes);
     let first_ids: std::collections::HashSet<usize> = first.iter().copied().collect();
     sets.push(first);
     remaining.retain(|p| !first_ids.contains(&p.id));
@@ -146,33 +157,48 @@ pub fn naive_working_sets(partitions: &[PartitionSize], budget_bytes: u64) -> Wo
 /// 0/1 knapsack maximizing tuples under the byte budget. Partition counts
 /// are small (the paper uses a 16-way CPU fanout), but weights are large,
 /// so the DP runs over a quantized capacity grid.
+///
+/// `best[c]` is the most tuples any subset of the partitions seen so far
+/// packs into `c` grid units. One bit per (partition, capacity) cell
+/// records whether that partition strictly improved the cell; walking the
+/// partitions backwards from the best cell and stepping down by each
+/// taken partition's weight reads the chosen set back out. O(n · cap)
+/// time, and the allocations do not grow with either.
 fn knapsack_max_tuples(partitions: &[PartitionSize], budget_bytes: u64) -> Vec<usize> {
     const GRID: u64 = 4096;
     let unit = (budget_bytes / GRID).max(1);
     // Round weights *up* so the quantized solution never overflows the
     // real budget.
-    let weights: Vec<u64> = partitions.iter().map(|p| p.padded_bytes.div_ceil(unit)).collect();
+    let weights: Vec<usize> =
+        partitions.iter().map(|p| p.padded_bytes.div_ceil(unit) as usize).collect();
     let cap = (budget_bytes / unit) as usize;
-    // dp[w] = (best tuples, chosen set as bitmask index chain)
+    let words = (cap + 1).div_ceil(64);
     let mut best = vec![0u64; cap + 1];
-    let mut choice: Vec<Vec<bool>> = vec![vec![false; partitions.len()]; cap + 1];
-    for (i, p) in partitions.iter().enumerate() {
-        let w = weights[i] as usize;
+    // Row `i` of `took` holds partition i's improvement bits.
+    let mut took = vec![0u64; partitions.len() * words];
+    for (i, (p, &w)) in partitions.iter().zip(&weights).enumerate() {
         if w > cap {
             continue;
         }
+        let row = &mut took[i * words..(i + 1) * words];
         for c in (w..=cap).rev() {
             let cand = best[c - w] + p.tuples;
             if cand > best[c] {
                 best[c] = cand;
-                let mut chosen = choice[c - w].clone();
-                chosen[i] = true;
-                choice[c] = chosen;
+                row[c / 64] |= 1 << (c % 64);
             }
         }
     }
-    let argmax = (0..=cap).max_by_key(|&c| best[c]).unwrap_or(0);
-    partitions.iter().enumerate().filter(|(i, _)| choice[argmax][*i]).map(|(_, p)| p.id).collect()
+    let mut c = (0..=cap).max_by_key(|&c| best[c]).unwrap_or(0);
+    let mut chosen = Vec::with_capacity(partitions.len());
+    for (i, &w) in weights.iter().enumerate().rev() {
+        if took[i * words + c / 64] >> (c % 64) & 1 == 1 {
+            chosen.push(partitions[i].id);
+            c -= w;
+        }
+    }
+    chosen.reverse();
+    chosen
 }
 
 #[cfg(test)]
@@ -186,6 +212,107 @@ mod tests {
 
     fn total_bytes(set: &[usize], parts: &[PartitionSize]) -> u64 {
         set.iter().map(|&id| parts.iter().find(|p| p.id == id).unwrap().padded_bytes).sum()
+    }
+
+    /// The knapsack as first written: each improving DP cell clones its
+    /// predecessor's chosen set. The reference for `knapsack_max_tuples`.
+    fn knapsack_reference(partitions: &[PartitionSize], budget_bytes: u64) -> Vec<usize> {
+        const GRID: u64 = 4096;
+        let unit = (budget_bytes / GRID).max(1);
+        let weights: Vec<u64> = partitions.iter().map(|p| p.padded_bytes.div_ceil(unit)).collect();
+        let cap = (budget_bytes / unit) as usize;
+        let mut best = vec![0u64; cap + 1];
+        let mut choice: Vec<Vec<bool>> = vec![vec![false; partitions.len()]; cap + 1];
+        for (i, p) in partitions.iter().enumerate() {
+            let w = weights[i] as usize;
+            if w > cap {
+                continue;
+            }
+            for c in (w..=cap).rev() {
+                let cand = best[c - w] + p.tuples;
+                if cand > best[c] {
+                    best[c] = cand;
+                    let mut chosen = choice[c - w].clone();
+                    chosen[i] = true;
+                    choice[c] = chosen;
+                }
+            }
+        }
+        let argmax = (0..=cap).max_by_key(|&c| best[c]).unwrap_or(0);
+        partitions
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| choice[argmax][*i])
+            .map(|(_, p)| p.id)
+            .collect()
+    }
+
+    #[test]
+    fn knapsack_picks_the_reference_dps_sets() {
+        let mut rng = SmallRng::seed_from_u64(0x4B4E_4150);
+        for case in 0..1200u64 {
+            // Four shapes: small fanouts under a sub-grid budget (one byte
+            // per grid unit), up to 256 partitions under a budget far
+            // above the grid (weights round up), partitions of exactly the
+            // budget, and, in one case of sixteen, the fleet-exchange shape
+            // (128 partitions of 8-31 tuples at 24 B each under 64 KB).
+            let (parts, budget) = match case % 16 {
+                0..=6 => {
+                    let budget = rng.gen_range_u64(1, 4095);
+                    let n = rng.gen_range_u64(1, 40) as usize;
+                    let parts = (0..n)
+                        .map(|id| {
+                            let tuples = rng.gen_range_u64(0, 3).min(1) * rng.gen_range_u64(1, 999);
+                            part(id, tuples, rng.gen_range_u64(0, budget))
+                        })
+                        .collect::<Vec<_>>();
+                    (parts, budget)
+                }
+                7..=10 => {
+                    let budget = rng.gen_range_u64(4097, 1 << 26);
+                    // The reference DP is quadratic in the fanout: draw
+                    // up to 256 partitions in one of every sixteen of these
+                    // cases.
+                    let widest = if case % 64 == 7 { 256 } else { 64 };
+                    let n = rng.gen_range_u64(1, widest) as usize;
+                    let parts = (0..n)
+                        .map(|id| {
+                            let tuples =
+                                rng.gen_range_u64(0, 7).min(1) * rng.gen_range_u64(1, 5000);
+                            part(id, tuples, rng.gen_range_u64(1, budget / 8))
+                        })
+                        .collect::<Vec<_>>();
+                    (parts, budget)
+                }
+                11..=14 => {
+                    let budget = rng.gen_range_u64(1, 1 << 20);
+                    let n = rng.gen_range_u64(1, 24) as usize;
+                    let parts = (0..n)
+                        .map(|id| {
+                            let bytes = if rng.gen_range_u64(0, 2) == 0 {
+                                budget
+                            } else {
+                                rng.gen_range_u64(0, budget)
+                            };
+                            part(id, rng.gen_range_u64(0, 300), bytes)
+                        })
+                        .collect::<Vec<_>>();
+                    (parts, budget)
+                }
+                _ => {
+                    let parts = (0..128)
+                        .map(|id| {
+                            let tuples = rng.gen_range_u64(8, 31);
+                            part(id, tuples, tuples * 24)
+                        })
+                        .collect::<Vec<_>>();
+                    (parts, 64 * 1024)
+                }
+            };
+            let want = pack_with(&parts, budget, budget / 4, knapsack_reference);
+            let got = pack_working_sets(&parts, budget, budget / 4);
+            assert_eq!(got, want, "case {case}: budget {budget}, {} partitions", parts.len());
+        }
     }
 
     #[test]

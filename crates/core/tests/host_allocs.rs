@@ -1,0 +1,133 @@
+//! Allocation guards for two host-side hot paths: the co-processing
+//! working-set knapsack and the co-partition join. Allocation counts are a
+//! deterministic proxy for host time, so these fail on a regression that a
+//! wall-clock benchmark would only show as noise.
+//!
+//! The counting allocator keeps one count per thread, and every test runs
+//! its pool at one worker, so a count covers exactly the work the test's
+//! own thread does.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hcj_core::join::{join_all_copartitions, live_copartitions};
+use hcj_core::output::OutputSink;
+use hcj_core::packing::{pack_working_sets, PartitionSize};
+use hcj_core::partition::GpuPartitioner;
+use hcj_core::{GpuJoinConfig, OutputMode};
+use hcj_gpu::DeviceSpec;
+use hcj_host::pool::set_jobs;
+use hcj_workload::oracle::JoinCheck;
+use hcj_workload::rng::{Rng, SmallRng};
+use hcj_workload::{KeyDistribution, RelationSpec};
+
+/// The system allocator, counting allocations (reallocations included)
+/// per thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A const-initialized `Cell` needs no lazy set-up and no destructor,
+    // so counting never allocates; `try_with` skips a thread whose locals
+    // are already gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; counting touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made while running it.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+#[test]
+fn knapsack_packing_makes_a_constant_number_of_allocations() {
+    set_jobs(1);
+    // The fleet-exchange shape: 128 CPU partitions of 8-31 tuples at 24 B
+    // per tuple (8 B tuples, 3x padding) under a 64 KB working-set budget.
+    let mut rng = SmallRng::seed_from_u64(0xA110C);
+    let parts: Vec<PartitionSize> = (0..128)
+        .map(|id| {
+            let tuples = rng.gen_range_u64(8, 31);
+            PartitionSize { id, tuples, padded_bytes: tuples * 24 }
+        })
+        .collect();
+    let budget = 64 * 1024;
+    let (sets, allocs) = allocs_during(|| pack_working_sets(&parts, budget, budget / 4));
+    assert_eq!(sets.sets.iter().map(Vec::len).sum::<usize>(), 128);
+    // The clone-per-cell DP this replaced made 310,540 allocations here.
+    assert!(allocs <= 16, "{allocs} allocations to pack 128 partitions");
+}
+
+#[test]
+fn copartition_join_allocations_do_not_grow_with_live_copartitions() {
+    set_jobs(1);
+    // Fleet-exchange's streamed probe: a 1,000-tuple build partitioned at
+    // radix 8 into 32-tuple buckets, probed chunk by chunk.
+    let mut config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080().scaled_capacity(1 << 16));
+    config.radix_bits = 8;
+    config.bucket_capacity = 32;
+    let r = RelationSpec::unique(1_000, 3).generate();
+    let partitioner = GpuPartitioner::new(&config);
+    let r_out = partitioner.partition(&r);
+    let probe = |tuples: usize| {
+        let s = RelationSpec {
+            tuples,
+            distribution: KeyDistribution::UniformFk { distinct: 1_000 },
+            payload_width: 4,
+            seed: 4,
+        }
+        .generate();
+        let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
+        let live = live_copartitions(&r_out.partitioned, &s_out.partitioned);
+        let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
+        let (_, allocs) = allocs_during(|| {
+            join_all_copartitions(&config, &r_out.partitioned, &s_out.partitioned, &mut sink)
+        });
+        assert_eq!(sink.check(), JoinCheck::compute(&r, &s), "{tuples}-tuple probe");
+        (live, allocs)
+    };
+    let (few_live, few_allocs) = probe(50);
+    let (live, allocs) = probe(500);
+    assert!(few_live < 60 && live > 200, "{few_live} and {live} live co-partitions");
+    // A chunk list, result vector and forked sink per co-partition made
+    // 456 allocations for the 500-tuple chunk (222 live co-partitions) and
+    // 98 for the 50-tuple one (44 live).
+    assert!(allocs <= 8, "{allocs} allocations for {live} live co-partitions");
+    assert_eq!(allocs, few_allocs, "{live} vs {few_live} live co-partitions");
+}

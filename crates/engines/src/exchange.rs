@@ -173,34 +173,10 @@ pub fn execute_exchange(
 
     // Staging layout: participant i stages the i-th contiguous block of
     // each relation. `staged[i][p]` counts partition p's tuples on stager
-    // i; `groups[i][p]` holds the tuples themselves, input order preserved
-    // inside every (stager, partition) cell.
+    // i; each side is grouped by partition in input order.
     let mut staged: Vec<Vec<u64>> = vec![vec![0; partitions]; n];
-    let mut r_cells: Vec<Vec<Relation>> = Vec::with_capacity(n);
-    let mut s_cells: Vec<Vec<Relation>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        r_cells.push(
-            (0..partitions)
-                .map(|_| Relation { payload_width: r.payload_width, ..Relation::default() })
-                .collect(),
-        );
-        s_cells.push(
-            (0..partitions)
-                .map(|_| Relation { payload_width: s.payload_width, ..Relation::default() })
-                .collect(),
-        );
-    }
-    for (rel, cells) in [(r, &mut r_cells), (s, &mut s_cells)] {
-        let len = rel.len().max(1);
-        for (idx, t) in rel.iter().enumerate() {
-            let stager = (idx * n / len).min(n - 1);
-            let p = exchange_partition(t.key, partitions);
-            staged[stager][p] += 1;
-            let cell = &mut cells[stager][p];
-            cell.keys.push(t.key);
-            cell.payloads.push(t.payload);
-        }
-    }
+    let r_groups = Grouped::by_partition(r, partitions, &mut staged);
+    let s_groups = Grouped::by_partition(s, partitions, &mut staged);
 
     // Phase 3 plan: partition owners (ring + skew fallback).
     let (owners, heavy_coresident) = assign_partitions(participants, &staged, cfg.heavy_factor);
@@ -258,17 +234,6 @@ pub fn execute_exchange(
         .iter()
         .map(|part| (0..partitions).filter(|&p| owners[p] == part.device).collect())
         .collect();
-    let gather = |cells: &[Vec<Relation>], width: u32, parts: &[usize]| {
-        let mut out = Relation { payload_width: width, ..Relation::default() };
-        for &p in parts {
-            for row in cells.iter() {
-                out.keys.extend_from_slice(&row[p].keys);
-                out.payloads.extend_from_slice(&row[p].payloads);
-            }
-        }
-        out
-    };
-
     let mut check = JoinCheck::ZERO;
     let mut faults = hcj_gpu::FaultSummary::default();
     let mut lost: Vec<usize> = Vec::new();
@@ -282,8 +247,8 @@ pub fn execute_exchange(
     while !round.is_empty() {
         let results: Vec<_> = Pool::current().map(&round, |_, (i, parts)| {
             let part = &participants[*i];
-            let r_i = gather(&r_cells, r.payload_width, parts);
-            let s_i = gather(&s_cells, s.payload_width, parts);
+            let r_i = r_groups.gather(parts);
+            let s_i = s_groups.gather(parts);
             if r_i.is_empty() || s_i.is_empty() {
                 return Ok(None);
             }
@@ -344,6 +309,59 @@ pub fn execute_exchange(
         owners,
         heavy_coresident,
     })
+}
+
+/// One side of an exchange grouped by [`exchange_partition`]: partition
+/// `p`'s tuples are `keys[starts[p]..starts[p + 1]]` (and likewise
+/// `payloads`), in input order. Stagers take contiguous blocks of the
+/// input, so that run is also every stager's cell of `p` in stager order.
+struct Grouped {
+    keys: Vec<u32>,
+    payloads: Vec<u32>,
+    starts: Vec<usize>,
+    payload_width: u32,
+}
+
+impl Grouped {
+    /// Group `rel` into `partitions` runs in one stable counting pass
+    /// (counts, offsets, scatter), adding each tuple to its stager's count
+    /// in `staged`: participant `i` of `staged.len()` stages the `i`-th
+    /// contiguous block of `rel`.
+    fn by_partition(rel: &Relation, partitions: usize, staged: &mut [Vec<u64>]) -> Grouped {
+        let n = staged.len();
+        let len = rel.len().max(1);
+        let of: Vec<usize> = rel.keys.iter().map(|&k| exchange_partition(k, partitions)).collect();
+        let mut starts = vec![0usize; partitions + 1];
+        for (idx, &p) in of.iter().enumerate() {
+            staged[(idx * n / len).min(n - 1)][p] += 1;
+            starts[p + 1] += 1;
+        }
+        for p in 0..partitions {
+            starts[p + 1] += starts[p];
+        }
+        let mut cursor = starts[..partitions].to_vec();
+        let mut keys = vec![0; rel.len()];
+        let mut payloads = vec![0; rel.len()];
+        for (idx, &p) in of.iter().enumerate() {
+            keys[cursor[p]] = rel.keys[idx];
+            payloads[cursor[p]] = rel.payloads[idx];
+            cursor[p] += 1;
+        }
+        Grouped { keys, payloads, starts, payload_width: rel.payload_width }
+    }
+
+    /// The tuples of `parts`, partition by partition.
+    fn gather(&self, parts: &[usize]) -> Relation {
+        let runs = || parts.iter().map(|&p| self.starts[p]..self.starts[p + 1]);
+        let tuples = runs().map(|run| run.len()).sum();
+        let mut out = Relation::with_capacity(tuples);
+        out.payload_width = self.payload_width;
+        for run in runs() {
+            out.keys.extend_from_slice(&self.keys[run.clone()]);
+            out.payloads.extend_from_slice(&self.payloads[run]);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +428,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.check, JoinCheck::compute(&r, &s));
+    }
+
+    #[test]
+    fn grouping_keeps_input_order_and_counts_every_stager() {
+        let r = RelationSpec::zipf(5_001, 300, 0.9, 8).generate();
+        let (partitions, n) = (16, 3);
+        let mut staged = vec![vec![0u64; partitions]; n];
+        let grouped = Grouped::by_partition(&r, partitions, &mut staged);
+        // Stager i takes the i-th contiguous block of the input.
+        let mut want_staged = vec![vec![0u64; partitions]; n];
+        for (idx, &key) in r.keys.iter().enumerate() {
+            want_staged[idx * n / r.len()][exchange_partition(key, partitions)] += 1;
+        }
+        assert_eq!(staged, want_staged);
+        // Any set of partitions gathers as the input filtered to them, in
+        // input order within each partition.
+        for parts in [vec![0], vec![3, 1, 15], (0..partitions).collect()] {
+            let got = grouped.gather(&parts);
+            let (mut keys, mut payloads) = (Vec::new(), Vec::new());
+            for &p in &parts {
+                for t in r.iter().filter(|t| exchange_partition(t.key, partitions) == p) {
+                    keys.push(t.key);
+                    payloads.push(t.payload);
+                }
+            }
+            assert_eq!((got.keys, got.payloads), (keys, payloads), "partitions {parts:?}");
+            assert_eq!(got.payload_width, r.payload_width);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! validate every join strategy in the workspace.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::relation::Relation;
 use crate::rng::mix64;
@@ -28,6 +29,31 @@ pub fn reference_join(r: &Relation, s: &Relation) -> Vec<JoinRow> {
     out
 }
 
+/// The oracle table's hasher: one [`mix64`] finalization of the `u32` key
+/// instead of SipHash rounds. Deterministic and unkeyed, which is sound
+/// here because [`JoinCheck::compute`]'s counts and wrapping sums do not
+/// depend on the table's iteration order; the cost is no protection from
+/// keys crafted to collide, and the oracle only checks this program's own
+/// joins.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        self.0 = mix64(self.0 ^ u64::from(key));
+    }
+}
+
 /// Summary facts about the correct join result, for cheap validation of
 /// aggregate-only strategies (the paper's aggregation output mode sums the
 /// payload columns instead of materializing).
@@ -44,7 +70,8 @@ pub struct JoinCheck {
 impl JoinCheck {
     /// Compute the ground truth from the two inputs.
     pub fn compute(r: &Relation, s: &Relation) -> JoinCheck {
-        let mut table: HashMap<u32, (u64, u64)> = HashMap::with_capacity(r.len());
+        let mut table: HashMap<u32, (u64, u64), BuildHasherDefault<KeyHasher>> =
+            HashMap::with_capacity_and_hasher(r.len(), BuildHasherDefault::default());
         for t in r.iter() {
             let e = table.entry(t.key).or_insert((0, 0));
             e.0 += 1;
@@ -150,8 +177,77 @@ pub fn assert_join_matches(r: &Relation, s: &Relation, rows: &[JoinRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{canonical_pair, payload_of, RelationSpec};
+    use crate::generate::{canonical_pair, payload_of, KeyDistribution, RelationSpec};
     use crate::relation::Tuple;
+    use crate::rng::{Rng, SmallRng};
+
+    /// [`JoinCheck::compute`] as first written, on the standard library's
+    /// SipHash table: the reference for the `mix64`-hashed oracle.
+    fn compute_reference(r: &Relation, s: &Relation) -> JoinCheck {
+        let mut table: HashMap<u32, (u64, u64)> = HashMap::with_capacity(r.len());
+        for t in r.iter() {
+            let e = table.entry(t.key).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += u64::from(t.payload);
+        }
+        let mut check = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };
+        for t in s.iter() {
+            if let Some(&(count, pay_sum)) = table.get(&t.key) {
+                check.matches += count;
+                check.sum_r_payload = check.sum_r_payload.wrapping_add(pay_sum);
+                check.sum_s_payload =
+                    check.sum_s_payload.wrapping_add(count * u64::from(t.payload));
+            }
+        }
+        check
+    }
+
+    #[test]
+    fn compute_matches_the_siphash_reference() {
+        let spec = |tuples, distribution, seed| RelationSpec {
+            tuples,
+            distribution,
+            payload_width: 4,
+            seed,
+        };
+        let dists = [
+            KeyDistribution::UniqueShuffled,
+            KeyDistribution::UniformFk { distinct: 700 },
+            KeyDistribution::Zipf { distinct: 900, theta: 0.25 },
+            KeyDistribution::Zipf { distinct: 900, theta: 1.0 },
+            KeyDistribution::Replicated { replicas: 3 },
+        ];
+        let mut pairs = Vec::new();
+        for (i, &rd) in dists.iter().enumerate() {
+            for (j, &sd) in dists.iter().enumerate() {
+                let seed = (i * 5 + j) as u64;
+                // Either side larger.
+                pairs.push((spec(1_000, rd, seed), spec(3_000, sd, seed + 100)));
+                pairs.push((spec(4_000, rd, seed + 200), spec(600, sd, seed + 300)));
+            }
+        }
+        let mut rels: Vec<(Relation, Relation)> =
+            pairs.iter().map(|(r, s)| (r.generate(), s.generate())).collect();
+        // Payloads that do not follow their keys, with keys over the whole
+        // u32 range and over a narrow one (many duplicates), either side
+        // larger.
+        let mut rng = SmallRng::seed_from_u64(0x0AC1E);
+        for (r_len, s_len, key_hi) in [(2_000, 5_000, u64::from(u32::MAX)), (5_000, 800, 300)] {
+            let mut free = |len: usize| {
+                let keys = (0..len).map(|_| rng.gen_range_u64(0, key_hi) as u32).collect();
+                let pays = (0..len).map(|_| rng.next_u64() as u32).collect();
+                Relation::from_columns(keys, pays)
+            };
+            rels.push((free(r_len), free(s_len)));
+        }
+        let (some, _) = canonical_pair(64, 64, 9);
+        rels.push((Relation::default(), some.clone()));
+        rels.push((some, Relation::default()));
+        rels.push((Relation::default(), Relation::default()));
+        for (case, (r, s)) in rels.iter().enumerate() {
+            assert_eq!(JoinCheck::compute(r, s), compute_reference(r, s), "case {case}");
+        }
+    }
 
     #[test]
     fn one_to_one_join() {
