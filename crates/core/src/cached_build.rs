@@ -120,7 +120,7 @@ impl CachedBuildJoin {
         }
         let r_out = partitioner.partition(r);
         drop(r_input); // bucket-pool recycling, as in the resident join
-        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool.device_bytes())?;
+        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool_bytes())?;
         let r_shape = self.config.partition_launch_shape(r.len());
         r_out.charge_passes(&mut sim, &gpu, &mut stream, "part build", r_shape)?;
         // Rebuild cost of the table just built: all H2D seconds so far
@@ -135,7 +135,7 @@ impl CachedBuildJoin {
         }
         let s_out = partitioner.partition_following(s, &r_out.refine_plan);
         drop(s_input);
-        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool.device_bytes())?;
+        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
         s_out.charge_passes(&mut sim, &gpu, &mut stream, "part probe", s_shape)?;
 
@@ -150,7 +150,7 @@ impl CachedBuildJoin {
             s.payload_width,
             (r.len() + s.len()) as u64,
         )?;
-        let table_bytes = r_out.partitioned.pool.device_bytes();
+        let table_bytes = r_out.partitioned.pool_bytes();
         let cached = CachedBuild {
             partitioned: r_out.partitioned,
             payload_width: r.payload_width,
@@ -199,7 +199,7 @@ impl CachedBuildJoin {
         }
         let s_out = partitioner.partition_following(s, &cached.refine_plan);
         drop(s_input);
-        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool.device_bytes())?;
+        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
         s_out.charge_passes(&mut sim, &gpu, &mut stream, "part probe", s_shape)?;
 

@@ -62,14 +62,14 @@ impl GpuPartitionedJoin {
         let partitioner = GpuPartitioner::new(&self.config);
         let r_out = partitioner.partition(r);
         drop(r_input);
-        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool.device_bytes())?;
+        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool_bytes())?;
         let r_shape = self.config.partition_launch_shape(r.len());
         r_out.charge_passes(&mut sim, &gpu, &mut stream, "part r", r_shape)?;
         // The probe side replays the build side's early-stop decisions
         // (inert without fusion) so co-partition indices keep matching.
         let s_out = partitioner.partition_following(s, &r_out.refine_plan);
         drop(s_input);
-        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool.device_bytes())?;
+        let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
         s_out.charge_passes(&mut sim, &gpu, &mut stream, "part s", s_shape)?;
 

@@ -19,6 +19,7 @@ pub mod ballot_nl;
 pub mod device_hash;
 pub mod sm_hash;
 
+use std::cell::Cell;
 use std::ops::{AddAssign, Range};
 
 use hcj_gpu::KernelCost;
@@ -35,6 +36,13 @@ use crate::partition::PartitionedRelation;
 /// forking sinks and merging counters costs more than the loop, so the
 /// work stays inline.
 pub(crate) const PROBE_PAR_MIN: usize = 8192;
+
+thread_local! {
+    /// This thread's build table, reused by every co-partition join it
+    /// runs. A probe run takes it and puts it back when done; a run that
+    /// panics drops the table it took (see [`BuildTable`]).
+    static BUILD_TABLE: Cell<BuildTable> = Cell::new(BuildTable::default());
+}
 
 /// What a probe loop counts besides its matches' output: chain steps
 /// walked (warp steps for the nested loop) and matches emitted.
@@ -107,33 +115,34 @@ pub fn join_all_copartitions(
         "co-partition join requires identically partitioned inputs"
     );
     let shift = r.fixed_bits();
-    let is_live = |&p: &usize| !r.chains[p].is_empty() && !s.chains[p].is_empty();
+    let is_live = |&p: &usize| r.partition_len(p) > 0 && s.partition_len(p) > 0;
     let mut live = Vec::with_capacity((0..r.fanout()).filter(is_live).count());
     live.extend((0..r.fanout()).filter(is_live));
     // Co-partition pairs are fully independent. Fan out over pool workers
     // only when the live probe side pays for the hand-off; a worker joins
-    // a contiguous run of co-partitions into one forked sink on one reused
-    // build table, and runs fold back in partition order.
+    // a contiguous run of co-partitions into one forked sink on its
+    // thread's build table, and runs fold back in partition order.
     let probe_tuples: u64 = live.iter().map(|&p| s.partition_len(p)).sum();
     let pool = if probe_tuples >= PROBE_PAR_MIN as u64 { Pool::current() } else { Pool::new(1) };
     probe_chunks(pool, live.len(), 1, sink, |range, sink| {
-        let mut table = BuildTable::default();
+        let mut table = BUILD_TABLE.take();
         let mut cost = KernelCost::ZERO;
         for &p in &live[range] {
             let (r_keys, r_pays) = r.partition_columns(p);
             let (s_keys, s_pays) = s.partition_columns(p);
             cost += match config.probe {
                 ProbeKind::HashJoin => sm_hash::sm_hash_join(
-                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink, &mut table,
+                    config, shift, r_keys, r_pays, s_keys, s_pays, sink, &mut table,
                 ),
-                ProbeKind::NestedLoop => ballot_nl::ballot_nl_join(
-                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink,
-                ),
+                ProbeKind::NestedLoop => {
+                    ballot_nl::ballot_nl_join(config, shift, r_keys, r_pays, s_keys, s_pays, sink)
+                }
                 ProbeKind::DeviceHashJoin => device_hash::device_hash_join(
-                    config, shift, &r_keys, &r_pays, &s_keys, &s_pays, sink,
+                    config, shift, r_keys, r_pays, s_keys, s_pays, sink,
                 ),
             };
         }
+        BUILD_TABLE.set(table);
         cost
     })
 }
@@ -144,7 +153,7 @@ pub fn join_all_copartitions(
 /// occupancy accounting).
 pub fn live_copartitions(r: &PartitionedRelation, s: &PartitionedRelation) -> usize {
     (0..r.fanout().min(s.fanout()))
-        .filter(|&p| !r.chains[p].is_empty() && !s.chains[p].is_empty())
+        .filter(|&p| r.partition_len(p) > 0 && s.partition_len(p) > 0)
         .count()
 }
 
@@ -265,8 +274,8 @@ mod tests {
     #[should_panic(expected = "identically partitioned")]
     fn mismatched_partitioning_rejected() {
         let cfg = GpuJoinConfig::paper_default(DeviceSpec::gtx1080());
-        let r = PartitionedRelation::new(1024, 3);
-        let s = PartitionedRelation::new(1024, 4);
+        let (r, _) = PartitionedRelation::from_counts(1024, 3, 0, &[0; 8]);
+        let (s, _) = PartitionedRelation::from_counts(1024, 4, 0, &[0; 16]);
         let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
         let _ = join_all_copartitions(&cfg, &r, &s, &mut sink);
     }

@@ -1,6 +1,6 @@
 //! The multi-pass GPU radix partitioner (paper §III-A), execution-driven:
-//! it really moves every tuple into bucket chains while counting the
-//! hardware traffic each pass generates.
+//! it really moves every tuple into its partition's run while counting the
+//! hardware traffic each pass generates, bucket chains included.
 
 use hcj_gpu::{Gpu, JoinError, KernelCost, LaunchShape, Stream};
 use hcj_host::{DisjointSlice, Pool};
@@ -92,8 +92,8 @@ impl<'a> GpuPartitioner<'a> {
         GpuPartitioner { config }
     }
 
-    /// Partition `rel` into `2^config.radix_bits` bucket chains on the
-    /// low radix bits.
+    /// Partition `rel` into `2^config.radix_bits` partitions on the low
+    /// radix bits.
     pub fn partition(&self, rel: &Relation) -> PartitionOutcome {
         self.partition_with_base(rel, 0)
     }
@@ -156,7 +156,7 @@ impl<'a> GpuPartitioner<'a> {
             base_bits,
             &counts,
         );
-        let allocs = current.pool.num_buckets() as u64;
+        let allocs = current.num_buckets() as u64;
         // Exclusive per-chunk write cursors: chunk c starts partition p at
         // base[p] plus everything earlier chunks contribute to p.
         let chunk_starts: Vec<Vec<usize>> = {
@@ -239,7 +239,7 @@ impl<'a> GpuPartitioner<'a> {
         let local_fanout = pass.fanout() as usize;
         let shift = pass.shift as usize;
         let live: Vec<usize> =
-            (0..parent.fanout()).filter(|&p| !parent.chains[p].is_empty()).collect();
+            (0..parent.fanout()).filter(|&p| parent.partition_len(p) > 0).collect();
         // Finalized parents carry over whole: their tuples land at child
         // index `p` (local digit 0) and the kernel never touches them —
         // the chain is re-linked under its new index, one random write.
@@ -252,11 +252,7 @@ impl<'a> GpuPartitioner<'a> {
         let mut unit_weights: Vec<u64> = Vec::new();
         for &p in &refined {
             match self.config.assignment {
-                PassAssignment::BucketAtATime => {
-                    for b in parent.buckets_of(p) {
-                        unit_weights.push(parent.pool.len_of(b) as u64);
-                    }
-                }
+                PassAssignment::BucketAtATime => unit_weights.extend(parent.bucket_lens(p)),
                 PassAssignment::PartitionAtATime => {
                     unit_weights.push(parent.partition_len(p));
                 }
@@ -272,8 +268,8 @@ impl<'a> GpuPartitioner<'a> {
         let pool = Pool::current();
         let per_parent = pool.map(&refined, |_, &p| {
             let mut h = vec![0u64; local_fanout];
-            for t in parent.tuples_of(p) {
-                h[pass.local_index(t.key >> parent.base_bits) as usize] += 1;
+            for &k in parent.partition_columns(p).0 {
+                h[pass.local_index(k >> parent.base_bits) as usize] += 1;
             }
             h
         });
@@ -296,7 +292,7 @@ impl<'a> GpuPartitioner<'a> {
         // from the pool. (The physical copy below is simulation
         // bookkeeping — the modeled kernel re-links, it does not move.)
         let carried_buckets: u64 = carried.iter().map(|&p| next.chain_buckets(p) as u64).sum();
-        let allocs = next.pool.num_buckets() as u64 - carried_buckets;
+        let allocs = next.num_buckets() as u64 - carried_buckets;
         {
             let (keys, pays) = next.columns_mut();
             let key_slots = DisjointSlice::new(keys);
@@ -483,7 +479,7 @@ mod tests {
             assert!(pass.imbalance >= 1.0);
         }
         assert!(out.total_seconds() > 0.0);
-        assert!(out.partitioned.pool.device_bytes() > 0);
+        assert!(out.partitioned.pool_bytes() > 0);
     }
 
     #[test]

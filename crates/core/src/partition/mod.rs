@@ -1,10 +1,13 @@
 //! Radix partitioning on the (modeled) GPU.
 //!
-//! The output layout follows paper §III-A: each partition is a linked list
-//! of fixed-capacity buckets drawn from a preallocated pool. Bucket
-//! capacity is a multiple of the thread-block size so that chain scans stay
-//! coalesced; metadata (per-partition fill offset + current bucket) lives
-//! in shared memory during a pass.
+//! The modeled device layout follows paper §III-A: each partition is a
+//! linked list of fixed-capacity buckets drawn from a preallocated pool.
+//! Bucket capacity is a multiple of the thread-block size so that chain
+//! scans stay coalesced; metadata (per-partition fill offset + current
+//! bucket) lives in shared memory during a pass. The host stores each
+//! partition as one dense run ([`PartitionedRelation`]); the buckets a
+//! pass charges (one allocation atomic and one link write each) and the
+//! pool bytes a strategy reserves are derived from the run lengths.
 
 mod bucket;
 pub(crate) mod gpu;
@@ -14,6 +17,6 @@ mod histogram;
 /// the per-chunk histogram and cursor bookkeeping outweighs the scan.
 pub(crate) const PART_PAR_MIN: usize = 1 << 15;
 
-pub use bucket::{BucketPool, PartitionChain, PartitionedRelation, NIL_BUCKET};
+pub use bucket::PartitionedRelation;
 pub use gpu::{GpuPartitioner, PartitionOutcome, PassStats, RefinePlan};
 pub use histogram::HistogramPartitioner;

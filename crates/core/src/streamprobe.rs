@@ -124,7 +124,7 @@ impl StreamedProbeJoin {
         let partitioner = GpuPartitioner::new(cfg);
         let r_out = partitioner.partition(r);
         drop(r_input);
-        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool.device_bytes())?;
+        let _r_pool = gpu.mem.reserve(r_out.partitioned.pool_bytes())?;
         let _in_buffers = gpu.mem.reserve(self.config.chunk_buffer_bytes(r.len()))?;
         let _out_buffers = match cfg.output {
             OutputMode::Materialize => Some(gpu.mem.reserve(cfg.output_buffer_bytes())?),

@@ -24,8 +24,8 @@ fn footprint_equals_the_measured_peak() {
         let partitioner = GpuPartitioner::new(&config);
         let r_out = partitioner.partition(&r);
         let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
-        let r_pool = r_out.partitioned.pool.device_bytes();
-        let s_pool = s_out.partitioned.pool.device_bytes();
+        let r_pool = r_out.partitioned.pool_bytes();
+        let s_pool = s_out.partitioned.pool_bytes();
         let pools = r_pool + s_pool;
 
         let resident = GpuPartitionedJoin::new(config.clone()).execute(&r, &s).unwrap();

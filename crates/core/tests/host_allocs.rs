@@ -1,11 +1,12 @@
-//! Allocation guards for two host-side hot paths: the co-processing
-//! working-set knapsack and the co-partition join. Allocation counts are a
-//! deterministic proxy for host time, so these fail on a regression that a
-//! wall-clock benchmark would only show as noise.
+//! Allocation guards for three host-side hot paths: the co-processing
+//! working-set knapsack, the co-partition join and radix partitioning.
+//! Allocation counts and bytes are a deterministic proxy for host time, so
+//! these fail on a regression that a wall-clock benchmark would only show
+//! as noise.
 //!
-//! The counting allocator keeps one count per thread, and every test runs
-//! its pool at one worker, so a count covers exactly the work the test's
-//! own thread does.
+//! The counting allocator keeps one count and one byte total per thread,
+//! and every test runs its pool at one worker, so a count covers exactly
+//! the work the test's own thread does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,18 +23,20 @@ use hcj_workload::rng::{Rng, SmallRng};
 use hcj_workload::{KeyDistribution, RelationSpec};
 
 /// The system allocator, counting allocations (reallocations included)
-/// per thread.
+/// and the bytes they request, per thread.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A const-initialized `Cell` needs no lazy set-up and no destructor,
     // so counting never allocates; `try_with` skips a thread whose locals
     // are already gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -41,13 +44,13 @@ fn count() {
 // thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -59,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,11 +71,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `f`'s result and the allocations this thread made while running it.
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
+/// `f`'s result, the allocations this thread made while running it and
+/// the bytes they requested (a reallocation counts its new size).
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+}
+
+/// Fleet-exchange's partitioning: radix 8 into 32-tuple buckets on a
+/// 128 KB GTX 1080.
+fn fleet_exchange_config() -> GpuJoinConfig {
+    let mut config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080().scaled_capacity(1 << 16));
+    config.radix_bits = 8;
+    config.bucket_capacity = 32;
+    config
 }
 
 #[test]
@@ -88,7 +101,7 @@ fn knapsack_packing_makes_a_constant_number_of_allocations() {
         })
         .collect();
     let budget = 64 * 1024;
-    let (sets, allocs) = allocs_during(|| pack_working_sets(&parts, budget, budget / 4));
+    let (sets, allocs, _) = allocs_during(|| pack_working_sets(&parts, budget, budget / 4));
     assert_eq!(sets.sets.iter().map(Vec::len).sum::<usize>(), 128);
     // The clone-per-cell DP this replaced made 310,540 allocations here.
     assert!(allocs <= 16, "{allocs} allocations to pack 128 partitions");
@@ -99,9 +112,7 @@ fn copartition_join_allocations_do_not_grow_with_live_copartitions() {
     set_jobs(1);
     // Fleet-exchange's streamed probe: a 1,000-tuple build partitioned at
     // radix 8 into 32-tuple buckets, probed chunk by chunk.
-    let mut config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080().scaled_capacity(1 << 16));
-    config.radix_bits = 8;
-    config.bucket_capacity = 32;
+    let config = fleet_exchange_config();
     let r = RelationSpec::unique(1_000, 3).generate();
     let partitioner = GpuPartitioner::new(&config);
     let r_out = partitioner.partition(&r);
@@ -116,18 +127,36 @@ fn copartition_join_allocations_do_not_grow_with_live_copartitions() {
         let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
         let live = live_copartitions(&r_out.partitioned, &s_out.partitioned);
         let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
-        let (_, allocs) = allocs_during(|| {
+        let (_, allocs, _) = allocs_during(|| {
             join_all_copartitions(&config, &r_out.partitioned, &s_out.partitioned, &mut sink)
         });
         assert_eq!(sink.check(), JoinCheck::compute(&r, &s), "{tuples}-tuple probe");
         (live, allocs)
     };
+    // Warm this thread's build table on every build partition, so the
+    // probes below find it grown.
+    let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
+    join_all_copartitions(&config, &r_out.partitioned, &r_out.partitioned, &mut sink);
     let (few_live, few_allocs) = probe(50);
     let (live, allocs) = probe(500);
     assert!(few_live < 60 && live > 200, "{few_live} and {live} live co-partitions");
-    // A chunk list, result vector and forked sink per co-partition made
-    // 456 allocations for the 500-tuple chunk (222 live co-partitions) and
-    // 98 for the 50-tuple one (44 live).
-    assert!(allocs <= 8, "{allocs} allocations for {live} live co-partitions");
-    assert_eq!(allocs, few_allocs, "{live} vs {few_live} live co-partitions");
+    // The one allocation is the live list. A chunk list, result vector and
+    // forked sink per co-partition made 456 allocations for the 500-tuple
+    // chunk (222 live co-partitions) and 98 for the 50-tuple one (44 live);
+    // a fresh build table per call made 3 for either.
+    assert_eq!(allocs, 1, "{allocs} allocations for {live} live co-partitions");
+    assert_eq!(few_allocs, 1, "{few_allocs} allocations for {few_live} live co-partitions");
+}
+
+#[test]
+fn partitioning_allocates_about_its_tuples() {
+    set_jobs(1);
+    // A unique 1,000-tuple relation: 8,000 B of keys and payloads.
+    let config = fleet_exchange_config();
+    let r = RelationSpec::unique(1_000, 3).generate();
+    let (out, _, bytes) = allocs_during(|| GpuPartitioner::new(&config).partition(&r));
+    assert_eq!(out.partitioned.total_tuples(), 1_000);
+    // Dense runs request 20,456 B in all. Host slots for every modeled
+    // bucket (about 64 KB for the 8,000 B of tuples) requested 82,080 B.
+    assert!(bytes <= 32 * 1024, "{bytes} B allocated to partition 8,000 B of tuples");
 }

@@ -389,18 +389,13 @@ fn priority_boost(build: &CachedBuild) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcj_core::partition::{BucketPool, PartitionedRelation};
+    use hcj_core::partition::PartitionedRelation;
 
     /// A synthetic cached build: the cache only reads `table_bytes` and
     /// `build_seconds`, so an empty partitioned shell suffices.
     fn build(table_bytes: u64, build_seconds: f64) -> CachedBuild {
         CachedBuild {
-            partitioned: PartitionedRelation {
-                pool: BucketPool::new(1),
-                chains: Vec::new(),
-                fanout_bits: 0,
-                base_bits: 0,
-            },
+            partitioned: PartitionedRelation::from_counts(1, 0, 0, &[0]).0,
             payload_width: 4,
             build_tuples: 0,
             table_bytes,
