@@ -3,13 +3,17 @@
 //! guarantee by running representative work at `--jobs 1` and `--jobs 4`
 //! and comparing everything observable.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use hcj_bench::figures::common::{resident_config, run_resident};
 use hcj_bench::figures::{fig05, fig13};
 use hcj_bench::RunConfig;
+use hcj_cpu_join::{NpoJoin, ProJoin};
 use hcj_host::pool;
 use hcj_workload::generate::canonical_pair;
+use hcj_workload::oracle::JoinCheck;
+use hcj_workload::RelationSpec;
 
 /// `pool::set_jobs` is process-global; tests in this binary serialize
 /// their mutations so a parallel test run cannot interleave them.
@@ -113,4 +117,54 @@ fn profile_output_is_stable_across_jobs_runs_and_chaos_zero() {
         chaos_zero.counters.to_json(),
         "chaos-0 control must not perturb profile JSON"
     );
+}
+
+/// The CPU baselines' materialized rows: the same at `--jobs 1` and
+/// `--jobs 4`, NPO's in probe order and then build order, and PRO's in
+/// that order stably sorted by radix partition.
+#[test]
+fn cpu_baseline_rows_are_identical_across_jobs() {
+    // Zipf keys repeat on both sides; row-id payloads make every tuple
+    // distinguishable, so the row order is visible.
+    let with_row_ids = |spec: RelationSpec| {
+        let mut rel = spec.generate();
+        rel.payloads = (0..rel.len() as u32).collect();
+        rel
+    };
+    let r = with_row_ids(RelationSpec::zipf(100_000, 50_000, 0.5, 91));
+    let s = with_row_ids(RelationSpec::zipf(50_000, 50_000, 0.5, 92));
+    let pro = ProJoin { materialize: true, ..ProJoin::paper_default() };
+    let npo = NpoJoin { materialize: true, ..NpoJoin::paper_default() };
+    let bits = pro.radix_bits_for(r.len());
+    assert!(bits >= 1, "PRO partitions a {}-tuple build", r.len());
+
+    let run = |jobs| {
+        with_jobs(jobs, || {
+            let (p, n) = (pro.execute(&r, &s), npo.execute(&r, &s));
+            (p.check, p.rows.expect("PRO materializes"), n.check, n.rows.expect("NPO materializes"))
+        })
+    };
+    let (pro_check, pro_rows, npo_check, npo_rows) = run(1);
+    assert_eq!(run(4), (pro_check, pro_rows.clone(), npo_check, npo_rows.clone()));
+    assert_eq!(pro_check, JoinCheck::compute(&r, &s));
+    assert_eq!(npo_check, pro_check);
+
+    // Probe order, then build order.
+    let mut build: HashMap<u32, Vec<u32>> = HashMap::new();
+    for (&k, &v) in r.keys.iter().zip(&r.payloads) {
+        build.entry(k).or_default().push(v);
+    }
+    let nested: Vec<(u32, u32, u32)> = s
+        .keys
+        .iter()
+        .zip(&s.payloads)
+        .flat_map(|(&k, &sp)| build.get(&k).into_iter().flatten().map(move |&rp| (k, rp, sp)))
+        .collect();
+    assert!(nested.len() > s.len(), "duplicate keys match more than once");
+    assert_eq!(npo_rows, nested);
+
+    // PRO: by partition, then NPO's order.
+    let mut by_partition = nested;
+    by_partition.sort_by_key(|&(k, _, _)| k & ((1 << bits) - 1));
+    assert_eq!(pro_rows, by_partition);
 }

@@ -274,8 +274,8 @@ mod tests {
     #[should_panic(expected = "identically partitioned")]
     fn mismatched_partitioning_rejected() {
         let cfg = GpuJoinConfig::paper_default(DeviceSpec::gtx1080());
-        let (r, _) = PartitionedRelation::from_counts(1024, 3, 0, &[0; 8]);
-        let (s, _) = PartitionedRelation::from_counts(1024, 4, 0, &[0; 16]);
+        let r = PartitionedRelation::from_counts(1024, 3, 0, [0; 8]);
+        let s = PartitionedRelation::from_counts(1024, 4, 0, [0; 16]);
         let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
         let _ = join_all_copartitions(&cfg, &r, &s, &mut sink);
     }

@@ -44,32 +44,31 @@ impl PartitionedRelation {
     /// Lay out a relation from its per-partition tuple `counts`, modeled in
     /// buckets of `capacity` tuples — the scatter target of the two-phase
     /// parallel partitioners. Tuple `i` of partition `p` belongs at column
-    /// slot `base[p] + i`, where `base` is the returned vector
-    /// ([`columns_mut`](Self::columns_mut) exposes the columns).
+    /// slot `offsets[p] + i` ([`columns_mut`](Self::columns_mut) exposes the
+    /// columns and the offsets).
     pub fn from_counts(
         capacity: usize,
         fanout_bits: u32,
         base_bits: u32,
-        counts: &[u64],
-    ) -> (Self, Vec<usize>) {
+        counts: impl IntoIterator<Item = u64>,
+    ) -> Self {
         assert!(capacity > 0, "bucket capacity must be positive");
-        assert_eq!(counts.len(), 1 << fanout_bits, "one count per partition");
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let fanout = 1usize << fanout_bits;
+        let mut offsets = Vec::with_capacity(fanout + 1);
         offsets.push(0);
-        for &count in counts {
+        for count in counts {
             offsets.push(offsets[offsets.len() - 1] + count as usize);
         }
-        let tuples = offsets[counts.len()];
-        let base = offsets[..counts.len()].to_vec();
-        let relation = PartitionedRelation {
+        assert_eq!(offsets.len(), fanout + 1, "one count per partition");
+        let tuples = offsets[fanout];
+        PartitionedRelation {
             keys: vec![0; tuples],
             payloads: vec![0; tuples],
             offsets,
             capacity,
             fanout_bits,
             base_bits,
-        };
-        (relation, base)
+        }
     }
 
     /// Total key bits known constant within one partition: the hash
@@ -117,10 +116,11 @@ impl PartitionedRelation {
         self.num_buckets() as u64 * (8 * self.capacity as u64 + 8)
     }
 
-    /// Mutable key/payload columns, for disjoint parallel scatter into the
-    /// slots advertised by [`from_counts`](Self::from_counts).
-    pub fn columns_mut(&mut self) -> (&mut [u32], &mut [u32]) {
-        (&mut self.keys, &mut self.payloads)
+    /// Mutable key/payload columns and the `fanout + 1` run offsets, for
+    /// disjoint parallel scatter into the slots advertised by
+    /// [`from_counts`](Self::from_counts).
+    pub fn columns_mut(&mut self) -> (&mut [u32], &mut [u32], &[usize]) {
+        (&mut self.keys, &mut self.payloads, &self.offsets)
     }
 
     /// Iterate all tuples of partition `p`.
@@ -236,9 +236,9 @@ mod tests {
         for i in 0..tuples.len() {
             counts[assign(i)] += 1;
         }
-        let (mut out, mut cursor) =
-            PartitionedRelation::from_counts(capacity, fanout_bits, 0, &counts);
-        let (keys, payloads) = out.columns_mut();
+        let mut out = PartitionedRelation::from_counts(capacity, fanout_bits, 0, counts);
+        let (keys, payloads, offsets) = out.columns_mut();
+        let mut cursor = offsets.to_vec();
         for (i, t) in tuples.iter().enumerate() {
             let p = assign(i);
             keys[cursor[p]] = t.key;
@@ -317,13 +317,13 @@ mod tests {
     fn partition_columns_borrow_a_from_counts_layout() {
         // Partition 1 spans three buckets, partition 2 is empty.
         let counts = [2u64, 7, 0, 3];
-        let (mut packed, base) = PartitionedRelation::from_counts(3, 2, 0, &counts);
-        let (keys, pays) = packed.columns_mut();
+        let mut packed = PartitionedRelation::from_counts(3, 2, 0, counts);
+        let (keys, pays, offsets) = packed.columns_mut();
         for (p, &count) in counts.iter().enumerate() {
             for i in 0..count as usize {
                 let key = (i * 4 + p) as u32;
-                keys[base[p] + i] = key;
-                pays[base[p] + i] = key * 2;
+                keys[offsets[p] + i] = key;
+                pays[offsets[p] + i] = key * 2;
             }
         }
         for (p, &count) in counts.iter().enumerate() {
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn empty_partition_iterates_nothing() {
-        let (pr, _) = PartitionedRelation::from_counts(4, 2, 0, &[3, 0, 0, 5]);
+        let pr = PartitionedRelation::from_counts(4, 2, 0, [3, 0, 0, 5]);
         assert_eq!(pr.tuples_of(2).count(), 0);
         assert_eq!(pr.chain_buckets(2), 0);
         assert_eq!(pr.bucket_lens(2).count(), 0);
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn device_bytes_track_pool_growth() {
-        let bytes = |count| PartitionedRelation::from_counts(128, 0, 0, &[count]).0.pool_bytes();
+        let bytes = |count| PartitionedRelation::from_counts(128, 0, 0, [count]).pool_bytes();
         assert_eq!(bytes(0), 0);
         assert_eq!(bytes(1), 128 * 8 + 8);
         assert_eq!(bytes(128), 128 * 8 + 8);
@@ -357,6 +357,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let _ = PartitionedRelation::from_counts(0, 0, 0, &[0]);
+        let _ = PartitionedRelation::from_counts(0, 0, 0, [0]);
     }
 }

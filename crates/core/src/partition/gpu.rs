@@ -144,40 +144,23 @@ impl<'a> GpuPartitioner<'a> {
             }
             h
         });
-        let mut counts = vec![0u64; fanout];
-        for h in &hists {
-            for (p, &c) in h.iter().enumerate() {
-                counts[p] += c;
-            }
-        }
-        let (mut current, base) = PartitionedRelation::from_counts(
+        let mut current = PartitionedRelation::from_counts(
             self.config.bucket_capacity,
             first.bits,
             base_bits,
-            &counts,
+            (0..fanout).map(|p| hists.iter().map(|h| h[p]).sum()),
         );
         let allocs = current.num_buckets() as u64;
-        // Exclusive per-chunk write cursors: chunk c starts partition p at
-        // base[p] plus everything earlier chunks contribute to p.
-        let chunk_starts: Vec<Vec<usize>> = {
-            let mut cursor = base;
-            hists
-                .iter()
-                .map(|h| {
-                    let start = cursor.clone();
-                    for (p, &c) in h.iter().enumerate() {
-                        cursor[p] += c as usize;
-                    }
-                    start
-                })
-                .collect()
-        };
         {
-            let (keys, pays) = current.columns_mut();
+            let (keys, pays, offsets) = current.columns_mut();
             let key_slots = DisjointSlice::new(keys);
             let pay_slots = DisjointSlice::new(pays);
             pool.map(&ranges, |c, range| {
-                let mut cursor = chunk_starts[c].clone();
+                // Chunk c writes partition p from its run start on, after
+                // what the earlier chunks write there.
+                let mut cursor: Vec<usize> = (0..fanout)
+                    .map(|p| offsets[p] + hists[..c].iter().map(|h| h[p] as usize).sum::<usize>())
+                    .collect();
                 for i in range.clone() {
                     let p = first.local_index(rel.keys[i] >> base_bits) as usize;
                     // SAFETY: the prefix sums give every (chunk, partition)
@@ -282,11 +265,11 @@ impl<'a> GpuPartitioner<'a> {
         for &p in &carried {
             counts[p] = parent.partition_len(p);
         }
-        let (mut next, base) = PartitionedRelation::from_counts(
+        let mut next = PartitionedRelation::from_counts(
             self.config.bucket_capacity,
             new_bits,
             parent.base_bits,
-            &counts,
+            counts,
         );
         // Carried chains keep their buckets; only refined children draw
         // from the pool. (The physical copy below is simulation
@@ -294,12 +277,12 @@ impl<'a> GpuPartitioner<'a> {
         let carried_buckets: u64 = carried.iter().map(|&p| next.chain_buckets(p) as u64).sum();
         let allocs = next.num_buckets() as u64 - carried_buckets;
         {
-            let (keys, pays) = next.columns_mut();
+            let (keys, pays, offsets) = next.columns_mut();
             let key_slots = DisjointSlice::new(keys);
             let pay_slots = DisjointSlice::new(pays);
             pool.map(&live, |_, &p| {
                 if finalized[p] {
-                    for (cursor, t) in (base[p]..).zip(parent.tuples_of(p)) {
+                    for (cursor, t) in (offsets[p]..).zip(parent.tuples_of(p)) {
                         // SAFETY: the carried child `p` is a partition of
                         // its own; every slot has exactly one writer.
                         unsafe {
@@ -310,7 +293,7 @@ impl<'a> GpuPartitioner<'a> {
                     return;
                 }
                 let mut cursor: Vec<usize> =
-                    (0..local_fanout).map(|local| base[p | (local << shift)]).collect();
+                    (0..local_fanout).map(|local| offsets[p | (local << shift)]).collect();
                 for t in parent.tuples_of(p) {
                     let local = pass.local_index(t.key >> parent.base_bits) as usize;
                     // SAFETY: children of distinct parents are disjoint

@@ -134,10 +134,10 @@ impl<'a> HistogramPartitioner<'a> {
         for &(p, lo, hi) in &segments {
             counts[p] += (hi - lo) as u64;
         }
-        let (mut out, base) =
-            PartitionedRelation::from_counts(capacity, plan.total_bits(), 0, &counts);
+        let mut out = PartitionedRelation::from_counts(capacity, plan.total_bits(), 0, counts);
         {
-            let mut cursor = base;
+            let (out_keys, out_pays, offsets) = out.columns_mut();
+            let mut cursor = offsets.to_vec();
             let starts: Vec<usize> = segments
                 .iter()
                 .map(|&(p, lo, hi)| {
@@ -146,7 +146,6 @@ impl<'a> HistogramPartitioner<'a> {
                     s
                 })
                 .collect();
-            let (out_keys, out_pays) = out.columns_mut();
             let key_slots = DisjointSlice::new(out_keys);
             let pay_slots = DisjointSlice::new(out_pays);
             pool.map(&segments, |s, &(p, lo, hi)| {

@@ -1,5 +1,6 @@
-//! Allocation guards for three host-side hot paths: the co-processing
-//! working-set knapsack, the co-partition join and radix partitioning.
+//! Allocation guards for four host-side hot paths: the co-processing
+//! working-set knapsack, the co-partition join, radix partitioning and the
+//! PRO CPU baseline.
 //! Allocation counts and bytes are a deterministic proxy for host time, so
 //! these fail on a regression that a wall-clock benchmark would only show
 //! as noise.
@@ -16,8 +17,10 @@ use hcj_core::output::OutputSink;
 use hcj_core::packing::{pack_working_sets, PartitionSize};
 use hcj_core::partition::GpuPartitioner;
 use hcj_core::{GpuJoinConfig, OutputMode};
+use hcj_cpu_join::ProJoin;
 use hcj_gpu::DeviceSpec;
 use hcj_host::pool::set_jobs;
+use hcj_workload::generate::canonical_pair;
 use hcj_workload::oracle::JoinCheck;
 use hcj_workload::rng::{Rng, SmallRng};
 use hcj_workload::{KeyDistribution, RelationSpec};
@@ -156,7 +159,25 @@ fn partitioning_allocates_about_its_tuples() {
     let r = RelationSpec::unique(1_000, 3).generate();
     let (out, _, bytes) = allocs_during(|| GpuPartitioner::new(&config).partition(&r));
     assert_eq!(out.partitioned.total_tuples(), 1_000);
-    // Dense runs request 20,456 B in all. Host slots for every modeled
-    // bucket (about 64 KB for the 8,000 B of tuples) requested 82,080 B.
-    assert!(bytes <= 32 * 1024, "{bytes} B allocated to partition 8,000 B of tuples");
+    // Dense runs with one histogram and one cursor per chunk request
+    // 14,288 B in all. Summing the histograms into a separate count
+    // vector, copying the run starts and cloning per-chunk start vectors
+    // requested 20,456 B; host slots for every modeled bucket (about 64 KB
+    // for the 8,000 B of tuples) requested 82,080 B.
+    assert!(bytes <= 15_000, "{bytes} B allocated to partition 8,000 B of tuples");
+}
+
+#[test]
+fn pro_allocations_do_not_grow_with_its_tuples() {
+    set_jobs(1);
+    // A unique 100,000-tuple build against a 200,000-tuple probe: PRO
+    // partitions both sides at radix 1 and joins two co-partitions.
+    let (r, s) = canonical_pair(100_000, 200_000, 5);
+    let (out, allocs, bytes) = allocs_during(|| ProJoin::paper_default().execute(&r, &s));
+    assert_eq!(out.check, JoinCheck::compute(&r, &s));
+    // One scatter per side, one table per co-partition and the merge make
+    // 14 allocations requesting 3.3 MB. Partitioning through per-thread
+    // buffers plus a hash map of per-key vectors made 100,080 on the
+    // calling thread alone, requesting 12.5 MB.
+    assert!(allocs <= 32, "{allocs} allocations ({bytes} B) for a 300,000-tuple PRO join");
 }

@@ -9,20 +9,23 @@
 //! * **NPO** — the non-partitioned shared hash join of Blanas et al.: one
 //!   global chained hash table built by all threads, probed in parallel.
 //!
-//! Both are *functionally real* (multithreaded via std::thread::scope, outputs
-//! validated against the oracle). They start their own threads, at most
-//! four, instead of mapping on the host pool: inside a `repro` figure worker
-//! a pool map runs inline, and the largest PRO and NPO joins of fig08 and
-//! fig12 are the long poles of `repro all`. Execution time comes from the
-//! calibrated host model in `hcj-host`, scaled by thread count and cache
-//! behaviour — see DESIGN.md for the calibration argument. The machine
-//! defaults to the paper's dual 12-core Xeon, on which both algorithms run
-//! all 48 hardware threads in the figures.
+//! Both are *functionally real*: their outputs are validated against the
+//! oracle. They share one functional core: a stable radix scatter into
+//! dense runs (`partition::radix_runs`) and one chained hash table whose
+//! chains run in build order. PRO maps its co-partitions, and NPO its probe
+//! chunks, on the host pool (`hcj_host::Pool`), and both merge in item
+//! order, so their rows are the same at every `--jobs`. Execution time
+//! comes from the calibrated host model in `hcj-host`, scaled by the
+//! modeled thread count (`threads`) and cache behaviour — see DESIGN.md
+//! for the calibration argument. The machine defaults to the paper's dual
+//! 12-core Xeon, on which both algorithms run all 48 hardware threads in
+//! the figures.
 
 pub mod model;
 pub mod npo;
 pub mod partition;
 pub mod pro;
+mod table;
 
 pub use model::CpuJoinOutcome;
 pub use npo::NpoJoin;

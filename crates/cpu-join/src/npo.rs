@@ -1,20 +1,18 @@
 //! NPO: the non-partitioned shared hash join (Blanas et al., SIGMOD'11).
 //!
-//! One global chained hash table over the build side, built by all threads
-//! with atomic head swaps, probed in parallel. Hardware-oblivious by
-//! design: no partitioning pass, but every probe of a larger-than-LLC
-//! table eats a cache (and possibly TLB) miss — the decay visible in the
-//! paper's Figures 8 and 12.
+//! One global chained hash table over the build side, probed in parallel.
+//! Hardware-oblivious by design: no partitioning pass, but every probe of
+//! a larger-than-LLC table eats a cache (and possibly TLB) miss — the decay
+//! visible in the paper's Figures 8 and 12.
 
-use hcj_host::HostSpec;
-use hcj_workload::oracle::{JoinCheck, JoinRow};
+use hcj_host::{HostSpec, Pool};
 use hcj_workload::Relation;
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use crate::model::{join_seconds, probe_rate, CpuJoinOutcome};
+use crate::table::{merge, slots, ChainedTable};
 
-const NIL: u32 = u32::MAX;
+/// Fewest probe tuples worth a chunk of their own.
+const PROBE_CHUNK_MIN: usize = 1 << 14;
 
 /// The NPO join.
 #[derive(Clone, Debug)]
@@ -40,87 +38,19 @@ impl NpoJoin {
 
     /// Execute R ⨝ S.
     pub fn execute(&self, r: &Relation, s: &Relation) -> CpuJoinOutcome {
-        let slots = r.len().next_power_of_two().max(2);
-        let mask = (slots - 1) as u32;
-        let fthreads = (self.threads as usize).min(4);
-
-        // ---- build: lock-free front insertion into a shared table ----
-        let heads: Vec<AtomicU32> = (0..slots).map(|_| AtomicU32::new(NIL)).collect();
-        let next: Vec<AtomicU32> = (0..r.len()).map(|_| AtomicU32::new(NIL)).collect();
-        let chunk = r.len().div_ceil(fthreads).max(1);
-        std::thread::scope(|scope| {
-            for t in 0..fthreads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(r.len());
-                let heads = &heads;
-                let next = &next;
-                let keys = &r.keys;
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        let h = hash(keys[i]) & mask;
-                        // atomic exchange + link: wait-free front insert.
-                        let old = heads[h as usize].swap(i as u32, Ordering::AcqRel);
-                        next[i].store(old, Ordering::Release);
-                    }
-                });
-            }
-        });
-
-        // ---- probe in parallel ----
-        let chunk = s.len().div_ceil(fthreads).max(1);
-        let mut partials: Vec<(u64, u64, u64, Vec<JoinRow>)> = Vec::with_capacity(fthreads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(fthreads);
-            for t in 0..fthreads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(s.len());
-                let heads = &heads;
-                let next = &next;
-                let materialize = self.materialize;
-                let (rk, rp) = (&r.keys, &r.payloads);
-                let (sk, sp) = (&s.keys, &s.payloads);
-                handles.push(scope.spawn(move || {
-                    let mut matches = 0u64;
-                    let (mut sum_r, mut sum_s) = (0u64, 0u64);
-                    let mut rows = Vec::new();
-                    for j in lo..hi {
-                        let h = hash(sk[j]) & mask;
-                        let mut idx = heads[h as usize].load(Ordering::Acquire);
-                        while idx != NIL {
-                            let i = idx as usize;
-                            if rk[i] == sk[j] {
-                                matches += 1;
-                                sum_r = sum_r.wrapping_add(u64::from(rp[i]));
-                                sum_s = sum_s.wrapping_add(u64::from(sp[j]));
-                                if materialize {
-                                    rows.push((sk[j], rp[i], sp[j]));
-                                }
-                            }
-                            idx = next[i].load(Ordering::Acquire);
-                        }
-                    }
-                    (matches, sum_r, sum_s, rows)
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("probe worker panicked"));
-            }
-        });
-
-        let mut check = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };
-        let mut rows = Vec::new();
-        for (m, sr, ss, mut rw) in partials {
-            check.matches += m;
-            check.sum_r_payload = check.sum_r_payload.wrapping_add(sr);
-            check.sum_s_payload = check.sum_s_payload.wrapping_add(ss);
-            rows.append(&mut rw);
-        }
+        // ---- functional execution: one table, probe chunks on the pool ----
+        let table = ChainedTable::build(&r.keys, &r.payloads, 0);
+        let pool = Pool::current();
+        let chunks = pool.chunks(s.len(), PROBE_CHUNK_MIN);
+        let (check, rows) = merge(pool.map(&chunks, |_, range| {
+            table.probe(&s.keys[range.clone()], &s.payloads[range.clone()], self.materialize)
+        }));
 
         // ---- timing model ----
         // Working set = the shared table (heads + links + tuples ≈ 16 B per
         // build tuple + 4 B per slot) probed by every thread; the whole
         // LLC of the machine is available to it.
-        let table_bytes = r.bytes() * 2 + slots as u64 * 4;
+        let table_bytes = r.bytes() * 2 + slots(r.len()) as u64 * 4;
         let llc_total = self.host.llc_bytes_per_core * u64::from(self.host.total_cores());
         let rate = probe_rate(&self.host, table_bytes, llc_total);
         let seconds = join_seconds(self.threads, (r.len() + s.len()) as u64, rate);
@@ -132,11 +62,6 @@ impl NpoJoin {
             tuples_in: (r.len() + s.len()) as u64,
         }
     }
-}
-
-#[inline]
-fn hash(key: u32) -> u32 {
-    (key.wrapping_mul(0x9E37_79B1)) >> 8
 }
 
 #[cfg(test)]

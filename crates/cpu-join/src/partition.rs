@@ -1,109 +1,56 @@
-//! Parallel CPU radix partitioning: the first phase of PRO and the host
-//! side of the co-processing strategy.
+//! The CPU radix scatter: the first phase of PRO.
 //!
-//! Classic structure (Balkesen et al.): the input is split into one chunk
-//! per thread; each thread builds a local histogram over the radix of its
-//! chunk, scatters its tuples into thread-local per-partition buffers
-//! (software-managed, cache-line sized in the original; plain vectors
-//! here), and the per-thread buffers of each partition are concatenated.
-//! Fanout per pass is bounded by the TLB (paper §II-B); deeper fanouts
-//! take multiple passes.
+//! PRO (Balkesen et al.) partitions in passes whose fanout the TLB bounds
+//! (paper §II-B), so deeper fanouts take several passes. Every pass is
+//! stable and the last one leaves partition `key & (2^bits - 1)`, so the
+//! passes end at the layout one stable counting pass over all the bits
+//! produces: `radix_runs` makes that one pass, and the timing model
+//! charges [`passes_needed`] passes.
 
-use hcj_workload::{Relation, Tuple};
+use hcj_workload::Relation;
 
-/// Histogram of partition sizes for one radix range.
-pub fn histogram(rel: &Relation, bits: u32, shift: u32) -> Vec<u64> {
+/// A relation scattered into `2^bits` partitions on its low key bits: one
+/// dense run per partition, tuples in input order.
+pub(crate) struct RadixRuns {
+    keys: Vec<u32>,
+    payloads: Vec<u32>,
+    /// `fanout + 1` run offsets: partition `p` occupies
+    /// `offsets[p]..offsets[p + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl RadixRuns {
+    pub fn fanout(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Partition `p`'s key and payload columns.
+    pub fn run(&self, p: usize) -> (&[u32], &[u32]) {
+        let run = self.offsets[p]..self.offsets[p + 1];
+        (&self.keys[run.clone()], &self.payloads[run])
+    }
+}
+
+/// Partition `rel` on its low `bits` key bits in one stable counting pass.
+pub(crate) fn radix_runs(rel: &Relation, bits: u32) -> RadixRuns {
     let fanout = 1usize << bits;
     let mask = (fanout - 1) as u32;
-    let mut h = vec![0u64; fanout];
+    let mut offsets = vec![0; fanout + 1];
     for &k in &rel.keys {
-        h[((k >> shift) & mask) as usize] += 1;
+        offsets[(k & mask) as usize + 1] += 1;
     }
-    h
-}
-
-/// Partition `rel` on key bits `[shift, shift+bits)` using `threads`
-/// worker threads. Returns one `Relation` per partition (tuples in
-/// thread-chunk order, matching the concatenation step of the original).
-pub fn parallel_radix_partition(
-    rel: &Relation,
-    bits: u32,
-    shift: u32,
-    threads: usize,
-) -> Vec<Relation> {
-    assert!(threads >= 1, "need at least one thread");
-    let fanout = 1usize << bits;
-    let mask = (fanout - 1) as u32;
-    let chunk_len = rel.len().div_ceil(threads).max(1);
-
-    // Each thread partitions its chunk into local buffers.
-    let chunks: Vec<(usize, usize)> =
-        (0..rel.len()).step_by(chunk_len).map(|s| (s, (s + chunk_len).min(rel.len()))).collect();
-    let mut per_thread: Vec<Vec<Relation>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        for &(lo, hi) in &chunks {
-            let keys = &rel.keys[lo..hi];
-            let pays = &rel.payloads[lo..hi];
-            handles.push(scope.spawn(move || {
-                let mut local = vec![Relation::default(); fanout];
-                for (&k, &p) in keys.iter().zip(pays) {
-                    local[((k >> shift) & mask) as usize].push(Tuple { key: k, payload: p });
-                }
-                local
-            }));
-        }
-        for h in handles {
-            per_thread.push(h.join().expect("partition worker panicked"));
-        }
-    });
-
-    // Concatenate the per-thread buffers of each partition.
-    let mut out = vec![Relation::default(); fanout];
-    for local in per_thread {
-        for (p, part) in local.into_iter().enumerate() {
-            out[p].keys.extend_from_slice(&part.keys);
-            out[p].payloads.extend_from_slice(&part.payloads);
-        }
+    for p in 0..fanout {
+        offsets[p + 1] += offsets[p];
     }
-    for part in &mut out {
-        part.payload_width = rel.payload_width;
+    let mut cursor = offsets[..fanout].to_vec();
+    let (mut keys, mut payloads) = (vec![0; rel.len()], vec![0; rel.len()]);
+    for (&k, &v) in rel.keys.iter().zip(&rel.payloads) {
+        let slot = &mut cursor[(k & mask) as usize];
+        keys[*slot] = k;
+        payloads[*slot] = v;
+        *slot += 1;
     }
-    out
-}
-
-/// Multi-pass partitioning to `total_bits`, each pass at most
-/// `bits_per_pass` (the TLB bound).
-pub fn multi_pass_partition(
-    rel: &Relation,
-    total_bits: u32,
-    bits_per_pass: u32,
-    threads: usize,
-) -> Vec<Relation> {
-    assert!(bits_per_pass >= 1);
-    if total_bits == 0 {
-        return vec![rel.clone()];
-    }
-    let first = total_bits.min(bits_per_pass);
-    let mut parts = parallel_radix_partition(rel, first, 0, threads);
-    let mut done = first;
-    while done < total_bits {
-        let bits = (total_bits - done).min(bits_per_pass);
-        // Radix index composition: sub-partition `q` (bits `[done,
-        // done+bits)`) of parent `p` (low `done` bits) is the global
-        // partition `p | (q << done)` — final index == `key & mask`.
-        let mut next = vec![Relation::default(); parts.len() << bits];
-        for (p, part) in parts.iter().enumerate() {
-            for (q, sub) in
-                parallel_radix_partition(part, bits, done, threads).into_iter().enumerate()
-            {
-                next[p | (q << done)] = sub;
-            }
-        }
-        parts = next;
-        done += bits;
-    }
-    parts
+    RadixRuns { keys, payloads, offsets }
 }
 
 /// Number of passes PRO needs for `total_bits` at the TLB-bounded fanout.
@@ -117,68 +64,35 @@ mod tests {
     use hcj_workload::RelationSpec;
 
     #[test]
-    fn histogram_counts_every_tuple() {
-        let rel = RelationSpec::unique(4096, 1).generate();
-        let h = histogram(&rel, 4, 0);
-        assert_eq!(h.len(), 16);
-        assert_eq!(h.iter().sum::<u64>(), 4096);
-        assert!(h.iter().all(|&c| c == 256)); // unique 1..=4096 → even
-    }
-
-    #[test]
     fn single_pass_partition_is_correct() {
-        let rel = RelationSpec::unique(10_000, 2).generate();
-        let parts = parallel_radix_partition(&rel, 4, 0, 4);
-        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 10_000);
-        for (p, part) in parts.iter().enumerate() {
-            assert!(part.keys.iter().all(|&k| (k & 15) as usize == p));
+        // Duplicate keys, so stability is visible in the payloads too.
+        let rel = RelationSpec::zipf(10_000, 512, 0.8, 2).generate();
+        let runs = radix_runs(&rel, 4);
+        assert_eq!(runs.fanout(), 16);
+        let mut total = 0;
+        for p in 0..16 {
+            let (keys, payloads) = runs.run(p);
+            // Exactly partition p's tuples, in input order.
+            let want: Vec<(u32, u32)> = rel
+                .keys
+                .iter()
+                .zip(&rel.payloads)
+                .filter(|&(&k, _)| (k & 15) as usize == p)
+                .map(|(&k, &v)| (k, v))
+                .collect();
+            let got: Vec<(u32, u32)> = keys.iter().copied().zip(payloads.iter().copied()).collect();
+            assert_eq!(got, want, "partition {p}");
+            total += keys.len();
         }
-    }
-
-    #[test]
-    fn shifted_partition_uses_high_bits() {
-        let rel = RelationSpec::unique(4096, 3).generate();
-        let parts = parallel_radix_partition(&rel, 3, 5, 2);
-        for (p, part) in parts.iter().enumerate() {
-            assert!(part.keys.iter().all(|&k| ((k >> 5) & 7) as usize == p));
-        }
-    }
-
-    #[test]
-    fn multi_pass_equals_single_pass_contents() {
-        let rel = RelationSpec::unique(8192, 4).generate();
-        let single = parallel_radix_partition(&rel, 6, 0, 3);
-        let multi = multi_pass_partition(&rel, 6, 3, 3);
-        assert_eq!(multi.len(), single.len());
-        for (a, b) in single.iter().zip(&multi) {
-            let mut ka = a.keys.clone();
-            let mut kb = b.keys.clone();
-            ka.sort_unstable();
-            kb.sort_unstable();
-            assert_eq!(ka, kb);
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_multiset() {
-        let rel = RelationSpec::zipf(5000, 512, 0.8, 5).generate();
-        let one = parallel_radix_partition(&rel, 5, 0, 1);
-        let eight = parallel_radix_partition(&rel, 5, 0, 8);
-        for (a, b) in one.iter().zip(&eight) {
-            let mut ka = a.keys.clone();
-            let mut kb = b.keys.clone();
-            ka.sort_unstable();
-            kb.sort_unstable();
-            assert_eq!(ka, kb);
-        }
+        assert_eq!(total, 10_000);
     }
 
     #[test]
     fn zero_bits_is_identity() {
         let rel = RelationSpec::unique(100, 6).generate();
-        let parts = multi_pass_partition(&rel, 0, 6, 2);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].keys, rel.keys);
+        let runs = radix_runs(&rel, 0);
+        assert_eq!(runs.fanout(), 1);
+        assert_eq!(runs.run(0), (&rel.keys[..], &rel.payloads[..]));
     }
 
     #[test]
@@ -188,12 +102,5 @@ mod tests {
         assert_eq!(passes_needed(7, 6), 2);
         assert_eq!(passes_needed(12, 6), 2);
         assert_eq!(passes_needed(13, 6), 3);
-    }
-
-    #[test]
-    fn payload_width_propagates() {
-        let rel = RelationSpec::unique(128, 7).with_payload_width(64).generate();
-        let parts = parallel_radix_partition(&rel, 2, 0, 2);
-        assert!(parts.iter().all(|p| p.payload_width == 64));
     }
 }

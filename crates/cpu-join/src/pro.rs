@@ -9,13 +9,13 @@
 //! bounded fanout leaves partitions larger than the cache share and the
 //! cache advantage erodes (paper §V-D).
 
-use hcj_host::HostSpec;
-use hcj_workload::oracle::JoinRow;
+use hcj_host::{HostSpec, Pool};
+use hcj_workload::oracle::JoinCheck;
 use hcj_workload::Relation;
-use std::collections::HashMap;
 
 use crate::model::{join_seconds, partition_seconds, probe_rate, CpuJoinOutcome};
-use crate::partition::{multi_pass_partition, passes_needed};
+use crate::partition::{passes_needed, radix_runs};
+use crate::table::{merge, ChainedTable};
 
 /// The PRO join.
 #[derive(Clone, Debug)]
@@ -58,35 +58,20 @@ impl ProJoin {
         let tlb_bits = 31 - self.host.tlb_entries.leading_zeros();
         let bits = self.radix_bits_for(r.len());
         let passes = passes_needed(bits, tlb_bits);
-        // Cap the functional thread count (determinism and 1-core CI
-        // friendliness); the *model* uses the configured count.
-        let fthreads = (self.threads as usize).min(4);
 
         // ---- functional execution ----
-        let r_parts = multi_pass_partition(r, bits, tlb_bits, fthreads);
-        let s_parts = multi_pass_partition(s, bits, tlb_bits, fthreads);
-        let mut matches = 0u64;
-        let mut sum_r = 0u64;
-        let mut sum_s = 0u64;
-        let mut rows: Vec<JoinRow> = Vec::new();
-        for (rp, sp) in r_parts.iter().zip(&s_parts) {
-            let mut table: HashMap<u32, Vec<u32>> = HashMap::with_capacity(rp.len());
-            for t in rp.iter() {
-                table.entry(t.key).or_default().push(t.payload);
+        // One stable scatter per side gives the co-partitions the
+        // TLB-bounded passes end at; each joins through its own table on
+        // the host pool, merged in partition order.
+        let (r_runs, s_runs) = (radix_runs(r, bits), radix_runs(s, bits));
+        let partitions: Vec<usize> = (0..r_runs.fanout()).collect();
+        let (check, rows) = merge(Pool::current().map(&partitions, |_, &p| {
+            let ((rk, rp), (sk, sp)) = (r_runs.run(p), s_runs.run(p));
+            if rk.is_empty() || sk.is_empty() {
+                return (JoinCheck::ZERO, Vec::new());
             }
-            for t in sp.iter() {
-                if let Some(pays) = table.get(&t.key) {
-                    for &p in pays {
-                        matches += 1;
-                        sum_r = sum_r.wrapping_add(u64::from(p));
-                        sum_s = sum_s.wrapping_add(u64::from(t.payload));
-                        if self.materialize {
-                            rows.push((t.key, p, t.payload));
-                        }
-                    }
-                }
-            }
-        }
+            ChainedTable::build(rk, rp, bits).probe(sk, sp, self.materialize)
+        }));
 
         // ---- timing model ----
         let total_bytes = r.bytes() + s.bytes();
@@ -98,11 +83,7 @@ impl ProJoin {
         let t_join = join_seconds(self.threads, (r.len() + s.len()) as u64, rate);
 
         CpuJoinOutcome {
-            check: hcj_workload::oracle::JoinCheck {
-                matches,
-                sum_r_payload: sum_r,
-                sum_s_payload: sum_s,
-            },
+            check,
             rows: if self.materialize { Some(rows) } else { None },
             seconds: t_part + t_join,
             tuples_in: (r.len() + s.len()) as u64,
@@ -114,7 +95,7 @@ impl ProJoin {
 mod tests {
     use super::*;
     use hcj_workload::generate::canonical_pair;
-    use hcj_workload::oracle::{assert_join_matches, JoinCheck};
+    use hcj_workload::oracle::assert_join_matches;
 
     #[test]
     fn pro_matches_oracle() {

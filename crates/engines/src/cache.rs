@@ -395,7 +395,7 @@ mod tests {
     /// `build_seconds`, so an empty partitioned shell suffices.
     fn build(table_bytes: u64, build_seconds: f64) -> CachedBuild {
         CachedBuild {
-            partitioned: PartitionedRelation::from_counts(1, 0, 0, &[0]).0,
+            partitioned: PartitionedRelation::from_counts(1, 0, 0, [0]),
             payload_width: 4,
             build_tuples: 0,
             table_bytes,

@@ -158,6 +158,9 @@ impl Pool {
                     panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
                 }
             };
+            // The one place host threads start (clippy.toml disallows
+            // `std::thread::scope` and `spawn` everywhere else).
+            #[allow(clippy::disallowed_methods)]
             std::thread::scope(|s| {
                 for _ in 1..workers {
                     s.spawn(|| {
@@ -327,6 +330,8 @@ mod tests {
     }
 
     #[test]
+    // Two top-level maps need two threads that are not pool workers.
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_top_level_maps_both_stay_in_order() {
         // Item 0 of each map waits for item 0 of the other, so both maps
         // are in progress at once.
