@@ -42,6 +42,7 @@ use hcj_gpu::{CounterRollup, DeviceMemory, FaultSummary, Reservation};
 use hcj_host::pool::Pool;
 use hcj_sim::SimTime;
 use hcj_workload::catalog::BuildRef;
+use hcj_workload::oracle::JoinCheck;
 use hcj_workload::plan::{rows_to_relation, PlanOp, PlanSpec};
 use hcj_workload::{build_is_left, Relation};
 
@@ -323,10 +324,14 @@ pub fn execute_plan(
                 engine.config = engine.config.with_output(OutputMode::Materialize);
             }
             // GPU-resident ops take the staged path, which skips the H2D
-            // copy of any pinned-intermediate side.
+            // copy of any pinned-intermediate side. The op's check comes
+            // from the intermediates it joins.
+            let r = outputs_ref[prep.build].as_ref().expect("deps done");
+            let s = outputs_ref[prep.probe].as_ref().expect("deps done");
             let mut exec = JoinJob {
-                r: outputs_ref[prep.build].as_ref().expect("deps done"),
-                s: outputs_ref[prep.probe].as_ref().expect("deps done"),
+                r,
+                s,
+                expected: JoinCheck::compute(r, s),
                 start: prep.level,
                 hit: prep.hit.as_deref().map(|table| &table.build),
                 stage: prep.level == PlannedStrategy::GpuResident,

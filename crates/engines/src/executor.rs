@@ -2,7 +2,14 @@
 //! ([`crate::fleet`]) and plan operators ([`crate::dag`]), and the one
 //! execution record ([`Executed`]) the event loop settles onto a request,
 //! whatever ran: a single join, a cross-device exchange or a whole plan.
-//! Every kind's oracle comparison happens here.
+//!
+//! Every kind's oracle comparison happens here, against a check its
+//! caller computed. A request's single join gets its check once, with its
+//! inputs (`lookahead::JoinInputs`), and every execution of it compares
+//! against that: on a device, on the CPU lane, as an exchange, and again
+//! after a drain re-dispatches it. A plan operator's check is computed
+//! when its level runs ([`crate::dag`]), because its inputs are
+//! intermediates that exist only then.
 //!
 //! A [`JoinJob`] runs one admitted join on an engine its caller already
 //! reseeded: it probes a pinned cached build, or stages both sides and
@@ -22,6 +29,7 @@ use hcj_workload::{build_is_left, Relation};
 use crate::dag::PlanRun;
 use crate::exchange::{execute_exchange, ExchangeConfig, ExchangeParticipant};
 use crate::facade::{in_caller_order, HcjEngine, PlannedStrategy};
+use crate::lookahead::JoinInputs;
 
 /// One admitted join, described for [`JoinJob::run`].
 pub(crate) struct JoinJob<'a> {
@@ -30,6 +38,8 @@ pub(crate) struct JoinJob<'a> {
     pub r: &'a Relation,
     /// Right input.
     pub s: &'a Relation,
+    /// `JoinCheck::compute(r, s)`, which the outcome must match.
+    pub expected: JoinCheck,
     /// The ladder rung the join starts at, and falls back onto.
     pub start: PlannedStrategy,
     /// A pinned cached build to probe instead of building.
@@ -79,22 +89,23 @@ impl Executed {
         Executed { duration: SimTime::from_nanos(1), error: Some(error), ..Executed::default() }
     }
 
-    /// Run `r ⨝ s` as a cross-device exchange over `participants`; `salt`
-    /// (the request id) decorrelates the participants' fault streams.
+    /// Run `inputs.r ⨝ inputs.s` as a cross-device exchange over
+    /// `participants`, checked against `inputs.check`; `salt` (the request
+    /// id) decorrelates the participants' fault streams.
     pub(crate) fn exchange(
         engine: &HcjEngine,
         participants: &[ExchangeParticipant],
-        r: &Relation,
-        s: &Relation,
+        inputs: &JoinInputs,
         salt: u64,
     ) -> Self {
         let host = HostSpec::dual_xeon_e5_2650l_v3();
+        let JoinInputs { r, s, check } = inputs;
         match execute_exchange(engine, participants, r, s, &ExchangeConfig::default(), &host, salt)
         {
             Ok(out) => Executed {
                 strategy: Some(PlannedStrategy::CrossDevice(participants.len())),
                 matches: out.check.matches,
-                check_ok: out.check == JoinCheck::compute(r, s),
+                check_ok: out.check == *check,
                 duration: SimTime::from_nanos(((out.seconds * 1e9).round() as u64).max(1)),
                 faults: out.faults,
                 counters: out.counters.rollup(),
@@ -163,7 +174,7 @@ impl JoinJob<'_> {
         Executed {
             strategy: Some(strategy),
             matches: outcome.check.matches,
-            check_ok: outcome.check == JoinCheck::compute(self.r, self.s),
+            check_ok: outcome.check == self.expected,
             duration: SimTime::from_nanos(outcome.schedule.makespan().as_nanos().max(1)),
             faults: outcome.faults.summary(),
             counters: outcome.counters.rollup(),
@@ -218,6 +229,7 @@ mod tests {
         let staged = JoinJob {
             r: &r,
             s: &s,
+            expected: JoinCheck::compute(&r, &s),
             start: PlannedStrategy::GpuResident,
             hit: None,
             stage: true,
@@ -236,6 +248,48 @@ mod tests {
     }
 
     #[test]
+    fn executions_compare_with_the_check_they_carry() {
+        // A wrong expected check fails a correct join, and the right one
+        // passes it, on the single-device path and on the exchange.
+        let config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080())
+            .with_radix_bits(8)
+            .with_tuned_buckets(6_000);
+        let engine = HcjEngine::new(config);
+        let (r, s) = canonical_pair(2_000, 6_000, 7);
+        let right = JoinCheck::compute(&r, &s);
+        let wrong = JoinCheck { sum_s_payload: right.sum_s_payload ^ 1, ..right };
+        let participants: Vec<ExchangeParticipant> = (0..2)
+            .map(|device| ExchangeParticipant { device, spec: DeviceSpec::gtx1080() })
+            .collect();
+        let mut inputs = JoinInputs { r: r.clone(), s: s.clone(), check: right };
+        for (expected, ok) in [(right, true), (wrong, false)] {
+            let job = JoinJob {
+                r: &r,
+                s: &s,
+                expected,
+                start: PlannedStrategy::GpuResident,
+                hit: None,
+                stage: false,
+                keep_build: false,
+                resident: (false, false),
+            };
+            inputs.check = expected;
+            for (path, exec) in [
+                ("single", job.run(&engine)),
+                ("exchange", Executed::exchange(&engine, &participants, &inputs, 1)),
+            ] {
+                assert_eq!((exec.error, exec.matches), (None, right.matches), "{path}");
+                assert_eq!(
+                    exec.check_ok,
+                    ok,
+                    "{path} against the {} check",
+                    if ok { "right" } else { "wrong" }
+                );
+            }
+        }
+    }
+
+    #[test]
     fn staged_and_hit_paths_report_in_the_callers_order_when_s_builds() {
         // `s` is the smaller side, so it builds; the check and the
         // materialized rows must still come back as `r ⨝ s`.
@@ -249,6 +303,7 @@ mod tests {
         let staged = JoinJob {
             r: &r,
             s: &s,
+            expected: JoinCheck::compute(&r, &s),
             start: PlannedStrategy::GpuResident,
             hit: None,
             stage: true,

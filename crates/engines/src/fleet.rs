@@ -49,9 +49,12 @@
 //!
 //! The loop is single-threaded and runs in virtual time: one calendar of
 //! typed events (submit, backoff wake-up, completion, deadline) keyed by
-//! `(SimTime, sequence number)`. Only admitted-batch execution fans out
-//! onto the host pool, and results merge in batch order, so summaries
-//! are byte-identical across `--jobs` counts and runs. Admitted single
+//! `(SimTime, sequence number)`, and it executes admitted batches itself.
+//! With two or more pool workers, a helper thread materializes upcoming
+//! requests' inputs beside it (the crate-private `lookahead` module) and
+//! maps the loop calls run inline. Inputs are pure functions of their
+//! specs, so summaries are byte-identical across `--jobs` counts and
+//! runs. Admitted single
 //! joins run on the same cache-aware join executor as plan operators
 //! ([`crate::dag`]): probe a pinned cached build, stage and build, or
 //! walk the ladder from the admitted rung; a failing hit or staged build
@@ -76,7 +79,7 @@ use hcj_gpu::{DeviceMemory, DeviceSpec, JoinError, OutOfDeviceMemory, Reservatio
 use hcj_host::pool::Pool;
 use hcj_sim::{CounterId, SimTime, Timeline, TrackId};
 use hcj_workload::catalog::BuildRef;
-use hcj_workload::plan::{PlanOp, PlanSpec};
+use hcj_workload::plan::PlanSpec;
 use hcj_workload::rng::mix64;
 use hcj_workload::{build_is_left, Relation};
 
@@ -85,6 +88,7 @@ use crate::dag::{execute_plan, plan_envelope, planned_root, OpReport, PlanRun};
 use crate::exchange::ExchangeParticipant;
 use crate::executor::{Executed, JoinJob};
 use crate::facade::{HcjEngine, PlannedStrategy};
+use crate::lookahead::{generate_scans, Inputs, JoinInputs, Lookahead};
 use crate::service::{
     CacheRole, ClientSpec, QuerySpec, RequestMetrics, ServiceConfig, ServiceReport, BACKOFF_BASE,
     BACKOFF_CAP, MAX_RETRIES, THINK_TIME,
@@ -420,9 +424,9 @@ impl DeviceState {
 /// Per-request live state (metrics plus loop bookkeeping).
 struct FleetRequest {
     metrics: RequestMetrics,
-    /// Materialized inputs of a single join, held until it finalizes: a
-    /// drain re-dispatches from them.
-    inputs: Option<(Relation, Relation)>,
+    /// Materialized inputs of a single join and their check, held until it
+    /// finalizes: a drain re-dispatches from them.
+    inputs: Option<JoinInputs>,
     /// Current rung on the ladder (degrades under pressure).
     level: PlannedStrategy,
     /// Failed admissions at the current rung.
@@ -494,7 +498,7 @@ impl FleetRequest {
 
     /// A single join's `(build, probe)` inputs; `None` for plans.
     fn sides(&self) -> Option<(&Relation, &Relation)> {
-        let (r, s) = self.inputs.as_ref()?;
+        let JoinInputs { r, s, .. } = self.inputs.as_ref()?;
         Some(if build_is_left(r, s) { (r, s) } else { (s, r) })
     }
 
@@ -563,16 +567,6 @@ impl PlanWork {
     }
 }
 
-fn generate_scans(spec: &PlanSpec) -> Vec<Option<Relation>> {
-    spec.ops
-        .iter()
-        .map(|op| match op {
-            PlanOp::Scan { spec, .. } => Some(spec.generate()),
-            _ => None,
-        })
-        .collect()
-}
-
 /// `engine` on the fault stream of request `id` on `device`; `None`
 /// without a fault plan.
 fn reseeded(engine: &HcjEngine, device: usize, id: usize) -> Option<HcjEngine> {
@@ -601,19 +595,29 @@ impl FleetService {
 
     /// Drive the whole workload to completion across the fleet.
     pub fn run(&self, workload: &[ClientSpec]) -> ServiceReport {
-        serve(&self.engine, &self.config, &self.fleet, workload)
+        serve(Pool::current(), &self.engine, &self.config, &self.fleet, workload)
     }
 }
 
-/// Drive `workload` to completion on the event loop: the one entry point
-/// of both [`FleetService::run`] and [`crate::service::JoinService::run`].
+/// Drive `workload` to completion on the event loop, beside the lookahead
+/// that materializes upcoming requests' inputs on `pool`'s second worker:
+/// the one entry point of both [`FleetService::run`] and
+/// [`crate::service::JoinService::run`].
 pub(crate) fn serve(
+    pool: Pool,
     engine: &HcjEngine,
     config: &ServiceConfig,
     fleet: &FleetConfig,
     workload: &[ClientSpec],
 ) -> ServiceReport {
-    FleetRun::new(engine, config, fleet, workload).run()
+    let lookahead = Lookahead::new(workload);
+    pool.beside(
+        || lookahead.fill(),
+        || {
+            let _close = lookahead.closer();
+            FleetRun::new(engine, config, fleet, workload, &lookahead).run()
+        },
+    )
 }
 
 /// One run's mutable state; [`serve`] drives it.
@@ -622,6 +626,8 @@ struct FleetRun<'a> {
     config: &'a ServiceConfig,
     fleet: &'a FleetConfig,
     workload: &'a [ClientSpec],
+    /// Upcoming requests' inputs, materialized beside the loop.
+    lookahead: &'a Lookahead<'a>,
     ring: Ring,
     devices: Vec<DeviceState>,
     requests: Vec<FleetRequest>,
@@ -651,6 +657,7 @@ impl<'a> FleetRun<'a> {
         config: &'a ServiceConfig,
         fleet: &'a FleetConfig,
         workload: &'a [ClientSpec],
+        lookahead: &'a Lookahead<'a>,
     ) -> Self {
         let mut timeline = Timeline::new("hcj join service");
         let clients: Vec<TrackId> =
@@ -676,6 +683,7 @@ impl<'a> FleetRun<'a> {
             config,
             fleet,
             workload,
+            lookahead,
             ring: Ring::weighted((0..fleet.devices).map(|d| (d, RING_REPLICAS))),
             devices,
             requests: Vec::new(),
@@ -1180,24 +1188,28 @@ impl<'a> FleetRun<'a> {
     }
 
     fn on_submit(&mut self, client: usize, index: usize, now: SimTime) {
-        // Materialize the query's inputs and plan it: a single join sizes
-        // its two relations; a plan generates its scans and sizes its
-        // root join.
+        // Take the query's inputs from the lookahead (materialize them
+        // here on a miss) and plan it: a single join sizes its two
+        // relations; a plan sizes its root join.
+        let staged = self.lookahead.take(client, index);
         let (inputs, build, plan, planned) = match &self.workload[client].requests[index] {
             QuerySpec::Join(spec) => {
-                let (r, s) = (spec.r.generate(), spec.s.generate());
-                let r_builds = build_is_left(&r, &s);
-                let (b, p) = if r_builds { (&r, &s) } else { (&s, &r) };
+                let join = match staged {
+                    Some(Inputs::Join(join)) => join,
+                    _ => JoinInputs::generate(spec),
+                };
+                let r_builds = build_is_left(&join.r, &join.s);
+                let (b, p) = if r_builds { (&join.r, &join.s) } else { (&join.s, &join.r) };
                 let planned = self.plan_join(b.bytes(), p.bytes());
-                (Some((r, s)), spec.build.filter(|_| r_builds), None, planned)
+                (Some(join), spec.build.filter(|_| r_builds), None, planned)
             }
             QuerySpec::Plan(plan) => {
-                let work = PlanWork {
-                    scans: Some(generate_scans(plan)),
-                    spec: plan.clone(),
-                    degrade: 0,
-                    run: None,
+                let scans = match staged {
+                    Some(Inputs::Plan(scans)) => scans,
+                    _ => generate_scans(plan),
                 };
+                let work =
+                    PlanWork { scans: Some(scans), spec: plan.clone(), degrade: 0, run: None };
                 let planned = planned_root(self.engine, plan);
                 (None, None, Some(work), planned)
             }
@@ -1539,71 +1551,59 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// Execute the admitted batch: single joins (device lanes and the CPU
-    /// lane) fan out onto the host pool in batch order; cross-device
-    /// requests and plans run one at a time from this thread. Every
-    /// execution then settles onto its request, single joins first, then
-    /// cross-device joins, then plans, so the outcome is independent of
-    /// the worker count.
+    /// Execute the admitted batch from the loop thread: single joins
+    /// (device lanes and the CPU lane) in batch order, then cross-device
+    /// joins, then plans, each settling onto its request as it finishes.
     fn execute_batch(&mut self, batch: &[usize], now: SimTime) {
         let (plans, rest): (Vec<usize>, Vec<usize>) =
             batch.iter().partition(|&&id| self.requests[id].plan.is_some());
         let (cross, singles): (Vec<usize>, Vec<usize>) =
             rest.into_iter().partition(|&id| !self.requests[id].participants.is_empty());
 
-        // Single joins, purely over shared state on the host pool. A named
-        // build side running GPU-resident stages and builds (its inputs
-        // arrive from the host per request, so h2d traffic is modeled
-        // whether or not the cache is on), and only an `Install` keeps
-        // the table it built.
-        let (engine, requests) = (self.engine, &self.requests);
-        let results: Vec<Option<Executed>> = Pool::current().map(&singles, |_, &id| {
-            let st = &requests[id];
-            let (r, s) = st.inputs.as_ref()?;
-            let job = JoinJob {
-                r,
-                s,
-                start: if st.cpu { PlannedStrategy::CpuFallback } else { st.level },
-                hit: st.hit.as_deref().map(|table| &table.build),
-                stage: !st.cpu && st.build.is_some() && st.level == PlannedStrategy::GpuResident,
-                keep_build: st.metrics.cache_role == CacheRole::Install,
-                resident: (false, false),
-            };
-            // The CPU lane never consults the fault plan, so it keeps the
-            // plain engine.
-            let reseeded = st.metrics.device.and_then(|device| reseeded(engine, device, id));
-            Some(job.run(reseeded.as_ref().unwrap_or(engine)))
-        });
-        for (&id, exec) in singles.iter().zip(results) {
-            // Admission just verified the inputs.
-            let exec = exec
-                .unwrap_or_else(|| self.internal(format!("admitted request {id} has no inputs")));
-            self.settle(id, exec, now);
-        }
-
-        // Cross-device requests: executed serially from the loop thread —
-        // the exchange fans its partial joins onto the host pool
-        // internally. The request id salts the per-participant fault
-        // streams, decorrelating requests.
-        for &id in &cross {
+        // A single join whose named build side runs GPU-resident stages
+        // and builds (its inputs arrive from the host per request, so h2d
+        // traffic is modeled whether or not the cache is on), and only an
+        // `Install` keeps the table it built. A cross-device join's
+        // request id salts the per-participant fault streams,
+        // decorrelating requests.
+        for &id in singles.iter().chain(&cross) {
             let st = &self.requests[id];
             let exec = match st.inputs.as_ref() {
-                Some((r, s)) => {
+                Some(inputs) if st.participants.is_empty() => {
+                    let job = JoinJob {
+                        r: &inputs.r,
+                        s: &inputs.s,
+                        expected: inputs.check,
+                        start: if st.cpu { PlannedStrategy::CpuFallback } else { st.level },
+                        hit: st.hit.as_deref().map(|table| &table.build),
+                        stage: !st.cpu
+                            && st.build.is_some()
+                            && st.level == PlannedStrategy::GpuResident,
+                        keep_build: st.metrics.cache_role == CacheRole::Install,
+                        resident: (false, false),
+                    };
+                    // The CPU lane never consults the fault plan, so it
+                    // keeps the plain engine.
+                    let reseeded =
+                        st.metrics.device.and_then(|device| reseeded(self.engine, device, id));
+                    job.run(reseeded.as_ref().unwrap_or(self.engine))
+                }
+                Some(inputs) => {
                     let participants: Vec<ExchangeParticipant> = st
                         .participants
                         .iter()
                         .map(|&d| ExchangeParticipant { device: d, spec: self.spec_of(d).clone() })
                         .collect();
-                    Executed::exchange(self.engine, &participants, r, s, id as u64)
+                    Executed::exchange(self.engine, &participants, inputs, id as u64)
                 }
-                None => self.internal(format!("admitted cross request {id} has no inputs")),
+                // Admission just verified the inputs.
+                None => self.internal(format!("admitted request {id} has no inputs")),
             };
             self.settle(id, exec, now);
         }
 
         // Plans: one at a time, against their device's accountant and
-        // cache, reseeded per (device, request); each plan fans its own
-        // levels onto the pool (and reseeds again per op).
+        // cache, reseeded per (device, request) and again per op.
         for &id in &plans {
             let st = &mut self.requests[id];
             let (Some(pw), Some(device)) = (st.plan.as_mut(), st.metrics.device) else {

@@ -31,6 +31,7 @@ pub mod exchange;
 mod executor;
 pub mod facade;
 pub mod fleet;
+mod lookahead;
 pub mod result;
 pub mod service;
 

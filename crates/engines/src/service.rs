@@ -38,12 +38,13 @@
 //!   nothing panics, nothing starves forever.
 //! * **Determinism.** The loop is single-threaded and runs in virtual
 //!   time (a [`SimTime`]-keyed calendar with a tie-breaking sequence
-//!   number). Only the *execution* of an admitted batch fans out, via
-//!   [`hcj_host::pool::Pool::map`], whose results are bit-identical for
-//!   every worker count. All reservations, queue moves and metric updates
-//!   happen on the loop thread at deterministic virtual times, so the
-//!   same seed reproduces the same admission decisions byte-for-byte at
-//!   any `--jobs` value.
+//!   number), and it executes admitted batches itself. On a pool of two
+//!   or more workers, one helper thread started by
+//!   [`hcj_host::pool::Pool::beside`] materializes upcoming requests'
+//!   inputs, which are pure functions of their specs. All reservations,
+//!   queue moves and metric updates happen on the loop thread at
+//!   deterministic virtual times, so the same seed reproduces the same
+//!   admission decisions byte-for-byte at any `--jobs` value.
 //! * **Deadlines.** With [`ServiceConfig::deadline`] set, every request
 //!   carries a per-request virtual-time budget from submission. An expired
 //!   request cancels cleanly wherever it is — parked, queued, backing off
@@ -62,6 +63,7 @@
 //!   deadline cancellations.
 
 use hcj_gpu::{CacheCounters, CounterRollup, FaultSummary};
+use hcj_host::pool::Pool;
 use hcj_sim::{SimTime, Timeline};
 use hcj_workload::catalog::{BuildCatalog, BuildRef, PopularityStream};
 use hcj_workload::generate::{KeyDistribution, RelationSpec};
@@ -724,7 +726,8 @@ impl JoinService {
     /// Drive the whole workload to completion, returning per-request
     /// metrics, the service timeline and aggregate counters.
     pub fn run(&self, workload: &[ClientSpec]) -> ServiceReport {
-        let mut report = serve(&self.engine, &self.config, &FleetConfig::new(1), workload);
+        let pool = Pool::current();
+        let mut report = serve(pool, &self.engine, &self.config, &FleetConfig::new(1), workload);
         report.fleet = None;
         report
     }

@@ -10,10 +10,14 @@
 //! count**, because each item's result is stored at the item's own index
 //! and merged in input order.
 //!
-//! Threads are scoped to a map: [`Pool::map`] spawns its helper threads
-//! with [`std::thread::scope`], the calling thread works beside them as one
-//! of the workers, and the map returns once every helper has finished. It
-//! re-raises in the caller the first panic any item raised.
+//! Threads start in two places, and both are scoped. [`Pool::map`] spawns
+//! its helper threads with [`std::thread::scope`], the calling thread works
+//! beside them as one of the workers, and the map returns once every helper
+//! has finished. [`Pool::beside`] runs one side task on a helper thread
+//! while the calling thread runs its main task (the serving loop
+//! materializes upcoming requests' inputs this way), and returns once the
+//! helper has finished. Each re-raises in the caller the first panic its
+//! threads raised.
 //!
 //! The worker count comes from (highest priority first) an explicit
 //! [`Pool::new`], the process-wide [`set_jobs`] override (the `repro
@@ -158,8 +162,9 @@ impl Pool {
                     panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
                 }
             };
-            // The one place host threads start (clippy.toml disallows
-            // `std::thread::scope` and `spawn` everywhere else).
+            // One of the two places host threads start (clippy.toml
+            // disallows `std::thread::scope` and `spawn` everywhere but
+            // here and `beside`).
             #[allow(clippy::disallowed_methods)]
             std::thread::scope(|s| {
                 for _ in 1..workers {
@@ -179,6 +184,49 @@ impl Pool {
             panic::resume_unwind(payload);
         }
         out.into_iter().map(|r| r.expect("every map slot filled")).collect()
+    }
+
+    /// Run `main` on the calling thread and `side` beside it on one scoped
+    /// helper thread, and return `main`'s result once the helper has
+    /// finished. While `main` runs, the caller counts as a pool worker, so
+    /// maps that `main` (or `side`) calls run inline: the helper holds the
+    /// second core. On a serial pool (one job, or a caller already inside a
+    /// worker) `side` never runs and `main` runs alone.
+    ///
+    /// `main` must make `side` return, or the call never does. Signal it
+    /// from a drop guard inside `main`, so that a panicking `main` signals
+    /// it too.
+    ///
+    /// # Panics
+    /// Re-raises `main`'s panic, else `side`'s, once the helper has
+    /// finished.
+    pub fn beside<S, M, R>(&self, side: S, main: M) -> R
+    where
+        S: FnOnce() + Send,
+        M: FnOnce() -> R,
+    {
+        if !self.is_parallel() {
+            return main();
+        }
+        // The other place host threads start (clippy.toml disallows
+        // `std::thread::scope` and `spawn` everywhere but here and `map`).
+        #[allow(clippy::disallowed_methods)]
+        std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
+                side();
+            });
+            IN_WORKER.with(|w| w.set(true));
+            let ran = panic::catch_unwind(AssertUnwindSafe(main));
+            IN_WORKER.with(|w| w.set(false));
+            // Joining consumes a panicking helper's payload, so the scope
+            // itself does not panic on it.
+            let joined = helper.join();
+            match (ran, joined) {
+                (Ok(result), Ok(())) => result,
+                (Err(payload), _) | (Ok(_), Err(payload)) => panic::resume_unwind(payload),
+            }
+        })
     }
 
     /// Split `0..len` into chunks suited to this pool: one per worker slice
@@ -253,7 +301,8 @@ impl<'a, T> DisjointSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Barrier, Condvar};
     use std::thread;
 
     #[test]
@@ -366,6 +415,105 @@ mod tests {
         assert!(seen.iter().any(|&(id, _)| id == caller), "the calling thread takes part");
         assert!(seen.iter().all(|&(_, parallel)| !parallel));
         assert!(Pool::new(4).is_parallel(), "the caller is a top-level thread again");
+    }
+
+    /// A one-way gate: `wait` blocks until the gate opens.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+    }
+
+    /// Opens its gate when dropped, unwinding included.
+    struct OpenOnDrop<'a>(&'a Gate);
+
+    impl Drop for OpenOnDrop<'_> {
+        fn drop(&mut self) {
+            *self.0.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            self.0.opened.notify_all();
+        }
+    }
+
+    #[test]
+    fn beside_runs_side_and_main_at_once() {
+        // Each closure waits for the other, so they ran at the same time.
+        let barrier = Barrier::new(2);
+        let got = Pool::new(2).beside(
+            || {
+                barrier.wait();
+            },
+            || {
+                barrier.wait();
+                5
+            },
+        );
+        assert_eq!(got, 5);
+    }
+
+    #[test]
+    fn beside_on_a_serial_pool_runs_main_alone() {
+        let ran = AtomicBool::new(false);
+        let side = || ran.store(true, Ordering::SeqCst);
+        assert_eq!(Pool::new(1).beside(side, || 3), 3);
+        let inside = Pool::new(2).map(&[(); 2], |_, _| Pool::new(2).beside(side, || 4));
+        assert_eq!(inside, vec![4, 4]);
+        assert!(!ran.load(Ordering::SeqCst), "side never runs on a serial pool");
+    }
+
+    #[test]
+    fn maps_inside_beside_run_inline() {
+        let (main_parallel, side_parallel) = (AtomicBool::new(true), AtomicBool::new(true));
+        Pool::new(2).beside(
+            || side_parallel.store(Pool::new(4).is_parallel(), Ordering::SeqCst),
+            || main_parallel.store(Pool::new(4).is_parallel(), Ordering::SeqCst),
+        );
+        assert!(!main_parallel.load(Ordering::SeqCst), "the caller counts as a worker");
+        assert!(!side_parallel.load(Ordering::SeqCst), "the helper is a worker");
+        assert!(Pool::new(4).is_parallel(), "the caller is a top-level thread again");
+    }
+
+    #[test]
+    fn a_panic_in_side_or_main_reaches_the_caller() {
+        // In both runs `side` blocks until `main`'s guard opens its gate:
+        // a guard that did not open it on unwinding would hang the test.
+        let gate = Gate::default();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(2).beside(
+                || {
+                    gate.wait();
+                    panic!("side failed")
+                },
+                || {
+                    let _open = OpenOnDrop(&gate);
+                    7
+                },
+            )
+        }));
+        let payload = caught.expect_err("the side's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"side failed"));
+
+        let gate = Gate::default();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(2).beside(
+                || gate.wait(),
+                || -> u32 {
+                    let _open = OpenOnDrop(&gate);
+                    panic!("main failed")
+                },
+            )
+        }));
+        let payload = caught.expect_err("the main's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"main failed"));
+        assert!(Pool::new(2).is_parallel(), "the caller is a top-level thread again");
     }
 
     #[test]

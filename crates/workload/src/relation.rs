@@ -74,9 +74,12 @@ impl Relation {
     }
 
     /// Borrow a contiguous chunk `[start, start+len)` as a new relation
-    /// (copies; chunking for the streamed out-of-GPU strategies).
+    /// (copies; chunking for the streamed out-of-GPU strategies). A chunk
+    /// reaching past the end is truncated there, and one starting past it
+    /// is empty.
     pub fn chunk(&self, start: usize, len: usize) -> Relation {
-        let end = (start + len).min(self.len());
+        let start = start.min(self.len());
+        let end = start.saturating_add(len).min(self.len());
         Relation {
             keys: self.keys[start..end].to_vec(),
             payloads: self.payloads[start..end].to_vec(),
@@ -143,10 +146,14 @@ mod tests {
 
     #[test]
     fn chunk_past_end_truncates() {
-        let r = rel(5);
+        let r = Relation { payload_width: 16, ..rel(5) };
         let c = r.chunk(3, 10);
         assert_eq!(c.len(), 2);
         assert_eq!(c.keys, vec![3, 4]);
+        assert_eq!(r.chunk(3, usize::MAX).keys, vec![3, 4], "the end saturates");
+        let past = r.chunk(10, 5);
+        assert!(past.is_empty(), "a chunk starting past the end is empty");
+        assert_eq!(past.payload_width, 16);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 # WORKLOAD at SEED, swapping which side runs first from one pair to the
 # next. For every end-to-end metric in BENCHMARK.json it prints each side's
 # median and quartiles, how many pairs the working tree won (ties count for
-# neither side), and whether every run of both sides read the same value.
+# neither side), and whether every run of both sides read the same value,
+# then each side's value in every pair, in pair order.
 # Exits non-zero if any run fails or prints no result line. The worktree
 # and any running benchmark are removed on exit, interrupted or not.
 set -euo pipefail
@@ -117,4 +118,6 @@ for metric in metrics:
     )
     same = "yes" if len(set(values["parent"] + values["change"])) == 1 else "no"
     print(f"{name:<14} {cols[0]:>32} {cols[1]:>32} {wins:>5}/{len(pairs):<5}  {same}")
+    for side in ("parent", "change"):
+        print(f"  {side} by pair: " + " ".join(f"{v:.4g}" for v in values[side]))
 EOF
