@@ -184,8 +184,8 @@ pub fn run(cfg: &RunConfig) -> Table {
         let mut config = resident_config(cfg, 15, n);
         config.fuse_small_partitions = false;
         let chained = GpuPartitioner::new(&config).partition(&rel).total_seconds();
-        let histogram =
-            hcj_core::partition::HistogramPartitioner::new(&config).partition(&rel).total_seconds();
+        let histogram = hcj_core::partition::histogram_passes(&config, rel.len() as u64);
+        let histogram = histogram.iter().map(|pass| pass.seconds).sum();
         push(&mut table, "partitioning (atomic chains vs histogram)", chained, histogram);
     }
 

@@ -26,7 +26,7 @@
 use hcj_gpu::{JoinError, KernelCost, LaunchShape, TransferKind};
 use hcj_host::{tasks, CpuTaskKind, HostMachine, HostSpec, Socket};
 use hcj_sim::{Op, OpId, Sim, SimTime};
-use hcj_workload::{Relation, Tuple};
+use hcj_workload::{runs, Relation, Runs};
 
 use crate::config::{GpuJoinConfig, OutputMode};
 use crate::join::join_all_copartitions;
@@ -185,33 +185,32 @@ impl CoProcessingJoin {
         // ---- functional CPU partitioning ----
         // Possibly deepen the CPU level until every partition fits the
         // device budget (paper §IV-B: oversized co-partitions "are further
-        // partitioned"). Mono-key partitions cannot shrink; their padded
-        // size is clamped and the GPU side degrades gracefully.
+        // partitioned"), judged from counts; R is grouped once, at the end.
+        // Mono-key partitions cannot shrink; their padded size is clamped
+        // and the GPU side degrades gracefully.
         let budget = cfg.working_set_budget();
+        let padded = |tuples: u64| ((tuples * 8) as f64 * PADDING_FACTOR) as u64;
         let mut cpu_bits = CPU_RADIX_BITS;
         let max_cpu_bits = (jcfg.radix_bits - 1).min(CPU_RADIX_BITS + 8);
-        let r_parts = loop {
-            let parts = cpu_radix_partition(r, cpu_bits);
-            let oversized =
-                parts.iter().any(|p| (p.bytes() as f64 * PADDING_FACTOR) as u64 > budget);
-            if !oversized || cpu_bits >= max_cpu_bits {
-                break parts;
-            }
+        while cpu_bits < max_cpu_bits
+            && runs::counts(&r.keys, 1 << cpu_bits, radix(cpu_bits))
+                .into_iter()
+                .any(|count| padded(count) > budget)
+        {
             cpu_bits += 1;
-        };
+        }
+        let cpu_fanout = 1 << cpu_bits;
+        let r_parts = Runs::group(&r.keys, &r.payloads, cpu_fanout, radix(cpu_bits));
         // CPU radix passes needed at this fanout (TLB-bounded fanout per
         // pass, §II-B).
         let tlb_bits = 31 - cfg.host.tlb_entries.leading_zeros();
         let cpu_passes = cpu_bits.div_ceil(tlb_bits).max(1) as u64;
 
         // ---- working-set packing (§IV-D) ----
-        let sizes: Vec<PartitionSize> = r_parts
-            .iter()
-            .enumerate()
-            .map(|(id, part)| PartitionSize {
-                id,
-                tuples: part.len() as u64,
-                padded_bytes: ((part.bytes() as f64 * PADDING_FACTOR) as u64).min(budget),
+        let sizes: Vec<PartitionSize> = (0..cpu_fanout)
+            .map(|id| {
+                let tuples = r_parts.range(id).len() as u64;
+                PartitionSize { id, tuples, padded_bytes: padded(tuples).min(budget) }
             })
             .collect();
         let working_sets = match cfg.packing {
@@ -258,9 +257,14 @@ impl CoProcessingJoin {
             .op(Op::latency(SimTime::ZERO).label("cpu r partitioned").after_all(r_cpu_ops.clone()));
 
         // ---- functional chunking + per-chunk CPU partitions of S ----
-        let s_chunks = s.chunks(chunk_tuples);
-        let s_chunk_parts: Vec<Vec<Relation>> =
-            s_chunks.iter().map(|c| cpu_radix_partition(c, cpu_bits)).collect();
+        let s_chunk_parts: Vec<Runs> = (0..s.len())
+            .step_by(chunk_tuples)
+            .map(|start| {
+                let chunk = start..(start + chunk_tuples).min(s.len());
+                let (keys, payloads) = (&s.keys[chunk.clone()], &s.payloads[chunk]);
+                Runs::group(keys, payloads, cpu_fanout, radix(cpu_bits))
+            })
+            .collect();
 
         // ---- the pipeline ----
         // R working-set parts and S chunk parts are sub-partitioned in
@@ -277,13 +281,13 @@ impl CoProcessingJoin {
         let mut xfer = gpu.stream();
         let mut drain = gpu.stream();
         let mut sink = jcfg.make_sink();
-        let mut s_cpu_done: Vec<Option<OpId>> = vec![None; s_chunks.len()];
+        let mut s_cpu_done: Vec<Option<OpId>> = vec![None; s_chunk_parts.len()];
         let mut prev_ws_last_join: Option<OpId> = None;
         let mut drain_ops: Vec<OpId> = Vec::new();
 
         for (w, ws) in working_sets.sets.iter().enumerate() {
             // -- transfer the working set's R partitions (pinned) --
-            let r_ws_bytes: u64 = ws.iter().map(|&p| r_parts[p].bytes()).sum();
+            let r_ws_bytes: u64 = ws.iter().map(|&p| r_parts.range(p).len() as u64 * 8).sum();
             let mut deps = vec![r_ready];
             if let Some(j) = prev_ws_last_join {
                 deps.push(j); // the budget region is reused across sets
@@ -332,7 +336,7 @@ impl CoProcessingJoin {
             let mut part_seconds = 0.0;
             let mut part_cost = KernelCost::ZERO;
             for &p in ws {
-                let out = sub_partitioner.partition_with_base(&r_parts[p], cpu_bits);
+                let out = sub_partitioner.partition_with_base(r_parts.run(p), cpu_bits);
                 part_seconds += out.total_seconds();
                 for pass in &out.passes {
                     part_cost += pass.cost;
@@ -340,7 +344,7 @@ impl CoProcessingJoin {
                 r_sub.push(out.partitioned);
             }
             exec.wait_op(r_xfer);
-            let ws_tuples: usize = ws.iter().map(|&p| r_parts[p].len()).sum();
+            let ws_tuples: usize = ws.iter().map(|&p| r_parts.range(p).len()).sum();
             gpu.kernel(
                 &mut sim,
                 &mut exec,
@@ -351,14 +355,14 @@ impl CoProcessingJoin {
             )?;
 
             // -- stream S chunk by chunk --
-            let mut join_ops: Vec<OpId> = Vec::with_capacity(s_chunks.len());
+            let mut join_ops: Vec<OpId> = Vec::with_capacity(s_chunk_parts.len());
             for (c, chunk_parts) in s_chunk_parts.iter().enumerate() {
                 // During the first working set the CPU partitions each S
                 // chunk just in time (overlapped with transfers); later
                 // sets reuse the pinned partitions.
                 if w == 0 {
                     let socket = if c % 2 == 0 { Socket::Near } else { Socket::Far };
-                    let chunk_len_bytes: u64 = chunk_parts.iter().map(|p| p.bytes()).sum();
+                    let chunk_len_bytes = chunk_parts.len() as u64 * 8;
                     let mut op = tasks::cpu_task(
                         &mut sim,
                         &host,
@@ -387,7 +391,7 @@ impl CoProcessingJoin {
                     }
                     s_cpu_done[c] = Some(op);
                 }
-                let s_bytes: u64 = ws.iter().map(|&p| chunk_parts[p].bytes()).sum();
+                let s_bytes: u64 = ws.iter().map(|&p| chunk_parts.range(p).len() as u64 * 8).sum();
                 // Transfer deps: chunk partitioned; input buffer freed by
                 // the join two chunks back (double buffering).
                 let mut tdeps = Vec::new();
@@ -416,10 +420,10 @@ impl CoProcessingJoin {
                 let mut sub_seconds = 0.0;
                 let mut live = 0usize;
                 for (i, &p) in ws.iter().enumerate() {
-                    if chunk_parts[p].is_empty() {
+                    if chunk_parts.range(p).is_empty() {
                         continue;
                     }
-                    let s_out = sub_partitioner.partition_with_base(&chunk_parts[p], cpu_bits);
+                    let s_out = sub_partitioner.partition_with_base(chunk_parts.run(p), cpu_bits);
                     sub_seconds += s_out.total_seconds();
                     for pass in &s_out.passes {
                         cost += pass.cost;
@@ -543,15 +547,9 @@ impl CoProcessingJoin {
     }
 }
 
-/// Functional CPU radix partitioning on the low `bits` of the key.
-pub fn cpu_radix_partition(rel: &Relation, bits: u32) -> Vec<Relation> {
-    let fanout = 1usize << bits;
-    let mask = (fanout - 1) as u32;
-    let mut out = vec![Relation::default(); fanout];
-    for t in rel.iter() {
-        out[(t.key & mask) as usize].push(Tuple { key: t.key, payload: t.payload });
-    }
-    out
+/// The CPU level's partition function: the low `bits` of the key.
+fn radix(bits: u32) -> impl Fn(u32) -> usize {
+    move |k| (k & ((1 << bits) - 1)) as usize
 }
 
 #[cfg(test)]
@@ -572,17 +570,6 @@ mod tests {
             .with_radix_bits(12)
             .with_tuned_buckets(tuples / 16);
         CoProcessingConfig::paper_default(join)
-    }
-
-    #[test]
-    fn cpu_radix_partition_is_correct() {
-        let rel = RelationSpec::unique(1000, 51).generate();
-        let parts = cpu_radix_partition(&rel, 4);
-        assert_eq!(parts.len(), 16);
-        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 1000);
-        for (p, part) in parts.iter().enumerate() {
-            assert!(part.keys.iter().all(|&k| (k & 15) as usize == p));
-        }
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! The partition layout: one dense run per partition on the host, with
 //! the paper's bucket chains (§III-A) derived from the run lengths.
 
-use std::ops::Range;
-
-use hcj_workload::Tuple;
+use hcj_workload::{Runs, Tuple};
 
 /// A relation partitioned into `2^fanout_bits` partitions on the key bits
 /// `[base_bits, base_bits + fanout_bits)`.
 ///
 /// The host stores each partition as one gap-free run of the key and
-/// payload columns, which hold exactly the relation's tuples. The modeled
-/// device lays a partition out as paper §III-A does: a chain of
-/// fixed-capacity buckets drawn from a preallocated pool and linked through
-/// indices, which amortizes pointer chasing over `capacity` coalesced
-/// elements. A chain is filled tuple by tuple and draws a fresh bucket
-/// whenever its tail is full, so its shape depends on the partition's
-/// length alone: [`chain_buckets`](Self::chain_buckets),
+/// payload columns ([`Runs`]), which hold exactly the relation's tuples.
+/// The modeled device lays a partition out as paper §III-A does: a chain
+/// of fixed-capacity buckets drawn from a preallocated pool and linked
+/// through indices, which amortizes pointer chasing over `capacity`
+/// coalesced elements. A chain is filled tuple by tuple and draws a fresh
+/// bucket whenever its tail is full, so its shape depends on the
+/// partition's length alone: [`chain_buckets`](Self::chain_buckets),
 /// [`bucket_lens`](Self::bucket_lens), [`num_buckets`](Self::num_buckets)
 /// and [`pool_bytes`](Self::pool_bytes) derive it from the runs.
 ///
@@ -25,11 +23,7 @@ use hcj_workload::Tuple;
 /// additionally share their low `base_bits`.
 #[derive(Clone, Debug)]
 pub struct PartitionedRelation {
-    keys: Vec<u32>,
-    payloads: Vec<u32>,
-    /// `fanout + 1` run offsets: partition `p` occupies column slots
-    /// `offsets[p]..offsets[p + 1]`.
-    offsets: Vec<usize>,
+    runs: Runs,
     /// Tuples per modeled bucket.
     capacity: usize,
     /// Bits this partitioning consumed: partition `p` holds exactly the
@@ -43,9 +37,9 @@ pub struct PartitionedRelation {
 impl PartitionedRelation {
     /// Lay out a relation from its per-partition tuple `counts`, modeled in
     /// buckets of `capacity` tuples — the scatter target of the two-phase
-    /// parallel partitioners. Tuple `i` of partition `p` belongs at column
-    /// slot `offsets[p] + i` ([`columns_mut`](Self::columns_mut) exposes the
-    /// columns and the offsets).
+    /// parallel partitioners ([`Runs::from_counts`]; tuple `i` of
+    /// partition `p` belongs at column slot `offsets[p] + i` of
+    /// [`columns_mut`](Self::columns_mut)).
     pub fn from_counts(
         capacity: usize,
         fanout_bits: u32,
@@ -53,22 +47,9 @@ impl PartitionedRelation {
         counts: impl IntoIterator<Item = u64>,
     ) -> Self {
         assert!(capacity > 0, "bucket capacity must be positive");
-        let fanout = 1usize << fanout_bits;
-        let mut offsets = Vec::with_capacity(fanout + 1);
-        offsets.push(0);
-        for count in counts {
-            offsets.push(offsets[offsets.len() - 1] + count as usize);
-        }
-        assert_eq!(offsets.len(), fanout + 1, "one count per partition");
-        let tuples = offsets[fanout];
-        PartitionedRelation {
-            keys: vec![0; tuples],
-            payloads: vec![0; tuples],
-            offsets,
-            capacity,
-            fanout_bits,
-            base_bits,
-        }
+        let runs = Runs::from_counts(counts);
+        assert_eq!(runs.fanout(), 1 << fanout_bits, "one count per partition");
+        PartitionedRelation { runs, capacity, fanout_bits, base_bits }
     }
 
     /// Total key bits known constant within one partition: the hash
@@ -78,24 +59,20 @@ impl PartitionedRelation {
     }
 
     pub fn fanout(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn run(&self, p: usize) -> Range<usize> {
-        self.offsets[p]..self.offsets[p + 1]
+        self.runs.fanout()
     }
 
     pub fn partition_len(&self, p: usize) -> u64 {
-        self.run(p).len() as u64
+        self.runs.range(p).len() as u64
     }
 
     pub fn total_tuples(&self) -> u64 {
-        self.keys.len() as u64
+        self.runs.len() as u64
     }
 
     /// Number of buckets in partition `p`'s modeled chain.
     pub fn chain_buckets(&self, p: usize) -> usize {
-        self.run(p).len().div_ceil(self.capacity)
+        self.runs.range(p).len().div_ceil(self.capacity)
     }
 
     /// The fill of each bucket in partition `p`'s modeled chain, head
@@ -120,7 +97,7 @@ impl PartitionedRelation {
     /// disjoint parallel scatter into the slots advertised by
     /// [`from_counts`](Self::from_counts).
     pub fn columns_mut(&mut self) -> (&mut [u32], &mut [u32], &[usize]) {
-        (&mut self.keys, &mut self.payloads, &self.offsets)
+        self.runs.columns_mut()
     }
 
     /// Iterate all tuples of partition `p`.
@@ -131,8 +108,7 @@ impl PartitionedRelation {
 
     /// Partition `p`'s key and payload columns.
     pub fn partition_columns(&self, p: usize) -> (&[u32], &[u32]) {
-        let run = self.run(p);
-        (&self.keys[run.clone()], &self.payloads[run])
+        self.runs.run(p)
     }
 }
 

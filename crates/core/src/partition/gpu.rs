@@ -5,7 +5,7 @@
 use hcj_gpu::{Gpu, JoinError, KernelCost, LaunchShape, Stream};
 use hcj_host::{DisjointSlice, Pool};
 use hcj_sim::Sim;
-use hcj_workload::Relation;
+use hcj_workload::{runs, Relation};
 
 use crate::balance::round_robin_imbalance;
 use crate::config::{GpuJoinConfig, PassAssignment};
@@ -95,7 +95,7 @@ impl<'a> GpuPartitioner<'a> {
     /// Partition `rel` into `2^config.radix_bits` partitions on the low
     /// radix bits.
     pub fn partition(&self, rel: &Relation) -> PartitionOutcome {
-        self.partition_with_base(rel, 0)
+        self.run((&rel.keys, &rel.payloads), 0, None)
     }
 
     /// Partition `rel` replaying the early-stop decisions of a previous
@@ -104,15 +104,15 @@ impl<'a> GpuPartitioner<'a> {
     /// indices keep matching. With fusion off the plan is all-false and
     /// this is identical to [`GpuPartitioner::partition`].
     pub fn partition_following(&self, rel: &Relation, plan: &RefinePlan) -> PartitionOutcome {
-        self.run(rel, 0, Some(plan))
+        self.run((&rel.keys, &rel.payloads), 0, Some(plan))
     }
 
-    /// Partition on the key bits `[base_bits, base_bits +
-    /// config.radix_bits)` — the GPU-side refinement of a CPU partition in
-    /// the co-processing strategy (all of `rel` already shares its low
-    /// `base_bits`).
-    pub fn partition_with_base(&self, rel: &Relation, base_bits: u32) -> PartitionOutcome {
-        self.run(rel, base_bits, None)
+    /// Partition a run's key and payload columns on the key bits
+    /// `[base_bits, base_bits + config.radix_bits)` — the GPU-side
+    /// refinement of a CPU partition in the co-processing strategy (all of
+    /// the run already shares its low `base_bits`).
+    pub fn partition_with_base(&self, run: (&[u32], &[u32]), base_bits: u32) -> PartitionOutcome {
+        self.run(run, base_bits, None)
     }
 
     /// Decide the early-stop fate of every parent before a refinement
@@ -124,7 +124,12 @@ impl<'a> GpuPartitioner<'a> {
         (0..parent.fanout()).map(|p| active && parent.partition_len(p) <= threshold).collect()
     }
 
-    fn run(&self, rel: &Relation, base_bits: u32, follow: Option<&RefinePlan>) -> PartitionOutcome {
+    fn run(
+        &self,
+        (keys, payloads): (&[u32], &[u32]),
+        base_bits: u32,
+        follow: Option<&RefinePlan>,
+    ) -> PartitionOutcome {
         let plan = self.config.pass_plan();
         let mut passes = Vec::with_capacity(plan.num_passes());
 
@@ -135,15 +140,10 @@ impl<'a> GpuPartitioner<'a> {
         // count (tuple order within a partition is input order either way).
         let first = plan.passes()[0];
         let fanout = first.fanout() as usize;
+        let part = |k: u32| first.local_index(k >> base_bits) as usize;
         let pool = Pool::current();
-        let ranges = pool.chunks(rel.len(), PART_PAR_MIN);
-        let hists = pool.map(&ranges, |_, range| {
-            let mut h = vec![0u64; fanout];
-            for &k in &rel.keys[range.clone()] {
-                h[first.local_index(k >> base_bits) as usize] += 1;
-            }
-            h
-        });
+        let ranges = pool.chunks(keys.len(), PART_PAR_MIN);
+        let hists = pool.map(&ranges, |_, range| runs::counts(&keys[range.clone()], fanout, part));
         let mut current = PartitionedRelation::from_counts(
             self.config.bucket_capacity,
             first.bits,
@@ -152,28 +152,27 @@ impl<'a> GpuPartitioner<'a> {
         );
         let allocs = current.num_buckets() as u64;
         {
-            let (keys, pays, offsets) = current.columns_mut();
-            let key_slots = DisjointSlice::new(keys);
-            let pay_slots = DisjointSlice::new(pays);
+            let (out_keys, out_pays, offsets) = current.columns_mut();
+            let key_slots = DisjointSlice::new(out_keys);
+            let pay_slots = DisjointSlice::new(out_pays);
             pool.map(&ranges, |c, range| {
                 // Chunk c writes partition p from its run start on, after
                 // what the earlier chunks write there.
                 let mut cursor: Vec<usize> = (0..fanout)
                     .map(|p| offsets[p] + hists[..c].iter().map(|h| h[p] as usize).sum::<usize>())
                     .collect();
-                for i in range.clone() {
-                    let p = first.local_index(rel.keys[i] >> base_bits) as usize;
+                let (keys, payloads) = (&keys[range.clone()], &payloads[range.clone()]);
+                runs::scatter(keys, payloads, part, &mut cursor, |slot, k, v| {
                     // SAFETY: the prefix sums give every (chunk, partition)
                     // a private slot range; each slot has one writer.
                     unsafe {
-                        key_slots.write(cursor[p], rel.keys[i]);
-                        pay_slots.write(cursor[p], rel.payloads[i]);
+                        key_slots.write(slot, k);
+                        pay_slots.write(slot, v);
                     }
-                    cursor[p] += 1;
-                }
+                });
             });
         }
-        passes.push(self.pass_stats(first, rel.len() as u64, allocs, 1.0, 1, 0));
+        passes.push(self.pass_stats(first, keys.len() as u64, allocs, 1.0, 1, 0));
 
         // Refinement passes: scan the previous pass's bucket chains.
         // Fused refinement may finalize parents early (or skip a pass
@@ -221,6 +220,7 @@ impl<'a> GpuPartitioner<'a> {
         let new_bits = pass.shift + pass.bits;
         let local_fanout = pass.fanout() as usize;
         let shift = pass.shift as usize;
+        let local = |k: u32| pass.local_index(k >> parent.base_bits) as usize;
         let live: Vec<usize> =
             (0..parent.fanout()).filter(|&p| parent.partition_len(p) > 0).collect();
         // Finalized parents carry over whole: their tuples land at child
@@ -250,11 +250,7 @@ impl<'a> GpuPartitioner<'a> {
         // those are `q | (local << shift)` with `q` refined, and `q ≠ p`.
         let pool = Pool::current();
         let per_parent = pool.map(&refined, |_, &p| {
-            let mut h = vec![0u64; local_fanout];
-            for &k in parent.partition_columns(p).0 {
-                h[pass.local_index(k >> parent.base_bits) as usize] += 1;
-            }
-            h
+            runs::counts(parent.partition_columns(p).0, local_fanout, local)
         });
         let mut counts = vec![0u64; 1 << new_bits];
         for (h, &p) in per_parent.iter().zip(&refined) {
@@ -281,28 +277,22 @@ impl<'a> GpuPartitioner<'a> {
             let key_slots = DisjointSlice::new(keys);
             let pay_slots = DisjointSlice::new(pays);
             pool.map(&live, |_, &p| {
-                if finalized[p] {
-                    for (cursor, t) in (offsets[p]..).zip(parent.tuples_of(p)) {
-                        // SAFETY: the carried child `p` is a partition of
-                        // its own; every slot has exactly one writer.
-                        unsafe {
-                            key_slots.write(cursor, t.key);
-                            pay_slots.write(cursor, t.payload);
-                        }
-                    }
-                    return;
-                }
-                let mut cursor: Vec<usize> =
-                    (0..local_fanout).map(|local| offsets[p | (local << shift)]).collect();
-                for t in parent.tuples_of(p) {
-                    let local = pass.local_index(t.key >> parent.base_bits) as usize;
+                let (keys, payloads) = parent.partition_columns(p);
+                let put = |slot, k, v| {
                     // SAFETY: children of distinct parents are disjoint
-                    // partitions, so every slot has exactly one writer.
+                    // partitions (a carried parent's one child `p`
+                    // included), so every slot has exactly one writer.
                     unsafe {
-                        key_slots.write(cursor[local], t.key);
-                        pay_slots.write(cursor[local], t.payload);
+                        key_slots.write(slot, k);
+                        pay_slots.write(slot, v);
                     }
-                    cursor[local] += 1;
+                };
+                if finalized[p] {
+                    runs::scatter(keys, payloads, |_| 0, &mut [offsets[p]], put);
+                } else {
+                    let mut cursor: Vec<usize> =
+                        (0..local_fanout).map(|l| offsets[p | (l << shift)]).collect();
+                    runs::scatter(keys, payloads, local, &mut cursor, put);
                 }
             });
         }
@@ -517,7 +507,7 @@ mod tests {
         let rel: Relation =
             (0..4096u32).map(|i| hcj_workload::Tuple { key: (i << 4) | 0x3, payload: i }).collect();
         let cfg = config(6);
-        let out = GpuPartitioner::new(&cfg).partition_with_base(&rel, 4);
+        let out = GpuPartitioner::new(&cfg).partition_with_base((&rel.keys, &rel.payloads), 4);
         assert_eq!(out.partitioned.base_bits, 4);
         assert_eq!(out.partitioned.fixed_bits(), 10);
         let mut seen = 0u64;

@@ -5,9 +5,12 @@
 //! Bucket capacity is a multiple of the thread-block size so that chain
 //! scans stay coalesced; metadata (per-partition fill offset + current
 //! bucket) lives in shared memory during a pass. The host stores each
-//! partition as one dense run ([`PartitionedRelation`]); the buckets a
-//! pass charges (one allocation atomic and one link write each) and the
-//! pool bytes a strategy reserves are derived from the run lengths.
+//! partition as one dense run ([`PartitionedRelation`], over
+//! [`hcj_workload::Runs`]), and every pass moves tuples with the shared
+//! stable scatter ([`hcj_workload::runs`]); the buckets a pass charges
+//! (one allocation atomic and one link write each) and the pool bytes a
+//! strategy reserves are derived from the run lengths. The §VI histogram
+//! comparator is a cost model ([`histogram_passes`]).
 
 mod bucket;
 pub(crate) mod gpu;
@@ -19,4 +22,4 @@ pub(crate) const PART_PAR_MIN: usize = 1 << 15;
 
 pub use bucket::PartitionedRelation;
 pub use gpu::{GpuPartitioner, PartitionOutcome, PassStats, RefinePlan};
-pub use histogram::HistogramPartitioner;
+pub use histogram::histogram_passes;

@@ -1,6 +1,6 @@
-//! Allocation guards for four host-side hot paths: the co-processing
-//! working-set knapsack, the co-partition join, radix partitioning and the
-//! PRO CPU baseline.
+//! Allocation guards for five host-side hot paths: the co-processing
+//! working-set knapsack, the co-partition join, radix partitioning, the
+//! shared stable scatter and the PRO CPU baseline.
 //! Allocation counts and bytes are a deterministic proxy for host time, so
 //! these fail on a regression that a wall-clock benchmark would only show
 //! as noise.
@@ -23,7 +23,7 @@ use hcj_host::pool::set_jobs;
 use hcj_workload::generate::canonical_pair;
 use hcj_workload::oracle::JoinCheck;
 use hcj_workload::rng::{Rng, SmallRng};
-use hcj_workload::{KeyDistribution, RelationSpec};
+use hcj_workload::{KeyDistribution, RelationSpec, Runs};
 
 /// The system allocator, counting allocations (reallocations included)
 /// and the bytes they request, per thread.
@@ -165,6 +165,23 @@ fn partitioning_allocates_about_its_tuples() {
     // requested 20,456 B; host slots for every modeled bucket (about 64 KB
     // for the 8,000 B of tuples) requested 82,080 B.
     assert!(bytes <= 15_000, "{bytes} B allocated to partition 8,000 B of tuples");
+}
+
+#[test]
+fn grouping_allocates_its_tuples_once() {
+    set_jobs(1);
+    // Co-processing's CPU level: a unique 20,000-tuple relation grouped 16
+    // ways on its low key bits, 160,000 B of keys and payloads.
+    let r = RelationSpec::unique(20_000, 3).generate();
+    let (runs, allocs, bytes) =
+        allocs_during(|| Runs::group(&r.keys, &r.payloads, 16, |k| (k & 15) as usize));
+    assert_eq!((runs.fanout(), runs.len()), (16, 20_000));
+    // The columns, the offsets and one cursor per partition: 4 allocations
+    // requesting 160,264 B. Pushing into 16 growing relations made 321
+    // allocations requesting 524,672 B here, and 449 requesting 8,388,992 B
+    // for a 320,000-tuple relation (2,560,000 B of tuples).
+    assert!(allocs <= 4, "{allocs} allocations to group 20,000 tuples");
+    assert!(bytes <= 160_000 + 17 * 8 + 16 * 8, "{bytes} B to group 160,000 B of tuples");
 }
 
 #[test]

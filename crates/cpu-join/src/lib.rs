@@ -10,16 +10,16 @@
 //!   global chained hash table built by all threads, probed in parallel.
 //!
 //! Both are *functionally real*: their outputs are validated against the
-//! oracle. They share one functional core: a stable radix scatter into
-//! dense runs (`partition::radix_runs`) and one chained hash table whose
-//! chains run in build order. PRO maps its co-partitions, and NPO its probe
-//! chunks, on the host pool (`hcj_host::Pool`), and both merge in item
-//! order, so their rows are the same at every `--jobs`. Execution time
-//! comes from the calibrated host model in `hcj-host`, scaled by the
-//! modeled thread count (`threads`) and cache behaviour — see DESIGN.md
-//! for the calibration argument. The machine defaults to the paper's dual
-//! 12-core Xeon, on which both algorithms run all 48 hardware threads in
-//! the figures.
+//! oracle. PRO groups both sides into dense runs with the workspace's
+//! stable scatter ([`hcj_workload::Runs::group`]), and both join through
+//! one chained hash table whose chains run in build order. PRO maps its
+//! co-partitions, and NPO its probe chunks, on the host pool
+//! (`hcj_host::Pool`), and both merge in item order, so their rows are
+//! the same at every `--jobs`. Execution time comes from the calibrated
+//! host model in `hcj-host`, scaled by the modeled thread count
+//! (`threads`) and cache behaviour — see DESIGN.md for the calibration
+//! argument. The machine defaults to the paper's dual 12-core Xeon, on
+//! which both algorithms run all 48 hardware threads in the figures.
 
 pub mod model;
 pub mod npo;

@@ -11,10 +11,10 @@
 
 use hcj_host::{HostSpec, Pool};
 use hcj_workload::oracle::JoinCheck;
-use hcj_workload::Relation;
+use hcj_workload::{Relation, Runs};
 
 use crate::model::{join_seconds, partition_seconds, probe_rate, CpuJoinOutcome};
-use crate::partition::{passes_needed, radix_runs};
+use crate::partition::passes_needed;
 use crate::table::{merge, ChainedTable};
 
 /// The PRO join.
@@ -63,8 +63,11 @@ impl ProJoin {
         // One stable scatter per side gives the co-partitions the
         // TLB-bounded passes end at; each joins through its own table on
         // the host pool, merged in partition order.
-        let (r_runs, s_runs) = (radix_runs(r, bits), radix_runs(s, bits));
-        let partitions: Vec<usize> = (0..r_runs.fanout()).collect();
+        let fanout = 1usize << bits;
+        let radix = |k: u32| k as usize & (fanout - 1);
+        let group = |rel: &Relation| Runs::group(&rel.keys, &rel.payloads, fanout, radix);
+        let (r_runs, s_runs) = (group(r), group(s));
+        let partitions: Vec<usize> = (0..fanout).collect();
         let (check, rows) = merge(Pool::current().map(&partitions, |_, &p| {
             let ((rk, rp), (sk, sp)) = (r_runs.run(p), s_runs.run(p));
             if rk.is_empty() || sk.is_empty() {

@@ -4,10 +4,13 @@
 //! When a join overflows a single device, the fleet splits it across `n`
 //! participants:
 //!
-//! 1. **Host radix partition.** Both relations are partitioned by key with
+//! 1. **Host radix partition.** Both relations are grouped by key with
 //!    [`hcj_workload::exchange_partition`] — the same function the
 //!    composed oracle uses, so executor and oracle agree on partition
-//!    membership by construction.
+//!    membership by construction — into one run per partition by the
+//!    workspace's stable scatter ([`hcj_workload::Runs`]). Each
+//!    participant's staged share of a partition is counted over its block
+//!    of the input ([`hcj_workload::runs::counts`]).
 //! 2. **Staged H2D, NUMA-aware.** Each participant stages a contiguous
 //!    `1/n` block of the inputs onto its device. The staging pass is
 //!    charged through [`hcj_host::numa::staging_seconds`] from the input
@@ -42,7 +45,7 @@ use hcj_host::numa::{staging_seconds, Socket};
 use hcj_host::pool::Pool;
 use hcj_host::HostSpec;
 use hcj_workload::oracle::{exchange_partition, JoinCheck};
-use hcj_workload::Relation;
+use hcj_workload::{runs, Relation, Runs};
 
 use crate::facade::HcjEngine;
 use crate::fleet::Ring;
@@ -311,54 +314,42 @@ pub fn execute_exchange(
     })
 }
 
-/// One side of an exchange grouped by [`exchange_partition`]: partition
-/// `p`'s tuples are `keys[starts[p]..starts[p + 1]]` (and likewise
-/// `payloads`), in input order. Stagers take contiguous blocks of the
-/// input, so that run is also every stager's cell of `p` in stager order.
+/// One side of an exchange grouped by [`exchange_partition`] into one
+/// run per partition, in input order. Stagers take contiguous blocks of
+/// the input, so a run is also every stager's cell of its partition in
+/// stager order.
 struct Grouped {
-    keys: Vec<u32>,
-    payloads: Vec<u32>,
-    starts: Vec<usize>,
+    runs: Runs,
     payload_width: u32,
 }
 
 impl Grouped {
-    /// Group `rel` into `partitions` runs in one stable counting pass
-    /// (counts, offsets, scatter), adding each tuple to its stager's count
-    /// in `staged`: participant `i` of `staged.len()` stages the `i`-th
-    /// contiguous block of `rel`.
+    /// Group `rel` into `partitions` runs, adding each stager's count of
+    /// every partition to `staged`: participant `i` of `n = staged.len()`
+    /// stages the `i`-th contiguous block of `rel`, tuples
+    /// `⌈i·len/n⌉..⌈(i+1)·len/n⌉`.
     fn by_partition(rel: &Relation, partitions: usize, staged: &mut [Vec<u64>]) -> Grouped {
-        let n = staged.len();
-        let len = rel.len().max(1);
-        let of: Vec<usize> = rel.keys.iter().map(|&k| exchange_partition(k, partitions)).collect();
-        let mut starts = vec![0usize; partitions + 1];
-        for (idx, &p) in of.iter().enumerate() {
-            staged[(idx * n / len).min(n - 1)][p] += 1;
-            starts[p + 1] += 1;
+        let part = |k| exchange_partition(k, partitions);
+        let (n, len) = (staged.len(), rel.len());
+        for (i, cells) in staged.iter_mut().enumerate() {
+            let block = &rel.keys[(i * len).div_ceil(n)..((i + 1) * len).div_ceil(n)];
+            for (cell, count) in cells.iter_mut().zip(runs::counts(block, partitions, part)) {
+                *cell += count;
+            }
         }
-        for p in 0..partitions {
-            starts[p + 1] += starts[p];
-        }
-        let mut cursor = starts[..partitions].to_vec();
-        let mut keys = vec![0; rel.len()];
-        let mut payloads = vec![0; rel.len()];
-        for (idx, &p) in of.iter().enumerate() {
-            keys[cursor[p]] = rel.keys[idx];
-            payloads[cursor[p]] = rel.payloads[idx];
-            cursor[p] += 1;
-        }
-        Grouped { keys, payloads, starts, payload_width: rel.payload_width }
+        let runs = Runs::group(&rel.keys, &rel.payloads, partitions, part);
+        Grouped { runs, payload_width: rel.payload_width }
     }
 
     /// The tuples of `parts`, partition by partition.
     fn gather(&self, parts: &[usize]) -> Relation {
-        let runs = || parts.iter().map(|&p| self.starts[p]..self.starts[p + 1]);
-        let tuples = runs().map(|run| run.len()).sum();
+        let tuples = parts.iter().map(|&p| self.runs.range(p).len()).sum();
         let mut out = Relation::with_capacity(tuples);
         out.payload_width = self.payload_width;
-        for run in runs() {
-            out.keys.extend_from_slice(&self.keys[run.clone()]);
-            out.payloads.extend_from_slice(&self.payloads[run]);
+        for &p in parts {
+            let (keys, payloads) = self.runs.run(p);
+            out.keys.extend_from_slice(keys);
+            out.payloads.extend_from_slice(payloads);
         }
         out
     }

@@ -23,6 +23,7 @@ pub mod oracle;
 pub mod plan;
 pub mod relation;
 pub mod rng;
+pub mod runs;
 pub mod tpch;
 pub mod zipf;
 
@@ -34,4 +35,5 @@ pub use oracle::{
 pub use plan::{chain_plan, plan_oracle, star_plan, PlanOp, PlanOracle, PlanSpec};
 pub use relation::{build_is_left, Relation, Tuple};
 pub use rng::{Rng, SmallRng};
+pub use runs::Runs;
 pub use zipf::ZipfSampler;

@@ -49,15 +49,15 @@ fn main() {
     // CPU partition sizes under zipf-1.0 are wildly uneven; knapsack the
     // first working set, pack the rest greedily.
     let skewed = RelationSpec::zipf(1 << 20, 1 << 22, 1.0, 6).generate();
-    let parts = hashjoin_gpu::core::coprocess::cpu_radix_partition(&skewed, 4);
+    let counts = hashjoin_gpu::workload::runs::counts(&skewed.keys, 16, |k| (k & 15) as usize);
     let budget = skewed.bytes(); // a GPU budget of one relation's size
-    let sizes: Vec<PartitionSize> = parts
-        .iter()
+    let sizes: Vec<PartitionSize> = counts
+        .into_iter()
         .enumerate()
-        .map(|(id, p)| PartitionSize {
+        .map(|(id, tuples)| PartitionSize {
             id,
-            tuples: p.len() as u64,
-            padded_bytes: (p.bytes() * 3).min(budget),
+            tuples,
+            padded_bytes: (tuples * 8 * 3).min(budget),
         })
         .collect();
     let min = sizes.iter().map(|p| p.tuples).min().unwrap();
