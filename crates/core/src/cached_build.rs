@@ -133,7 +133,7 @@ impl CachedBuildJoin {
         if !s_resident {
             gpu.copy_h2d(&mut sim, &mut stream, "h2d probe", s.bytes(), TransferKind::Pinned)?;
         }
-        let s_out = partitioner.partition_following(s, &r_out.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
         drop(s_input);
         let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());
@@ -197,7 +197,7 @@ impl CachedBuildJoin {
         if !s_resident {
             gpu.copy_h2d(&mut sim, &mut stream, "h2d probe", s.bytes(), TransferKind::Pinned)?;
         }
-        let s_out = partitioner.partition_following(s, &cached.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &cached.refine_plan);
         drop(s_input);
         let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());

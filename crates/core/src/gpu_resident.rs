@@ -67,7 +67,7 @@ impl GpuPartitionedJoin {
         r_out.charge_passes(&mut sim, &gpu, &mut stream, "part r", r_shape)?;
         // The probe side replays the build side's early-stop decisions
         // (inert without fusion) so co-partition indices keep matching.
-        let s_out = partitioner.partition_following(s, &r_out.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
         drop(s_input);
         let _s_pool = gpu.mem.reserve(s_out.partitioned.pool_bytes())?;
         let s_shape = self.config.partition_launch_shape(s.len());

@@ -98,13 +98,18 @@ impl<'a> GpuPartitioner<'a> {
         self.run((&rel.keys, &rel.payloads), 0, None)
     }
 
-    /// Partition `rel` replaying the early-stop decisions of a previous
+    /// Partition a relation's or a chunk's key and payload columns,
+    /// replaying the early-stop decisions of a previous
     /// [`GpuPartitioner::partition`] — the probe side of a fused join must
     /// stop refining exactly where the build side did so co-partition
     /// indices keep matching. With fusion off the plan is all-false and
     /// this is identical to [`GpuPartitioner::partition`].
-    pub fn partition_following(&self, rel: &Relation, plan: &RefinePlan) -> PartitionOutcome {
-        self.run((&rel.keys, &rel.payloads), 0, Some(plan))
+    pub fn partition_following(
+        &self,
+        columns: (&[u32], &[u32]),
+        plan: &RefinePlan,
+    ) -> PartitionOutcome {
+        self.run(columns, 0, Some(plan))
     }
 
     /// Partition a run's key and payload columns on the key bits
@@ -612,7 +617,7 @@ mod tests {
         cfg.fuse_small_partitions = true;
         let partitioner = GpuPartitioner::new(&cfg);
         let r_out = partitioner.partition(&r);
-        let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
         assert_eq!(s_out.partitioned.fanout_bits, r_out.partitioned.fanout_bits);
         assert_eq!(s_out.partitioned.fanout(), 1 << 6);
         check_is_correct_partition(&s, &s_out.partitioned);
@@ -628,7 +633,7 @@ mod tests {
         let partitioner = GpuPartitioner::new(&cfg);
         let a = partitioner.partition(&rel);
         assert!(!a.refine_plan.any_fused());
-        let b = partitioner.partition_following(&rel, &a.refine_plan);
+        let b = partitioner.partition_following((&rel.keys, &rel.payloads), &a.refine_plan);
         assert_eq!(a.partitioned.fanout(), b.partitioned.fanout());
         assert_eq!(a.total_seconds(), b.total_seconds());
         for p in 0..a.partitioned.fanout() {

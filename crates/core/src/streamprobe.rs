@@ -151,20 +151,21 @@ impl StreamedProbeJoin {
         let part_shape = cfg.partition_launch_shape(r.len());
         r_out.charge_passes(&mut sim, &gpu, &mut exec, "part r", part_shape)?;
 
-        // Stream S chunk by chunk.
-        let chunks = s.chunks(chunk_tuples);
+        // Stream S chunk by chunk, each chunk a range of S's columns.
+        let chunks = s.len().div_ceil(chunk_tuples);
         let mut sink = cfg.make_sink();
-        let mut copy_done: Vec<OpId> = Vec::with_capacity(chunks.len());
-        let mut join_done: Vec<OpId> = Vec::with_capacity(chunks.len());
-        let mut drain_done: Vec<OpId> = Vec::with_capacity(chunks.len());
+        let mut copy_done: Vec<OpId> = Vec::with_capacity(chunks);
+        let mut join_done: Vec<OpId> = Vec::with_capacity(chunks);
+        let mut drain_done: Vec<OpId> = Vec::with_capacity(chunks);
 
-        for (k, chunk) in chunks.iter().enumerate() {
+        for k in 0..chunks {
+            let range = k * chunk_tuples..((k + 1) * chunk_tuples).min(s.len());
             // -- H2D copy of chunk k (double buffering: buffer k%2 is free
             // once join k-2 has consumed it).
             if k >= nbuf {
                 xfer.wait_op(join_done[k - nbuf]);
             }
-            let bytes = chunk.bytes();
+            let bytes = range.len() as u64 * 8;
             // The copy's host-side leg (the DMA engine reading source
             // DRAM) runs concurrently with the PCIe leg; align it with
             // the engine's queue so it cannot run ahead of its transfer.
@@ -192,6 +193,7 @@ impl StreamedProbeJoin {
             let matches_before = sink.matches();
             // Every chunk replays R's early-stop decisions (inert without
             // fusion) so its co-partitions line up with R's.
+            let chunk = (&s.keys[range.clone()], &s.payloads[range]);
             let s_out = partitioner.partition_following(chunk, &r_out.refine_plan);
             let mut cost =
                 join_all_copartitions(cfg, &r_out.partitioned, &s_out.partitioned, &mut sink);

@@ -63,7 +63,7 @@ pub fn run_with_mechanism(
     let device = &config.device;
     let partitioner = GpuPartitioner::new(config);
     let r_out = partitioner.partition(r);
-    let s_out = partitioner.partition_following(s, &r_out.refine_plan);
+    let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
     let mut sink = OutputSink::new(config.output, u64::from(config.join_block_threads));
     let mut join_cost =
         join_all_copartitions(config, &r_out.partitioned, &s_out.partitioned, &mut sink);
@@ -132,7 +132,7 @@ pub fn run_out_of_gpu_mechanisms(
     let device = &config.device;
     let partitioner = GpuPartitioner::new(config);
     let r_out = partitioner.partition(r);
-    let s_out = partitioner.partition_following(s, &r_out.refine_plan);
+    let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
     let mut sink = OutputSink::new(config.output, u64::from(config.join_block_threads));
     let mut join_cost =
         join_all_copartitions(config, &r_out.partitioned, &s_out.partitioned, &mut sink);

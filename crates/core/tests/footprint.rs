@@ -23,7 +23,7 @@ fn footprint_equals_the_measured_peak() {
             .with_output(output);
         let partitioner = GpuPartitioner::new(&config);
         let r_out = partitioner.partition(&r);
-        let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
         let r_pool = r_out.partitioned.pool_bytes();
         let s_pool = s_out.partitioned.pool_bytes();
         let pools = r_pool + s_pool;

@@ -1,6 +1,7 @@
-//! Allocation guards for five host-side hot paths: the co-processing
+//! Allocation guards for the host-side hot paths: the co-processing
 //! working-set knapsack, the co-partition join, radix partitioning, the
-//! shared stable scatter and the PRO CPU baseline.
+//! shared stable scatter, the streamed probe, the PRO CPU baseline, and
+//! the CPU oracle and plan canonicalization over compact key domains.
 //! Allocation counts and bytes are a deterministic proxy for host time, so
 //! these fail on a regression that a wall-clock benchmark would only show
 //! as noise.
@@ -16,14 +17,15 @@ use hcj_core::join::{join_all_copartitions, live_copartitions};
 use hcj_core::output::OutputSink;
 use hcj_core::packing::{pack_working_sets, PartitionSize};
 use hcj_core::partition::GpuPartitioner;
-use hcj_core::{GpuJoinConfig, OutputMode};
+use hcj_core::{GpuJoinConfig, OutputMode, StreamedProbeConfig, StreamedProbeJoin};
 use hcj_cpu_join::ProJoin;
 use hcj_gpu::DeviceSpec;
 use hcj_host::pool::set_jobs;
 use hcj_workload::generate::canonical_pair;
-use hcj_workload::oracle::JoinCheck;
+use hcj_workload::oracle::{reference_join, JoinCheck};
+use hcj_workload::plan::rows_to_relation;
 use hcj_workload::rng::{Rng, SmallRng};
-use hcj_workload::{KeyDistribution, RelationSpec, Runs};
+use hcj_workload::{KeyDistribution, Relation, RelationSpec, Runs};
 
 /// The system allocator, counting allocations (reallocations included)
 /// and the bytes they request, per thread.
@@ -127,7 +129,7 @@ fn copartition_join_allocations_do_not_grow_with_live_copartitions() {
             seed: 4,
         }
         .generate();
-        let s_out = partitioner.partition_following(&s, &r_out.refine_plan);
+        let s_out = partitioner.partition_following((&s.keys, &s.payloads), &r_out.refine_plan);
         let live = live_copartitions(&r_out.partitioned, &s_out.partitioned);
         let mut sink = OutputSink::new(OutputMode::Aggregate, 512);
         let (_, allocs, _) = allocs_during(|| {
@@ -197,4 +199,56 @@ fn pro_allocations_do_not_grow_with_its_tuples() {
     // buffers plus a hash map of per-key vectors made 100,080 on the
     // calling thread alone, requesting 12.5 MB.
     assert!(allocs <= 32, "{allocs} allocations ({bytes} B) for a 300,000-tuple PRO join");
+}
+
+#[test]
+fn streamed_probe_partitions_its_probe_in_place() {
+    set_jobs(1);
+    // A 20,000-tuple build on a GTX 1080 at radix 8, streaming a
+    // 200,000-tuple probe in 20 chunks of 10,000 tuples.
+    let config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080()).with_radix_bits(8);
+    let join = StreamedProbeJoin::new(StreamedProbeConfig::paper_default(config));
+    let (r, s) = canonical_pair(20_000, 200_000, 5);
+    let (out, _, bytes) = allocs_during(|| join.execute(&r, &s).expect("fits a GTX 1080"));
+    assert_eq!(out.check, JoinCheck::compute(&r, &s));
+    // Each chunk is partitioned from its range of the probe's columns:
+    // 2,018,976 B in all. Copying the probe into chunk relations first
+    // requested 3,620,096 B, 1,601,120 B of it the copy.
+    assert!(bytes <= 2_018_976, "{bytes} B for a 220,000-tuple streamed probe");
+}
+
+#[test]
+fn compact_oracle_allocates_one_direct_table() {
+    set_jobs(1);
+    // Generated keys lie in 1..=n: 20,001 slots of count and payload sum.
+    let (r, s) = canonical_pair(20_000, 60_000, 5);
+    let (check, allocs, bytes) = allocs_during(|| JoinCheck::compute(&r, &s));
+    assert_eq!(check.matches, 60_000);
+    assert_eq!(allocs, 1, "{allocs} allocations to check a compact 20,000 x 60,000 join");
+    assert!(bytes <= 16 * 20_001, "{bytes} B for 20,001 direct slots");
+
+    // Keys up to u32::MAX are sparse: the oracle keeps its hash table,
+    // sized by the build's tuples, not by its largest key.
+    let mut rng = SmallRng::seed_from_u64(0x5BA45E);
+    let mut sparse = |len: usize| {
+        let keys = (0..len).map(|i| if i == 0 { u32::MAX } else { rng.next_u64() as u32 });
+        Relation::from_columns(keys.collect(), (0..len as u32).collect())
+    };
+    let (r, s) = (sparse(20_000), sparse(60_000));
+    let (_, allocs, bytes) = allocs_during(|| JoinCheck::compute(&r, &s));
+    assert_eq!(allocs, 1, "{allocs} allocations to check a sparse join");
+    assert!(bytes < 64 * 20_000, "{bytes} B: a hash table of 20,000 keys, not 2^32 slots");
+}
+
+#[test]
+fn compact_canonicalization_makes_three_allocations() {
+    set_jobs(1);
+    // A plan operator's 60,000 rows over 20,000 build keys.
+    let (r, s) = canonical_pair(20_000, 60_000, 5);
+    let rows = reference_join(&r, &s);
+    let (rel, allocs, _) = allocs_during(|| rows_to_relation(&rows));
+    assert_eq!(rel.len(), 60_000);
+    // One scratch buffer of group offsets and payload pairs, then the two
+    // columns.
+    assert!(allocs <= 3, "{allocs} allocations to canonicalize 60,000 rows");
 }

@@ -1,10 +1,23 @@
 //! Reference join oracle: a simple, obviously-correct equi-join used to
 //! validate every join strategy in the workspace.
+//!
+//! [`JoinCheck::compute`] checks every join the serving loop, its lookahead
+//! helper and the plan executor run, so its cost is host time on every
+//! request. When the build side's key domain is compact (the crate's one
+//! rule, `relation::compact_domain`: largest key at most `2 · |build| +
+//! 4,096`, true of every generated relation, whose keys lie in `1..=n`)
+//! it counts in a table indexed by key: 16 B a slot, at most
+//! `32 · |build| + 65,552` B, one allocation and one slot read per probe
+//! tuple. A sparse domain, such as TPC-H order keys or keys near
+//! `u32::MAX`, keeps the hash table. Both give the same check, since
+//! counts and wrapping sums do not depend on the order tuples are
+//! visited in. [`reference_join`] and [`partition_by_key`] keep their
+//! plain bodies: only tests and the composed oracle use them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::relation::Relation;
+use crate::relation::{compact_domain, Relation};
 use crate::rng::mix64;
 
 /// One materialized join result row: `(key, r_payload, s_payload)`.
@@ -68,8 +81,36 @@ pub struct JoinCheck {
 }
 
 impl JoinCheck {
-    /// Compute the ground truth from the two inputs.
+    /// Compute the ground truth from the two inputs: by key directly when
+    /// `r`'s key domain is compact, else through a hash table.
     pub fn compute(r: &Relation, s: &Relation) -> JoinCheck {
+        match compact_domain(r.keys.iter().copied()) {
+            Some(slots) => Self::compute_direct(r, s, slots),
+            None => Self::compute_hashed(r, s),
+        }
+    }
+
+    /// Each build key's tuple count and payload sum in slot `key` of a
+    /// table of `slots` slots (more than `r`'s largest key); a probe key
+    /// past the table matches nothing.
+    fn compute_direct(r: &Relation, s: &Relation, slots: usize) -> JoinCheck {
+        let mut table = vec![(0u64, 0u64); slots];
+        for t in r.iter() {
+            let e = &mut table[t.key as usize];
+            e.0 += 1;
+            e.1 += u64::from(t.payload);
+        }
+        let mut check = JoinCheck::ZERO;
+        for t in s.iter() {
+            if let Some(&(count, pay_sum)) = table.get(t.key as usize) {
+                check.add_matches(count, pay_sum, t.payload);
+            }
+        }
+        check
+    }
+
+    /// The same counts and sums in a hash table keyed by build key.
+    fn compute_hashed(r: &Relation, s: &Relation) -> JoinCheck {
         let mut table: HashMap<u32, (u64, u64), BuildHasherDefault<KeyHasher>> =
             HashMap::with_capacity_and_hasher(r.len(), BuildHasherDefault::default());
         for t in r.iter() {
@@ -77,16 +118,21 @@ impl JoinCheck {
             e.0 += 1;
             e.1 += u64::from(t.payload);
         }
-        let mut check = JoinCheck { matches: 0, sum_r_payload: 0, sum_s_payload: 0 };
+        let mut check = JoinCheck::ZERO;
         for t in s.iter() {
             if let Some(&(count, pay_sum)) = table.get(&t.key) {
-                check.matches += count;
-                check.sum_r_payload = check.sum_r_payload.wrapping_add(pay_sum);
-                check.sum_s_payload =
-                    check.sum_s_payload.wrapping_add(count * u64::from(t.payload));
+                check.add_matches(count, pay_sum, t.payload);
             }
         }
         check
+    }
+
+    /// Add one probe tuple's matches against `count` build tuples whose
+    /// payloads sum to `pay_sum`.
+    fn add_matches(&mut self, count: u64, pay_sum: u64, s_payload: u32) {
+        self.matches += count;
+        self.sum_r_payload = self.sum_r_payload.wrapping_add(pay_sum);
+        self.sum_s_payload = self.sum_s_payload.wrapping_add(count * u64::from(s_payload));
     }
 
     /// Fold a materialized result into the same summary shape.
@@ -119,9 +165,13 @@ impl JoinCheck {
 /// **single source of truth** shared by the cross-device exchange executor
 /// and the composed oracle below — both sides of a join agree on partition
 /// membership by construction, and a change here changes both together.
+/// A power-of-two count (the exchange always uses one) masks the low bits
+/// instead of dividing, which gives the same remainder.
 pub fn exchange_partition(key: u32, partitions: usize) -> usize {
     assert!(partitions > 0, "at least one partition");
-    (mix64(u64::from(key)) % partitions as u64) as usize
+    let hash = mix64(u64::from(key));
+    let n = partitions as u64;
+    (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
 }
 
 /// Split `rel` into `partitions` relations by [`exchange_partition`] of
@@ -175,11 +225,102 @@ pub fn assert_join_matches(r: &Relation, s: &Relation, rows: &[JoinRow]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generate::{canonical_pair, payload_of, KeyDistribution, RelationSpec};
     use crate::relation::Tuple;
     use crate::rng::{Rng, SmallRng};
+
+    /// Build and probe pairs for comparing a compact-domain path with its
+    /// general path: empty and one-tuple relations, key 0, largest build
+    /// keys at the compact-domain bound and one past it, duplicate keys on
+    /// both sides, Zipf, foreign-key and free-payload inputs, and probe
+    /// keys past the build side's largest key (up to `u32::MAX`). Build
+    /// keys stay below 2^17, so a direct table over any of them is small.
+    pub(crate) fn domain_pairs() -> Vec<(Relation, Relation)> {
+        let mut rng = SmallRng::seed_from_u64(0xD1_4EC7);
+        let mut free = |keys: Vec<u32>| {
+            let payloads = keys.iter().map(|_| rng.next_u64() as u32).collect();
+            Relation::from_columns(keys, payloads)
+        };
+        let (empty, one) = (Relation::default(), free(vec![5]));
+        let zero = free(vec![0, 0, 3]);
+        let mut pairs = vec![
+            (empty.clone(), empty.clone()),
+            (empty.clone(), one.clone()),
+            (one.clone(), empty),
+            (one.clone(), one),
+            (free(vec![0]), free(vec![0, 0])),
+            (zero.clone(), free(vec![0, 3, 3, 0, 9, u32::MAX])),
+            (free(vec![9, 3, 0, 3]), zero),
+        ];
+        // Largest build key at the bound `2 · n + 4,096` and one past it;
+        // probes hit it, miss just past it and draw over both domains.
+        for n in [1usize, 7, 2_000] {
+            let bound = 2 * n as u32 + 4_096;
+            for top in [bound, bound + 1] {
+                let mut keys: Vec<u32> = (1..n as u32).map(|i| i * 7 % top).collect();
+                keys.push(top);
+                let spread = |i: usize| (i as u32).wrapping_mul(2_654_435_761) % (top + 9);
+                let mut probe = vec![top, top + 1, 0, u32::MAX];
+                probe.extend((0..3 * n).map(spread));
+                pairs.push((free(keys), free(probe)));
+            }
+        }
+        let fk = |tuples, distinct, seed| {
+            let distribution = KeyDistribution::UniformFk { distinct };
+            RelationSpec { tuples, distribution, payload_width: 4, seed }.generate()
+        };
+        for seed in 0..4 {
+            let zipf = |tuples, distinct, seed| RelationSpec::zipf(tuples, distinct, 0.9, seed);
+            let generated = [
+                canonical_pair(1_000 + 500 * seed as usize, 3_000, seed),
+                (zipf(2_000, 300, seed).generate(), zipf(3_000, 600, seed + 10).generate()),
+                // The larger side builds, with duplicates, and half the
+                // probe keys lie past every build key.
+                (fk(5_000, 400, seed + 20), fk(800, 800, seed + 30)),
+            ];
+            // Each with its generated payloads and with free ones.
+            for (r, s) in generated {
+                pairs.push((free(r.keys.clone()), free(s.keys.clone())));
+                pairs.push((r, s));
+            }
+        }
+        // Free keys over narrow and wide domains, free payloads.
+        let mut key_rng = SmallRng::seed_from_u64(0xD0_4A14);
+        for (r_len, s_len, key_hi) in [(3_000, 5_000, 300u64), (500, 4_000, 100_000)] {
+            let mut keys = |len: usize| -> Vec<u32> {
+                (0..len).map(|_| key_rng.gen_range_u64(0, key_hi) as u32).collect()
+            };
+            let (r_keys, s_keys) = (keys(r_len), keys(s_len));
+            pairs.push((free(r_keys), free(s_keys)));
+        }
+        pairs
+    }
+
+    #[test]
+    fn direct_and_hashed_checks_agree() {
+        for (case, (r, s)) in domain_pairs().iter().enumerate() {
+            let hashed = JoinCheck::compute_hashed(r, s);
+            let slots = r.keys.iter().max().map_or(0, |&k| k as usize + 1);
+            assert_eq!(JoinCheck::compute_direct(r, s, slots), hashed, "case {case}");
+            assert_eq!(JoinCheck::compute(r, s), hashed, "case {case}");
+            assert_eq!(JoinCheck::from_rows(&reference_join(r, s)), hashed, "case {case}");
+        }
+    }
+
+    #[test]
+    fn exchange_partition_masks_as_it_divides() {
+        let mut rng = SmallRng::seed_from_u64(0x3A5C);
+        let keys: Vec<u32> =
+            [0, 1, u32::MAX].into_iter().chain((0..2_000).map(|_| rng.next_u64() as u32)).collect();
+        for partitions in 1..=130usize {
+            for &key in &keys {
+                let divided = (mix64(u64::from(key)) % partitions as u64) as usize;
+                assert_eq!(exchange_partition(key, partitions), divided, "{key} of {partitions}");
+            }
+        }
+    }
 
     /// [`JoinCheck::compute`] as first written, on the standard library's
     /// SipHash table: the reference for the `mix64`-hashed oracle.

@@ -21,12 +21,20 @@
 //!
 //! Intermediate results are canonicalized ([`rows_to_relation`] sorts the
 //! join rows before packing them) so a downstream join sees byte-identical
-//! input no matter which strategy — or the CPU oracle — produced it.
+//! input no matter which strategy — or the CPU oracle — produced it. The
+//! sort runs on the serving loop's thread for every plan operator that
+//! feeds a join, so it follows the oracle's compact-domain rule
+//! (`relation::compact_domain`: largest key at most `2 · rows + 4,096`):
+//! over a compact domain a stable counting sort by key orders the rows,
+//! then each group of equal keys is sorted by its payload pair, in one
+//! scratch buffer of at most `24 · rows + 32,784` B beside the relation;
+//! a sparse domain keeps the comparison sort of whole rows. Both give the
+//! same relation, byte for byte.
 
 use crate::catalog::{BuildCatalog, BuildRef};
 use crate::generate::RelationSpec;
 use crate::oracle::{reference_join, JoinCheck, JoinRow};
-use crate::relation::{build_is_left, Relation, Tuple};
+use crate::relation::{build_is_left, compact_domain, Relation, Tuple};
 
 /// One operator of a query plan. Input indices always reference earlier
 /// ops (`input < own id`), so any `Vec<PlanOp>` with valid indices is a
@@ -185,11 +193,53 @@ pub fn combine_payloads(r_payload: u32, s_payload: u32) -> u32 {
 /// worker-count dependent; the sorted order is not), payloads combined
 /// via [`combine_payloads`], 4-byte payload width.
 pub fn rows_to_relation(rows: &[JoinRow]) -> Relation {
+    match compact_domain(rows.iter().map(|row| row.0)) {
+        Some(slots) => counting_sorted(rows, slots),
+        None => comparison_sorted(rows),
+    }
+}
+
+/// [`rows_to_relation`] by a comparison sort of whole rows.
+fn comparison_sorted(rows: &[JoinRow]) -> Relation {
     let mut sorted = rows.to_vec();
     sorted.sort_unstable();
     let mut rel = Relation::with_capacity(sorted.len());
     for (key, rp, sp) in sorted {
         rel.push(Tuple { key, payload: combine_payloads(rp, sp) });
+    }
+    rel
+}
+
+/// [`rows_to_relation`] by a stable counting sort on keys below `slots`,
+/// then a sort of each key's payload pairs. One scratch buffer holds the
+/// `slots + 1` group offsets followed by every row's pair packed as
+/// `r_payload << 32 | s_payload`, whose order is the pairs' order.
+fn counting_sorted(rows: &[JoinRow], slots: usize) -> Relation {
+    let mut scratch = vec![0u64; slots + 1 + rows.len()];
+    let (offsets, pairs) = scratch.split_at_mut(slots + 1);
+    for &(key, _, _) in rows {
+        offsets[key as usize + 1] += 1;
+    }
+    for k in 0..slots {
+        offsets[k + 1] += offsets[k];
+    }
+    // Key k's cursor starts at its group's first slot and ends at its last
+    // slot plus one, which is where group k + 1 starts.
+    for &(key, rp, sp) in rows {
+        let cursor = &mut offsets[key as usize];
+        pairs[*cursor as usize] = u64::from(rp) << 32 | u64::from(sp);
+        *cursor += 1;
+    }
+    let mut rel = Relation::with_capacity(rows.len());
+    let mut start = 0;
+    for (key, &end) in offsets[..slots].iter().enumerate() {
+        let group = &mut pairs[start..end as usize];
+        group.sort_unstable();
+        for &pair in &*group {
+            let payload = combine_payloads((pair >> 32) as u32, pair as u32);
+            rel.push(Tuple { key: key as u32, payload });
+        }
+        start = end as usize;
     }
     rel
 }
@@ -308,6 +358,8 @@ fn scan_ops(catalog: &BuildCatalog, dims: &[usize], fact_tuples: usize, seed: u6
 mod tests {
     use super::*;
     use crate::oracle::assert_join_matches;
+    use crate::oracle::tests::domain_pairs;
+    use crate::rng::{Rng, SmallRng};
 
     fn catalog() -> BuildCatalog {
         BuildCatalog::dimension_tables(6, 800, 7)
@@ -388,6 +440,41 @@ mod tests {
         assert_eq!(a, b, "canonicalization erases production order");
         assert_eq!(a.keys, vec![1, 1, 2, 3]);
         assert_eq!(a.payloads[0], combine_payloads(10, 100));
+    }
+
+    #[test]
+    fn counting_and_comparison_sorts_agree_byte_for_byte() {
+        let mut rng = SmallRng::seed_from_u64(0xC0_0175);
+        let mut cases: Vec<Vec<JoinRow>> = Vec::new();
+        for (r, s) in domain_pairs() {
+            // Sorted as the oracle returns them, and in a production order.
+            let rows = reference_join(&r, &s);
+            let mut shuffled = rows.clone();
+            rng.shuffle(&mut shuffled);
+            cases.extend([rows, shuffled]);
+        }
+        // `n` rows whose largest key is at the bound `2 · n + 4,096` and one
+        // past it, with repeated keys, payloads at both extremes and, from
+        // 25 rows on, repeated rows.
+        for n in [1usize, 6, 1_500] {
+            let bound = 2 * n as u32 + 4_096;
+            for top in [bound, bound + 1] {
+                let mut rows: Vec<JoinRow> = (1..n)
+                    .map(|i| {
+                        let pay = |r: &mut SmallRng| [0, u32::MAX, r.next_u64() as u32][i % 3];
+                        ((i as u32 * 5) % 40, pay(&mut rng), pay(&mut rng))
+                    })
+                    .collect();
+                rows.push((top, u32::MAX, 0));
+                cases.push(rows);
+            }
+        }
+        for (case, rows) in cases.iter().enumerate() {
+            let want = comparison_sorted(rows);
+            let slots = rows.iter().map(|row| row.0).max().map_or(0, |k| k as usize + 1);
+            assert_eq!(counting_sorted(rows, slots), want, "case {case}");
+            assert_eq!(rows_to_relation(rows), want, "case {case}");
+        }
     }
 
     #[test]

@@ -74,9 +74,8 @@ impl Relation {
     }
 
     /// Borrow a contiguous chunk `[start, start+len)` as a new relation
-    /// (copies; chunking for the streamed out-of-GPU strategies). A chunk
-    /// reaching past the end is truncated there, and one starting past it
-    /// is empty.
+    /// (copies). A chunk reaching past the end is truncated there, and one
+    /// starting past it is empty.
     pub fn chunk(&self, start: usize, len: usize) -> Relation {
         let start = start.min(self.len());
         let end = start.saturating_add(len).min(self.len());
@@ -104,6 +103,29 @@ impl FromIterator<Tuple> for Relation {
 /// bytes) builds, ties go left.
 pub fn build_is_left(left: &Relation, right: &Relation) -> bool {
     left.bytes() <= right.bytes()
+}
+
+/// Slots a compact domain may hold beyond two per key, so that small
+/// relations over small domains count as compact too.
+const COMPACT_SLACK: u64 = 4_096;
+
+/// The compact-domain rule the CPU oracle and plan canonicalization share:
+/// `keys` are compact when their largest key is at most `2 · keys.len() +
+/// 4,096`. Then a table indexed by key directly needs `largest + 1` slots,
+/// which is returned (0 for no keys); a sparse domain returns `None`.
+///
+/// At 16 B a slot (the oracle's count and payload sum) a direct table
+/// takes at most `32 · len + 65,552` B. The hash table it replaces holds
+/// `len` entries of 24 B plus a control byte at a load of at most 7/8,
+/// 28.6–57 B per key, so the direct table is never more than about 12%
+/// plus 64 KB larger, and it reads one slot per lookup without hashing.
+pub(crate) fn compact_domain(keys: impl ExactSizeIterator<Item = u32>) -> Option<usize> {
+    let bound = 2 * keys.len() as u64 + COMPACT_SLACK;
+    match keys.max() {
+        None => Some(0),
+        Some(max) if u64::from(max) <= bound => Some(max as usize + 1),
+        Some(_) => None,
+    }
 }
 
 #[cfg(test)]
@@ -160,6 +182,19 @@ mod tests {
     #[should_panic(expected = "column lengths differ")]
     fn mismatched_columns_rejected() {
         let _ = Relation::from_columns(vec![1, 2], vec![1]);
+    }
+
+    #[test]
+    fn compact_domains_end_at_twice_the_keys_plus_4096() {
+        assert_eq!(compact_domain([0u32; 0].into_iter()), Some(0));
+        assert_eq!(compact_domain([0].into_iter()), Some(1));
+        assert_eq!(compact_domain([u32::MAX].into_iter()), None);
+        for n in [1usize, 7, 2_000] {
+            let bound = 2 * n as u32 + 4_096;
+            let keys = |top: u32| (1..n as u32).chain([top]).collect::<Vec<_>>().into_iter();
+            assert_eq!(compact_domain(keys(bound)), Some(bound as usize + 1), "{n} keys");
+            assert_eq!(compact_domain(keys(bound + 1)), None, "{n} keys");
+        }
     }
 
     #[test]
