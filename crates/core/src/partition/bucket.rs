@@ -3,6 +3,29 @@
 
 use hcj_workload::{Runs, Tuple};
 
+/// Buckets in the chain of a `len`-tuple run, `capacity` tuples a bucket.
+pub(crate) fn chain_buckets(len: u64, capacity: usize) -> u64 {
+    len.div_ceil(capacity as u64)
+}
+
+/// The fill of each bucket in a `len`-tuple run's chain, head first: full
+/// buckets, then the remainder.
+pub(crate) fn bucket_lens(len: u64, capacity: usize) -> impl Iterator<Item = u64> {
+    let capacity = capacity as u64;
+    (0..len.div_ceil(capacity)).map(move |b| capacity.min(len - b * capacity))
+}
+
+/// Buckets in the pool of runs of `lens` tuples: every run's chain.
+pub(crate) fn num_buckets(lens: impl IntoIterator<Item = u64>, capacity: usize) -> u64 {
+    lens.into_iter().map(|len| chain_buckets(len, capacity)).sum()
+}
+
+/// Device-memory bytes of that pool: per bucket, `capacity` key and
+/// payload slots plus its fill count and next link.
+pub(crate) fn pool_bytes(lens: impl IntoIterator<Item = u64>, capacity: usize) -> u64 {
+    num_buckets(lens, capacity) * (8 * capacity as u64 + 8)
+}
+
 /// A relation partitioned into `2^fanout_bits` partitions on the key bits
 /// `[base_bits, base_bits + fanout_bits)`.
 ///
@@ -13,9 +36,9 @@ use hcj_workload::{Runs, Tuple};
 /// through indices, which amortizes pointer chasing over `capacity`
 /// coalesced elements. A chain is filled tuple by tuple and draws a fresh
 /// bucket whenever its tail is full, so its shape depends on the
-/// partition's length alone: [`chain_buckets`](Self::chain_buckets),
-/// [`bucket_lens`](Self::bucket_lens), [`num_buckets`](Self::num_buckets)
-/// and [`pool_bytes`](Self::pool_bytes) derive it from the runs.
+/// partition's length alone: this module's functions of a run length and a
+/// capacity derive it, for [`pool_bytes`](Self::pool_bytes) and for the GPU
+/// partitioner's pass model.
 ///
 /// `base_bits > 0` arises in the co-processing strategy (paper §IV-B):
 /// the CPU already partitioned on the low `base_bits`, and the GPU refines
@@ -70,27 +93,9 @@ impl PartitionedRelation {
         self.runs.len() as u64
     }
 
-    /// Number of buckets in partition `p`'s modeled chain.
-    pub fn chain_buckets(&self, p: usize) -> usize {
-        self.runs.range(p).len().div_ceil(self.capacity)
-    }
-
-    /// The fill of each bucket in partition `p`'s modeled chain, head
-    /// first: full buckets, then the remainder.
-    pub fn bucket_lens(&self, p: usize) -> impl Iterator<Item = u64> {
-        let (len, capacity) = (self.partition_len(p), self.capacity as u64);
-        (0..self.chain_buckets(p) as u64).map(move |b| capacity.min(len - b * capacity))
-    }
-
-    /// Number of buckets in the modeled pool: every partition's chain.
-    pub fn num_buckets(&self) -> usize {
-        (0..self.fanout()).map(|p| self.chain_buckets(p)).sum()
-    }
-
-    /// The modeled pool's footprint in device-memory bytes: per bucket,
-    /// `capacity` key and payload slots plus its fill count and next link.
+    /// The modeled pool's footprint in device-memory bytes.
     pub fn pool_bytes(&self) -> u64 {
-        self.num_buckets() as u64 * (8 * self.capacity as u64 + 8)
+        pool_bytes((0..self.fanout()).map(|p| self.partition_len(p)), self.capacity)
     }
 
     /// Mutable key/payload columns and the `fanout + 1` run offsets, for
@@ -259,15 +264,18 @@ mod tests {
             }
             let at = format!("case {case}: capacity {capacity}, counts {counts:?}");
             assert_eq!(dense.fanout(), fanout, "{at}");
-            assert_eq!(dense.num_buckets(), chained.lens.len(), "{at}");
+            let lens = (0..fanout).map(|p| dense.partition_len(p));
+            assert_eq!(num_buckets(lens, capacity), chained.lens.len() as u64, "{at}");
             assert_eq!(dense.pool_bytes(), chained.device_bytes(), "{at}");
             assert_eq!(dense.total_tuples(), tuples.len() as u64, "{at}");
             for (p, &count) in counts.iter().enumerate() {
                 let buckets = chained.buckets_of(p);
                 let lens: Vec<u64> =
                     buckets.iter().map(|&b| chained.lens[b as usize].into()).collect();
-                assert_eq!(dense.chain_buckets(p), buckets.len(), "{at}, partition {p}");
-                assert_eq!(dense.bucket_lens(p).collect::<Vec<_>>(), lens, "{at}, partition {p}");
+                let chain = chain_buckets(dense.partition_len(p), capacity);
+                assert_eq!(chain, buckets.len() as u64, "{at}, partition {p}");
+                let got = bucket_lens(dense.partition_len(p), capacity).collect::<Vec<_>>();
+                assert_eq!(got, lens, "{at}, partition {p}");
                 assert_eq!(dense.partition_len(p), count as u64, "{at}, partition {p}");
                 let got: Vec<Tuple> = dense.tuples_of(p).collect();
                 assert_eq!(got, chained.tuples_of(p), "{at}, partition {p}");
@@ -282,8 +290,8 @@ mod tests {
         let pr = scattered(3, 1, &tuples, |i| i % 2); // capacity 3, 2 partitions
         assert_eq!(pr.partition_len(0), 5);
         assert_eq!(pr.partition_len(1), 5);
-        assert_eq!(pr.chain_buckets(0), 2); // 5 tuples / cap 3
-        assert_eq!(pr.bucket_lens(0).collect::<Vec<_>>(), vec![3, 2]);
+        assert_eq!(chain_buckets(pr.partition_len(0), 3), 2); // 5 tuples / cap 3
+        assert_eq!(bucket_lens(pr.partition_len(0), 3).collect::<Vec<_>>(), vec![3, 2]);
         let keys: Vec<u32> = pr.tuples_of(0).map(|x| x.key).collect();
         assert_eq!(keys, vec![0, 2, 4, 6, 8]); // scatter order preserved
         assert_eq!(pr.total_tuples(), 10);
@@ -316,8 +324,8 @@ mod tests {
     fn empty_partition_iterates_nothing() {
         let pr = PartitionedRelation::from_counts(4, 2, 0, [3, 0, 0, 5]);
         assert_eq!(pr.tuples_of(2).count(), 0);
-        assert_eq!(pr.chain_buckets(2), 0);
-        assert_eq!(pr.bucket_lens(2).count(), 0);
+        assert_eq!(chain_buckets(pr.partition_len(2), 4), 0);
+        assert_eq!(bucket_lens(pr.partition_len(2), 4).count(), 0);
         assert_eq!(pr.partition_columns(2), (&[][..], &[][..]));
     }
 

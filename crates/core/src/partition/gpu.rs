@@ -1,6 +1,10 @@
-//! The multi-pass GPU radix partitioner (paper §III-A), execution-driven:
-//! it really moves every tuple into its partition's run while counting the
-//! hardware traffic each pass generates, bucket chains included.
+//! The multi-pass GPU radix partitioner (paper §III-A), execution-driven.
+//! The device splits the radix bits into passes because a block's shared
+//! memory caps the fanout; on the host that split is only a cost. So the
+//! partitioner counts each tuple's radix class once, models every pass from
+//! the counts (level lengths, fused early stops, [`PassStats`] with bucket
+//! chains), and really moves each tuple once, with one stable scatter into
+//! the layout the stable passes would leave.
 
 use hcj_gpu::{Gpu, JoinError, KernelCost, LaunchShape, Stream};
 use hcj_host::{DisjointSlice, Pool};
@@ -9,7 +13,7 @@ use hcj_workload::{runs, Relation};
 
 use crate::balance::round_robin_imbalance;
 use crate::config::{GpuJoinConfig, PassAssignment};
-use crate::partition::bucket::PartitionedRelation;
+use crate::partition::bucket::{bucket_lens, num_buckets, PartitionedRelation};
 use crate::partition::PART_PAR_MIN;
 use crate::radix::PassBits;
 
@@ -82,6 +86,12 @@ impl PartitionOutcome {
     }
 }
 
+/// Class `c`'s partition at a modeled level of `bits` bits: `part_of[c]`
+/// once some parent has been finalized, else the class's low `bits` bits.
+fn level_index(part_of: &Option<Vec<u32>>, bits: u32, c: usize) -> usize {
+    part_of.as_ref().map_or(c & ((1 << bits) - 1), |of| of[c] as usize)
+}
+
 /// Multi-pass GPU radix partitioner for a fixed configuration.
 pub struct GpuPartitioner<'a> {
     pub config: &'a GpuJoinConfig,
@@ -120,52 +130,111 @@ impl<'a> GpuPartitioner<'a> {
         self.run(run, base_bits, None)
     }
 
-    /// Decide the early-stop fate of every parent before a refinement
-    /// pass: finalized parents (small enough to build in shared memory
-    /// already, empty ones included) are carried; the rest split.
-    fn decide(&self, parent: &PartitionedRelation) -> Vec<bool> {
-        let active = self.config.fusion_active();
-        let threshold = self.config.fuse_threshold();
-        (0..parent.fanout()).map(|p| active && parent.partition_len(p) <= threshold).collect()
-    }
-
     fn run(
         &self,
         (keys, payloads): (&[u32], &[u32]),
         base_bits: u32,
         follow: Option<&RefinePlan>,
     ) -> PartitionOutcome {
-        let plan = self.config.pass_plan();
-        let mut passes = Vec::with_capacity(plan.num_passes());
-
-        // First pass: coalesced scan of the input columns, parallelized as
-        // count → prefix → scatter. Per-chunk histograms fix every tuple's
-        // output slot before any worker writes, so the result is
-        // bit-identical to a serial tuple-by-tuple scan for any worker
-        // count (tuple order within a partition is input order either way).
-        let first = plan.passes()[0];
-        let fanout = first.fanout() as usize;
-        let part = |k: u32| first.local_index(k >> base_bits) as usize;
+        let (plan, capacity) = (self.config.pass_plan(), self.config.bucket_capacity);
+        // Count each tuple's radix class, its key bits `[base_bits, base_bits
+        // + radix_bits)`, once, per chunk on the pool. The counts alone
+        // decide every pass and its traffic, and fix every tuple's output
+        // slot before any worker writes.
+        let classes = plan.fanout() as usize;
+        let class = |k: u32| plan.partition_of(k >> base_bits) as usize;
         let pool = Pool::current();
         let ranges = pool.chunks(keys.len(), PART_PAR_MIN);
-        let hists = pool.map(&ranges, |_, range| runs::counts(&keys[range.clone()], fanout, part));
-        let mut current = PartitionedRelation::from_counts(
-            self.config.bucket_capacity,
-            first.bits,
-            base_bits,
-            (0..fanout).map(|p| hists.iter().map(|h| h[p]).sum()),
-        );
-        let allocs = current.num_buckets() as u64;
+        let hists =
+            pool.map(&ranges, |_, range| runs::counts(&keys[range.clone()], classes, class));
+        let count = |c: usize| hists.iter().map(|h| h[c]).sum::<u64>();
+
+        // Model the passes level by level: the current level has `bits` bits
+        // and holds class `c` in partition `level_index(&part_of, bits, c)`,
+        // and `lens` holds its run lengths once a refinement has needed them.
+        // The first level's partition `p` holds classes `p`, `p + fanout`, …
+        let first = plan.passes()[0];
+        let mut bits = first.bits;
+        let mut part_of: Option<Vec<u32>> = None;
+        let mut lens: Option<Vec<u64>> = None;
+        let level = |part_of: &Option<Vec<u32>>, bits: u32| {
+            let mut lens = vec![0; 1 << bits];
+            for c in 0..classes {
+                lens[level_index(part_of, bits, c)] += count(c);
+            }
+            lens
+        };
+        let fanout = first.fanout() as usize;
+        let first_lens =
+            (0..fanout).map(|p| (0..classes / fanout).map(|j| count(p + j * fanout)).sum());
+        let mut passes = Vec::with_capacity(plan.num_passes());
+        let allocs = num_buckets(first_lens, capacity);
+        passes.push(self.pass_stats(first, keys.len() as u64, allocs, 1.0, 1, 0));
+
+        // Fused refinement may finalize parents early, or skip a pass
+        // wholesale when every parent finalized; a follower replays the
+        // recorded decisions instead of consulting its own sizes.
+        let (active, threshold) = (self.config.fusion_active(), self.config.fuse_threshold());
+        let mut refine_plan = RefinePlan::default();
+        for (k, &pass) in plan.passes()[1..].iter().enumerate() {
+            let parents = lens.take().unwrap_or_else(|| level(&part_of, bits));
+            let finalized: Vec<bool> = match follow {
+                Some(plan) => plan.finalized.get(k).cloned().unwrap_or(vec![false; parents.len()]),
+                None => parents.iter().map(|&len| active && len <= threshold).collect(),
+            };
+            let disagree = "followed refine plan disagrees with the pass structure";
+            assert_eq!(finalized.len(), parents.len(), "{disagree}");
+            // A finalized parent's classes stop at this level, and a skipped
+            // pass leaves a gap in the bits a later split consumes: from here
+            // on each class's partition is kept.
+            if part_of.is_none() && finalized.contains(&true) {
+                part_of = Some((0..classes).map(|c| level_index(&None, bits, c) as u32).collect());
+            }
+            if !finalized.contains(&false) {
+                // Every parent already fits the build budget: the pass is
+                // not launched at all and the plan ends at this depth.
+                refine_plan.finalized.push(finalized);
+                lens = Some(parents);
+                continue;
+            }
+            // A refined parent `p` splits into children `p | (local <<
+            // shift)`; a finalized one carries over whole as child `p`, which
+            // no refined parent's child collides with.
+            for (c, p) in part_of.iter_mut().flatten().enumerate() {
+                if !finalized[*p as usize] {
+                    *p |= pass.local_index(c as u32) << pass.shift;
+                }
+            }
+            bits = pass.shift + pass.bits;
+            let children = level(&part_of, bits);
+            passes.push(self.refine_stats(pass, &parents, &finalized, &children));
+            refine_plan.finalized.push(finalized);
+            lens = Some(children);
+        }
+
+        // One stable scatter moves each tuple once, from its class to its
+        // final partition in input order: the layout the stable passes would
+        // leave pass by pass. Without `part_of` every pass split every
+        // parent, so each class is its own final partition.
+        let land = |c: usize| part_of.as_ref().map_or(c, |of| of[c] as usize);
+        let part = |k: u32| land(class(k));
+        let final_len = |p: usize| lens.as_ref().map_or_else(|| count(p), |lens| lens[p]);
+        let final_lens = (0..1 << bits).map(final_len);
+        let mut partitioned =
+            PartitionedRelation::from_counts(capacity, bits, base_bits, final_lens);
         {
-            let (out_keys, out_pays, offsets) = current.columns_mut();
+            let (out_keys, out_pays, offsets) = partitioned.columns_mut();
             let key_slots = DisjointSlice::new(out_keys);
             let pay_slots = DisjointSlice::new(out_pays);
-            pool.map(&ranges, |c, range| {
-                // Chunk c writes partition p from its run start on, after
-                // what the earlier chunks write there.
-                let mut cursor: Vec<usize> = (0..fanout)
-                    .map(|p| offsets[p] + hists[..c].iter().map(|h| h[p] as usize).sum::<usize>())
-                    .collect();
+            pool.map(&ranges, |chunk, range| {
+                // The chunk writes each partition from its run start on,
+                // after what the earlier chunks write there.
+                let mut cursor = offsets[..offsets.len() - 1].to_vec();
+                for h in &hists[..chunk] {
+                    for (c, &n) in h.iter().enumerate() {
+                        cursor[land(c)] += n as usize;
+                    }
+                }
                 let (keys, payloads) = (&keys[range.clone()], &payloads[range.clone()]);
                 runs::scatter(keys, payloads, part, &mut cursor, |slot, k, v| {
                     // SAFETY: the prefix sums give every (chunk, partition)
@@ -177,142 +246,44 @@ impl<'a> GpuPartitioner<'a> {
                 });
             });
         }
-        passes.push(self.pass_stats(first, keys.len() as u64, allocs, 1.0, 1, 0));
-
-        // Refinement passes: scan the previous pass's bucket chains.
-        // Fused refinement may finalize parents early (or skip a pass
-        // wholesale when every parent finalized); a follower replays the
-        // recorded decisions instead of consulting its own sizes.
-        let mut refine_plan = RefinePlan::default();
-        for (k, &pass) in plan.passes()[1..].iter().enumerate() {
-            let finalized = match follow {
-                Some(plan) => {
-                    let decisions = plan
-                        .finalized
-                        .get(k)
-                        .cloned()
-                        .unwrap_or_else(|| vec![false; current.fanout()]);
-                    assert_eq!(
-                        decisions.len(),
-                        current.fanout(),
-                        "followed refine plan disagrees with the pass structure"
-                    );
-                    decisions
-                }
-                None => self.decide(&current),
-            };
-            if finalized.iter().all(|&f| f) {
-                // Every parent already fits the build budget: the pass is
-                // not launched at all and the plan ends at this depth.
-                refine_plan.finalized.push(finalized);
-                continue;
-            }
-            let (next, stats) = self.refine(&current, pass, &finalized);
-            refine_plan.finalized.push(finalized);
-            current = next;
-            passes.push(stats);
-        }
-
-        PartitionOutcome { partitioned: current, passes, refine_plan }
+        PartitionOutcome { partitioned, passes, refine_plan }
     }
 
-    fn refine(
+    /// Refinement `pass` from its `parents`' lengths, the parents it
+    /// `finalized` and its `children`'s lengths: only refined parents'
+    /// tuples move, and only their children draw buckets from the pool;
+    /// each carried chain is re-linked under its child index.
+    fn refine_stats(
         &self,
-        parent: &PartitionedRelation,
         pass: PassBits,
+        parents: &[u64],
         finalized: &[bool],
-    ) -> (PartitionedRelation, PassStats) {
-        let new_bits = pass.shift + pass.bits;
-        let local_fanout = pass.fanout() as usize;
-        let shift = pass.shift as usize;
-        let local = |k: u32| pass.local_index(k >> parent.base_bits) as usize;
-        let live: Vec<usize> =
-            (0..parent.fanout()).filter(|&p| parent.partition_len(p) > 0).collect();
-        // Finalized parents carry over whole: their tuples land at child
-        // index `p` (local digit 0) and the kernel never touches them —
-        // the chain is re-linked under its new index, one random write.
-        let refined: Vec<usize> = live.iter().copied().filter(|&p| !finalized[p]).collect();
-        let carried: Vec<usize> = live.iter().copied().filter(|&p| finalized[p]).collect();
+        children: &[u64],
+    ) -> PassStats {
+        let capacity = self.config.bucket_capacity;
+        let live =
+            |fin: bool| (0..parents.len()).filter(move |&p| parents[p] > 0 && finalized[p] == fin);
         // Work units for load balancing: buckets (bucket-at-a-time) or
         // whole chains (partition-at-a-time). The functional result is
         // identical; only the imbalance factor and the per-unit metadata
         // re-initialization differ (paper §III-A).
-        let mut unit_weights: Vec<u64> = Vec::new();
-        for &p in &refined {
-            match self.config.assignment {
-                PassAssignment::BucketAtATime => unit_weights.extend(parent.bucket_lens(p)),
-                PassAssignment::PartitionAtATime => {
-                    unit_weights.push(parent.partition_len(p));
-                }
+        let unit_weights: Vec<u64> = match self.config.assignment {
+            PassAssignment::BucketAtATime => {
+                live(false).flat_map(|p| bucket_lens(parents[p], capacity)).collect()
             }
-        }
-        // Parents refine independently: every child partition
-        // `p | (local << shift)` belongs to exactly one parent `p`, so
-        // per-parent counting and scattering touch disjoint slot ranges
-        // with no cross-parent offsets, and each child's tuple order is
-        // its parent's chain order — identical to the serial scan. A
-        // carried parent's child index `p` collides with no refined child:
-        // those are `q | (local << shift)` with `q` refined, and `q ≠ p`.
-        let pool = Pool::current();
-        let per_parent = pool.map(&refined, |_, &p| {
-            runs::counts(parent.partition_columns(p).0, local_fanout, local)
-        });
-        let mut counts = vec![0u64; 1 << new_bits];
-        for (h, &p) in per_parent.iter().zip(&refined) {
-            for (local, &c) in h.iter().enumerate() {
-                counts[p | (local << shift)] = c;
-            }
-        }
-        for &p in &carried {
-            counts[p] = parent.partition_len(p);
-        }
-        let mut next = PartitionedRelation::from_counts(
-            self.config.bucket_capacity,
-            new_bits,
-            parent.base_bits,
-            counts,
-        );
-        // Carried chains keep their buckets; only refined children draw
-        // from the pool. (The physical copy below is simulation
-        // bookkeeping — the modeled kernel re-links, it does not move.)
-        let carried_buckets: u64 = carried.iter().map(|&p| next.chain_buckets(p) as u64).sum();
-        let allocs = next.num_buckets() as u64 - carried_buckets;
-        {
-            let (keys, pays, offsets) = next.columns_mut();
-            let key_slots = DisjointSlice::new(keys);
-            let pay_slots = DisjointSlice::new(pays);
-            pool.map(&live, |_, &p| {
-                let (keys, payloads) = parent.partition_columns(p);
-                let put = |slot, k, v| {
-                    // SAFETY: children of distinct parents are disjoint
-                    // partitions (a carried parent's one child `p`
-                    // included), so every slot has exactly one writer.
-                    unsafe {
-                        key_slots.write(slot, k);
-                        pay_slots.write(slot, v);
-                    }
-                };
-                if finalized[p] {
-                    runs::scatter(keys, payloads, |_| 0, &mut [offsets[p]], put);
-                } else {
-                    let mut cursor: Vec<usize> =
-                        (0..local_fanout).map(|l| offsets[p | (l << shift)]).collect();
-                    runs::scatter(keys, payloads, local, &mut cursor, put);
-                }
-            });
-        }
-        let sms = self.config.device.sms as usize;
-        let imbalance = round_robin_imbalance(&unit_weights, sms);
-        let n: u64 = refined.iter().map(|&p| parent.partition_len(p)).sum();
-        let stats = self.pass_stats(
+            PassAssignment::PartitionAtATime => live(false).map(|p| parents[p]).collect(),
+        };
+        let carried = num_buckets(live(true).map(|p| parents[p]), capacity);
+        let allocs = num_buckets(children.iter().copied(), capacity) - carried;
+        let imbalance = round_robin_imbalance(&unit_weights, self.config.device.sms as usize);
+        self.pass_stats(
             pass,
-            n,
+            live(false).map(|p| parents[p]).sum(),
             allocs,
             imbalance,
             unit_weights.len().max(1) as u64,
-            carried.len() as u64,
-        );
-        (next, stats)
+            live(true).count() as u64,
+        )
     }
 
     /// Traffic model of one pass over `n` tuples with `units` work units
@@ -373,8 +344,9 @@ impl<'a> GpuPartitioner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProbeKind;
     use hcj_gpu::DeviceSpec;
-    use hcj_workload::{KeyDistribution, RelationSpec};
+    use hcj_workload::{KeyDistribution, RelationSpec, Runs};
     use std::collections::HashMap;
 
     fn config(radix_bits: u32) -> GpuJoinConfig {
@@ -670,8 +642,189 @@ mod tests {
         let rel = RelationSpec::unique(10_000, 8).generate();
         let cfg = config(4);
         let out = GpuPartitioner::new(&cfg).partition(&rel);
-        let total_buckets: usize =
-            (0..out.partitioned.fanout()).map(|p| out.partitioned.chain_buckets(p)).sum();
-        assert_eq!(out.passes[0].buckets_allocated, total_buckets as u64);
+        let lens = (0..out.partitioned.fanout()).map(|p| out.partitioned.partition_len(p));
+        assert_eq!(out.passes[0].buckets_allocated, num_buckets(lens, cfg.bucket_capacity));
+    }
+
+    /// The pass-by-pass partitioning the one scatter replaces: each level's
+    /// runs regrouped with `Runs::group`, a finalized parent landing whole at
+    /// child `p`, an all-finalized pass skipped and recorded, and every pass
+    /// charged from its inputs through the same cost functions.
+    fn pass_by_pass(
+        partitioner: &GpuPartitioner,
+        (keys, payloads): (&[u32], &[u32]),
+        base_bits: u32,
+        follow: Option<&RefinePlan>,
+    ) -> PartitionOutcome {
+        let config = partitioner.config;
+        let plan = config.pass_plan();
+        let digit = |pass: PassBits| move |k: u32| pass.local_index(k >> base_bits) as usize;
+        let split = |(keys, payloads): (&[u32], &[u32]), pass: PassBits| {
+            let runs = Runs::group(keys, payloads, pass.fanout() as usize, digit(pass));
+            (0..runs.fanout()).map(move |l| {
+                let (keys, payloads) = runs.run(l);
+                (keys.to_vec(), payloads.to_vec())
+            })
+        };
+        let lens = |level: &[(Vec<u32>, Vec<u32>)]| -> Vec<u64> {
+            level.iter().map(|(keys, _)| keys.len() as u64).collect()
+        };
+        let first = plan.passes()[0];
+        let mut level: Vec<(Vec<u32>, Vec<u32>)> = split((keys, payloads), first).collect();
+        let allocs = num_buckets(lens(&level), config.bucket_capacity);
+        let mut passes = vec![partitioner.pass_stats(first, keys.len() as u64, allocs, 1.0, 1, 0)];
+        let mut refine_plan = RefinePlan::default();
+        for (k, &pass) in plan.passes()[1..].iter().enumerate() {
+            let parents = lens(&level);
+            let finalized: Vec<bool> = match follow {
+                Some(plan) => plan.finalized.get(k).cloned().unwrap_or(vec![false; parents.len()]),
+                None => parents
+                    .iter()
+                    .map(|&n| config.fusion_active() && n <= config.fuse_threshold())
+                    .collect(),
+            };
+            if finalized.iter().all(|&f| f) {
+                refine_plan.finalized.push(finalized);
+                continue;
+            }
+            let mut next = vec![(Vec::new(), Vec::new()); 1 << (pass.shift + pass.bits)];
+            for (p, run) in level.into_iter().enumerate() {
+                if finalized[p] {
+                    next[p] = run;
+                } else {
+                    for (l, child) in split((&run.0, &run.1), pass).enumerate() {
+                        next[p | (l << pass.shift)] = child;
+                    }
+                }
+            }
+            passes.push(partitioner.refine_stats(pass, &parents, &finalized, &lens(&next)));
+            refine_plan.finalized.push(finalized);
+            level = next;
+        }
+        let bits = level.len().trailing_zeros();
+        let mut partitioned =
+            PartitionedRelation::from_counts(config.bucket_capacity, bits, base_bits, lens(&level));
+        let (out_keys, out_payloads, offsets) = partitioned.columns_mut();
+        for (p, (keys, payloads)) in level.iter().enumerate() {
+            out_keys[offsets[p]..offsets[p + 1]].copy_from_slice(keys);
+            out_payloads[offsets[p]..offsets[p + 1]].copy_from_slice(payloads);
+        }
+        PartitionOutcome { partitioned, passes, refine_plan }
+    }
+
+    /// Partition `columns` both ways and compare the whole outcomes: every
+    /// run, the layout's bits and pool, the plan and every pass's stats,
+    /// floats by their bits.
+    fn check_against_pass_by_pass(
+        config: &GpuJoinConfig,
+        columns: (&[u32], &[u32]),
+        base_bits: u32,
+        follow: Option<&RefinePlan>,
+        at: &str,
+    ) -> PartitionOutcome {
+        let partitioner = GpuPartitioner::new(config);
+        let got = partitioner.run(columns, base_bits, follow);
+        let want = pass_by_pass(&partitioner, columns, base_bits, follow);
+        let (a, b) = (&got.partitioned, &want.partitioned);
+        assert_eq!((a.fanout_bits, a.base_bits), (b.fanout_bits, b.base_bits), "{at}");
+        assert_eq!(a.clone().columns_mut(), b.clone().columns_mut(), "{at}");
+        assert_eq!(a.pool_bytes(), b.pool_bytes(), "{at}");
+        assert_eq!(got.refine_plan.finalized, want.refine_plan.finalized, "{at}");
+        let stats = |p: &PassStats| {
+            let (seconds, imbalance) = (p.seconds.to_bits(), p.imbalance.to_bits());
+            (p.cost, seconds, imbalance, p.buckets_allocated, p.fused_parents)
+        };
+        let want: Vec<_> = want.passes.iter().map(stats).collect();
+        assert_eq!(got.passes.iter().map(stats).collect::<Vec<_>>(), want, "{at}");
+        got
+    }
+
+    #[test]
+    fn one_scatter_matches_the_pass_by_pass_layout() {
+        let zipf = |tuples, seed| {
+            let distribution = KeyDistribution::Zipf { distinct: 1 << 20, theta: 1.0 };
+            RelationSpec { tuples, distribution, payload_width: 4, seed }.generate()
+        };
+        let five = |n: usize| {
+            let keys = [3, 17, 64, 1 << 20, u32::MAX];
+            Relation::from_columns(
+                (0..n).map(|i| keys[i * 7 % 5]).collect(),
+                (0..n as u32).collect(),
+            )
+        };
+        // More than 32,768 tuples split into chunks on two or more workers.
+        let rels = [
+            ("empty", Relation::default()),
+            ("one tuple", Relation::from_columns(vec![7], vec![70])),
+            ("unique 3,000", RelationSpec::unique(3_000, 1).generate()),
+            ("zipf 40,000", zipf(40_000, 2)),
+            ("five keys 70,000", five(70_000)),
+            ("unique 300,000", RelationSpec::unique(300_000, 3).generate()),
+            ("zipf 300,000", zipf(300_000, 4)),
+        ];
+        // Passes that carry some parents and passes skipped outright.
+        let (mut mixed, mut skipped) = (0, 0);
+        for radix in [0, 6, 9, 12, 15, 16] {
+            let plain = config(radix);
+            let fused = plain.clone().with_fused_refinement(true);
+            let configs = [
+                ("fusion off", plain.clone()),
+                ("fusion on", fused.clone()),
+                ("fusion on, nested loop", fused.clone().with_probe(ProbeKind::NestedLoop)),
+                ("partition at a time", fused.with_assignment(PassAssignment::PartitionAtATime)),
+                ("no write-combining", plain.with_write_combining(false)),
+            ];
+            for (name, config) in &configs {
+                for (rel_name, rel) in &rels {
+                    let at = format!("radix {radix}, {name}, {rel_name}");
+                    let columns = (&rel.keys[..], &rel.payloads[..]);
+                    let out = check_against_pass_by_pass(config, columns, 0, None, &at);
+                    mixed += out.passes.iter().filter(|p| p.fused_parents > 0).count();
+                    skipped += config.pass_plan().num_passes() - out.passes.len();
+                }
+            }
+        }
+        assert!(mixed > 0 && skipped > 0, "{mixed} mixed and {skipped} skipped passes");
+
+        // Co-processing's GPU level: keys sharing their low four bits.
+        let base: Relation = (0..40_000u32)
+            .map(|i| hcj_workload::Tuple {
+                key: (i.wrapping_mul(2_654_435_761) << 4) | 0x3,
+                payload: i,
+            })
+            .collect();
+        for radix in [6, 9, 12] {
+            let config = config(radix).with_fused_refinement(true);
+            let at = format!("base 4, radix {radix}");
+            check_against_pass_by_pass(&config, (&base.keys, &base.payloads), 4, None, &at);
+        }
+
+        // Followers replay a smaller build's plan on a larger probe and the
+        // reverse; a three-pass plan replays a skip followed by a split.
+        let (small, large) = (&rels[3].1, &rels[6].1);
+        let mut three_pass = config(12).with_fused_refinement(true);
+        three_pass.max_bits_per_pass = 4;
+        let skip_then_split = RefinePlan { finalized: vec![vec![true; 16], vec![false; 16]] };
+        for (name, config) in
+            [("radix 9", config(9)), ("radix 15", config(15)), ("4+4+4", three_pass)]
+        {
+            let config = config.with_fused_refinement(true);
+            let partitioner = GpuPartitioner::new(&config);
+            for (lead, follower) in [(small, large), (large, small)] {
+                let plan = partitioner.partition(lead).refine_plan;
+                let at = format!("{name}, {} following {}", follower.len(), lead.len());
+                check_against_pass_by_pass(
+                    &config,
+                    (&follower.keys, &follower.payloads),
+                    0,
+                    Some(&plan),
+                    &at,
+                );
+            }
+            if config.pass_plan().num_passes() == 3 {
+                let columns = (&small.keys[..], &small.payloads[..]);
+                check_against_pass_by_pass(&config, columns, 0, Some(&skip_then_split), name);
+            }
+        }
     }
 }

@@ -6,11 +6,12 @@
 //! scans stay coalesced; metadata (per-partition fill offset + current
 //! bucket) lives in shared memory during a pass. The host stores each
 //! partition as one dense run ([`PartitionedRelation`], over
-//! [`hcj_workload::Runs`]), and every pass moves tuples with the shared
-//! stable scatter ([`hcj_workload::runs`]); the buckets a pass charges
-//! (one allocation atomic and one link write each) and the pool bytes a
-//! strategy reserves are derived from the run lengths. The §VI histogram
-//! comparator is a cost model ([`histogram_passes`]).
+//! [`hcj_workload::Runs`]). The partitioner charges its passes from
+//! per-class counts and moves each tuple once, with the shared stable
+//! scatter ([`hcj_workload::runs`]); the buckets a pass charges (one
+//! allocation atomic and one link write each) and the pool bytes a
+//! strategy reserves are functions of run lengths (`bucket.rs`). The §VI
+//! histogram comparator is a cost model ([`histogram_passes`]).
 
 mod bucket;
 pub(crate) mod gpu;

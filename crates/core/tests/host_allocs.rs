@@ -1,7 +1,8 @@
 //! Allocation guards for the host-side hot paths: the co-processing
-//! working-set knapsack, the co-partition join, radix partitioning, the
-//! shared stable scatter, the streamed probe, the PRO CPU baseline, and
-//! the CPU oracle and plan canonicalization over compact key domains.
+//! working-set knapsack, the co-partition join, radix partitioning in one
+//! pass and in two, the shared stable scatter, the streamed probe, the PRO
+//! CPU baseline, and the CPU oracle and plan canonicalization over compact
+//! key domains.
 //! Allocation counts and bytes are a deterministic proxy for host time, so
 //! these fail on a regression that a wall-clock benchmark would only show
 //! as noise.
@@ -251,4 +252,22 @@ fn compact_canonicalization_makes_three_allocations() {
     // One scratch buffer of group offsets and payload pairs, then the two
     // columns.
     assert!(allocs <= 3, "{allocs} allocations to canonicalize 60,000 rows");
+}
+
+#[test]
+fn two_pass_partitioning_moves_its_tuples_once() {
+    set_jobs(1);
+    // A unique 50,000-tuple relation at radix 12, two 6-bit passes, into
+    // 1,024-tuple buckets: 400,000 B of keys and payloads.
+    let mut config = GpuJoinConfig::paper_default(DeviceSpec::gtx1080()).with_radix_bits(12);
+    config.bucket_capacity = 1024;
+    let r = RelationSpec::unique(50_000, 2).generate();
+    let (out, allocs, bytes) = allocs_during(|| GpuPartitioner::new(&config).partition(&r));
+    assert_eq!((out.passes.len(), out.partitioned.fanout()), (2, 4_096));
+    // One scatter into the final layout, through per-class counts and the
+    // pass model's level lengths: 19 allocations requesting 533,136 B.
+    // Regrouping the first pass's runs into a second set of columns made
+    // 160 allocations requesting 937,688 B.
+    assert!(allocs <= 24, "{allocs} allocations to partition 50,000 tuples in two passes");
+    assert!(bytes <= 540_000, "{bytes} B to partition 400,000 B of tuples in two passes");
 }

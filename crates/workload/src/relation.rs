@@ -72,25 +72,6 @@ impl Relation {
     pub fn logical_bytes(&self) -> u64 {
         self.len() as u64 * (4 + u64::from(self.payload_width))
     }
-
-    /// Borrow a contiguous chunk `[start, start+len)` as a new relation
-    /// (copies). A chunk reaching past the end is truncated there, and one
-    /// starting past it is empty.
-    pub fn chunk(&self, start: usize, len: usize) -> Relation {
-        let start = start.min(self.len());
-        let end = start.saturating_add(len).min(self.len());
-        Relation {
-            keys: self.keys[start..end].to_vec(),
-            payloads: self.payloads[start..end].to_vec(),
-            payload_width: self.payload_width,
-        }
-    }
-
-    /// Split into `ceil(len / chunk_len)` contiguous chunks.
-    pub fn chunks(&self, chunk_len: usize) -> Vec<Relation> {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        (0..self.len()).step_by(chunk_len).map(|s| self.chunk(s, chunk_len)).collect()
-    }
 }
 
 impl FromIterator<Tuple> for Relation {
@@ -152,30 +133,6 @@ mod tests {
         r.payload_width = 64;
         assert_eq!(r.bytes(), 80);
         assert_eq!(r.logical_bytes(), 10 * 68);
-    }
-
-    #[test]
-    fn chunking_covers_everything_once() {
-        let r = rel(10);
-        let chunks = r.chunks(3);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[3].len(), 1);
-        let total: usize = chunks.iter().map(Relation::len).sum();
-        assert_eq!(total, 10);
-        let rejoined: Relation = chunks.iter().flat_map(|c| c.iter().collect::<Vec<_>>()).collect();
-        assert_eq!(rejoined.keys, r.keys);
-    }
-
-    #[test]
-    fn chunk_past_end_truncates() {
-        let r = Relation { payload_width: 16, ..rel(5) };
-        let c = r.chunk(3, 10);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.keys, vec![3, 4]);
-        assert_eq!(r.chunk(3, usize::MAX).keys, vec![3, 4], "the end saturates");
-        let past = r.chunk(10, 5);
-        assert!(past.is_empty(), "a chunk starting past the end is empty");
-        assert_eq!(past.payload_width, 16);
     }
 
     #[test]

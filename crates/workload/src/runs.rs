@@ -1,7 +1,7 @@
 //! The stable counting scatter every partitioned layout shares: the GPU
-//! partitioner's passes, PRO's radix partitioning, co-processing's CPU
-//! level and the exchange's staging all group tuples into one dense run
-//! per partition, each run in input order. [`Runs::group`] counts each
+//! partitioner (one scatter for all its modeled passes), PRO's radix
+//! partitioning, co-processing's CPU level and the exchange's staging all
+//! group tuples into one dense run per partition, each run in input order. [`Runs::group`] counts each
 //! partition's tuples, prefixes the counts into run offsets and scatters
 //! every tuple to its partition's cursor. [`counts`] is its count-only
 //! form, and [`scatter`] its scatter step alone, for callers that split

@@ -5,7 +5,7 @@
 use hcj_workload::generate::{canonical_pair, payload_of};
 use hcj_workload::oracle::{reference_join, JoinCheck};
 use hcj_workload::rng::{Rng, SmallRng};
-use hcj_workload::{KeyDistribution, Relation, RelationSpec, Tuple};
+use hcj_workload::{KeyDistribution, RelationSpec};
 
 const CASES: u64 = 48;
 
@@ -100,26 +100,5 @@ fn canonical_pair_matches_equal_probe_size() {
         let probe = p.gen_range_u64(1, 3999) as usize;
         let (r, s) = canonical_pair(build, probe, p.next_u64());
         assert_eq!(JoinCheck::compute(&r, &s).matches, probe as u64, "case {case}");
-    }
-}
-
-/// Chunking is a partition of the relation: concatenating chunks
-/// reproduces it exactly.
-#[test]
-fn chunks_concatenate_back() {
-    for case in 0..CASES {
-        let mut p = params(500 + case);
-        let n = p.gen_range_u64(1, 2999) as usize;
-        let chunk = p.gen_range_u64(1, 499) as usize;
-        let r = RelationSpec::unique(n, p.next_u64()).generate();
-        let chunks = r.chunks(chunk);
-        let glued: Relation =
-            chunks.iter().flat_map(|c| c.iter().collect::<Vec<Tuple>>()).collect();
-        assert_eq!(glued.keys, r.keys, "case {case}");
-        assert_eq!(glued.payloads, r.payloads, "case {case}");
-        assert!(
-            chunks.iter().take(chunks.len() - 1).all(|c| c.len() == chunk),
-            "case {case}: non-final chunk not full"
-        );
     }
 }
